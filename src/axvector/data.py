@@ -80,8 +80,8 @@ class Corpus:
 
     def __init__(self, utterances: list[Utterance], features: dict[str, np.ndarray],
                  meta: dict | None = None):
-        ids = [u.utt_id for u in utterances]
-        require(len(ids) == len(set(ids)), "utterance ids must be unique")
+        self._by_id = {u.utt_id: u for u in utterances}
+        require(len(self._by_id) == len(utterances), "utterance ids must be unique")
         self.utterances = utterances
         self._features = features
         self.meta = meta or {}
@@ -96,10 +96,7 @@ class Corpus:
         return self._features[utt_id]
 
     def utterance(self, utt_id: str) -> Utterance:
-        for u in self.utterances:
-            if u.utt_id == utt_id:
-                return u
-        raise KeyError(utt_id)
+        return self._by_id[utt_id]
 
     def subset_by_speakers(self, speaker_ids) -> "Corpus":
         keep = set(speaker_ids)

@@ -2,12 +2,15 @@
 affine), statistics pooling, and the input-conditioned convolution whose
 filters are mixed per utterance from a trainable pool.
 
-Forward functions return ``(output, cache)`` pairs; each cache carries exactly
-the intermediates its ``*_backward`` companion needs.  Parameter gradients
-come back as dicts keyed by the parameter field names, so callers can
-accumulate them into whatever container they use.  Parameter containers are
-treated as immutable during a forward/backward pair; only the normalization
-running statistics mutate, and only in train mode.
+Every block works batch-first on (batch, frames, channels) arrays; the
+utterance-level blocks also take one (frames, channels) utterance and run
+the same code without the batch axis.  Forward functions return
+``(output, cache)`` pairs; each cache carries exactly the intermediates its
+``*_backward`` companion needs.  Parameter gradients come back as dicts keyed
+by the parameter field names, so callers can accumulate them into whatever
+container they use.  Parameter containers are treated as immutable during a
+forward/backward pair; only the normalization running statistics mutate,
+and only in train mode.
 """
 
 from __future__ import annotations
@@ -17,22 +20,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    ConvParams,
+    VARIANCE_FLOOR,
     as_f64,
-    conv1d,
-    conv1d_backward,
+    conv_backward,
+    conv_forward,
     require,
+    sliding_windows,
     softmax,
     softmax_backward,
-    weighted_stats,
+    tanh_backward,
+    weighted_moments,
     weighted_stats_backward,
 )
 
 MODES = ("train", "infer")
 
 
-def _check_mode(mode: str) -> None:
-    require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
+def _check_frames(frames, what: str) -> np.ndarray:
+    frames = as_f64(frames)
+    require(frames.ndim in (2, 3) and frames.shape[-2] >= 1,
+            f"{what} input must be (frames, channels) or (batch, frames, channels) "
+            f"with frames >= 1, got {frames.shape}")
+    return frames
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """All leading axes folded into one: (n, last)."""
+    return a.reshape(-1, a.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +99,19 @@ def _normalize_core(x, state: BnState, mode: str):
 
     Train mode uses batch statistics per channel over all leading axes and
     updates the running statistics by exponential moving average; infer mode
-    uses the running statistics.
+    uses the running statistics.  The statistics take one centring pass.
     """
-    _check_mode(mode)
+    require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
     x = as_f64(x)
     require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
     require(x.shape[-1] == state.channels,
             f"input has {x.shape[-1]} channels, state tracks {state.channels}")
-    axes = tuple(range(x.ndim - 1))
-    count = int(np.prod([x.shape[a] for a in axes]))
+    count = x.size // x.shape[-1]
     require(count >= 1, "normalization batch must be nonempty")
     if mode == "train":
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        mean = _rows(x).mean(axis=0)
+        xhat = x - mean
+        var = np.einsum("nc,nc->c", _rows(xhat), _rows(xhat)) / count
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mean
         state.running_var = (1.0 - m) * state.running_var + m * var
@@ -106,22 +120,25 @@ def _normalize_core(x, state: BnState, mode: str):
         if not state.initialized:
             raise RuntimeError("inference-mode normalization before any training update; "
                                "initialize the running statistics first")
-        mean = state.running_mean
+        xhat = x - state.running_mean
         var = state.running_var
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean) * inv_std
-    cache = {"xhat": xhat, "inv_std": inv_std, "mode": mode, "count": count, "axes": axes}
-    return xhat, cache
+    xhat *= inv_std
+    return xhat, {"xhat": xhat, "inv_std": inv_std, "mode": mode, "count": count}
 
 
 def _normalize_core_backward(cache, d_xhat: np.ndarray) -> np.ndarray:
-    xhat, inv_std, axes = cache["xhat"], cache["inv_std"], cache["axes"]
-    if cache["mode"] == "infer":
-        return d_xhat * inv_std
-    n = float(cache["count"])
-    sum_d = d_xhat.sum(axis=axes)
-    sum_dx = (d_xhat * xhat).sum(axis=axes)
-    return (inv_std / n) * (n * d_xhat - sum_d - xhat * sum_dx)
+    """Gradient through _normalize_core, computed in place in ``d_xhat``
+    (a fresh array the caller hands over)."""
+    xhat, inv_std = cache["xhat"], cache["inv_std"]
+    if cache["mode"] == "train":
+        n = float(cache["count"])
+        mean_d = _rows(d_xhat).sum(axis=0) / n
+        mean_dx = np.einsum("nc,nc->c", _rows(d_xhat), _rows(xhat)) / n
+        d_xhat -= xhat * mean_dx
+        d_xhat -= mean_d
+    d_xhat *= inv_std
+    return d_xhat
 
 
 def batch_norm(x, state: BnState, mode: str):
@@ -129,7 +146,8 @@ def batch_norm(x, state: BnState, mode: str):
     require(state.gamma is not None and state.beta is not None,
             "batch_norm needs a state with gamma and beta")
     xhat, core = _normalize_core(x, state, mode)
-    y = xhat * state.gamma + state.beta
+    y = xhat * state.gamma
+    y += state.beta
     return y, {"core": core, "gamma": state.gamma}
 
 
@@ -137,9 +155,8 @@ def batch_norm_backward(cache, upstream):
     """Gradients of batch_norm: (d_input, d_gamma, d_beta)."""
     core = cache["core"]
     upstream = as_f64(upstream)
-    axes = core["axes"]
-    d_gamma = (upstream * core["xhat"]).sum(axis=axes)
-    d_beta = upstream.sum(axis=axes)
+    d_gamma = np.einsum("nc,nc->c", _rows(upstream), _rows(core["xhat"]))
+    d_beta = _rows(upstream).sum(axis=0)
     d_input = _normalize_core_backward(core, upstream * cache["gamma"])
     return d_input, d_gamma, d_beta
 
@@ -154,20 +171,20 @@ def stats_pooling(frames):
 
     Identical to weighted_stats with uniform weights; order is [mean, std].
     """
-    frames = as_f64(frames)
-    require(frames.ndim == 2 and frames.shape[0] >= 1,
-            f"pooling input must be (frames, channels) with frames >= 1, got {frames.shape}")
-    weights = np.full(frames.shape[0], 1.0 / frames.shape[0])
-    mean, std = weighted_stats(frames, weights)
-    cache = {"frames": frames, "weights": weights, "channels": frames.shape[1]}
-    return np.concatenate([mean, std]), cache
+    frames = _check_frames(frames, "pooling")
+    weights = np.full(frames.shape[:-1], 1.0 / frames.shape[-2])
+    mean, raw_var = weighted_moments(frames, weights)
+    std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
+    cache = {"frames": frames, "weights": weights, "moments": (mean, raw_var)}
+    return np.concatenate([mean, std], axis=-1), cache
 
 
 def stats_pooling_backward(cache, upstream):
-    c = cache["channels"]
+    frames = cache["frames"]
+    c = frames.shape[-1]
     upstream = as_f64(upstream)
-    d_values, _ = weighted_stats_backward(cache["frames"], cache["weights"],
-                                          upstream[:c], upstream[c:])
+    d_values, _ = weighted_stats_backward(frames, cache["weights"], upstream[..., :c],
+                                          upstream[..., c:], moments=cache["moments"])
     return d_values
 
 
@@ -226,19 +243,19 @@ class AcnnParams:
 
 
 def acnn_context(frames, params: AcnnParams):
-    """Attentive mean+std context vector of the input frames.
+    """Attentive mean+std context vector of each utterance's input frames.
 
     logit_t = score_proj . tanh(frames_t @ score_weight + score_bias)
     attn    = softmax(logits);  context = [mean, std] of frames under attn.
     """
-    frames = as_f64(frames)
-    require(frames.ndim == 2 and frames.shape[0] >= 1,
-            f"context input must be (frames, channels), got {frames.shape}")
+    frames = _check_frames(frames, "context")
     scored = np.tanh(frames @ params.score_weight + params.score_bias)
-    attn = softmax(scored @ params.score_proj)
-    mean, std = weighted_stats(frames, attn)
-    cache = {"frames": frames, "scored": scored, "attn": attn, "params": params}
-    return np.concatenate([mean, std]), cache
+    attn = softmax(np.matmul(scored, params.score_proj))
+    mean, raw_var = weighted_moments(frames, attn)
+    context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
+    cache = {"frames": frames, "scored": scored, "attn": attn, "moments": (mean, raw_var),
+             "params": params}
+    return context, cache
 
 
 def acnn_context_backward(cache, d_context):
@@ -247,23 +264,27 @@ def acnn_context_backward(cache, d_context):
     frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
     c = p.in_dim
     d_context = as_f64(d_context)
-    d_pooled, d_attn = weighted_stats_backward(frames, attn, d_context[:c], d_context[c:])
+    d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
+                                               d_context[..., c:], moments=cache["moments"])
     d_logits = softmax_backward(attn, d_attn)
-    d_pre = np.outer(d_logits, p.score_proj) * (1.0 - scored * scored)
+    d_pre = tanh_backward(scored, np.multiply.outer(d_logits, p.score_proj))
     grads = {
-        "score_weight": frames.T @ d_pre,
-        "score_bias": d_pre.sum(axis=0),
-        "score_proj": scored.T @ d_logits,
+        "score_weight": _rows(frames).T @ _rows(d_pre),
+        "score_bias": _rows(d_pre).sum(axis=0),
+        "score_proj": _rows(scored).T @ d_logits.ravel(),
     }
-    return d_pooled + d_pre @ p.score_weight.T, grads
+    d_frames += np.matmul(d_pre, p.score_weight.T)
+    return d_frames, grads
 
 
 def acnn_filters(context, params: AcnnParams, mix_override=None):
-    """Mix the filter pool into one filter bank.
+    """Mix the filter pool into one filter bank per context vector.
 
     coeffs = context @ mix_weight + mix_bias (no normalization); the output
     weights and bias are the coefficient-weighted sums of the pool entries.
-    ``mix_override`` bypasses the regression with fixed coefficients.
+    ``context`` is one (2*in,) vector or a (batch, 2*in) stack.
+    ``mix_override`` bypasses the regression with fixed coefficients, giving
+    one bank shared by every utterance.
     """
     if mix_override is not None:
         coeffs = as_f64(mix_override)
@@ -272,60 +293,60 @@ def acnn_filters(context, params: AcnnParams, mix_override=None):
         context = None
     else:
         context = as_f64(context)
-        require(context.shape == (2 * params.in_dim,),
+        require(context.ndim in (1, 2) and context.shape[-1] == 2 * params.in_dim,
                 f"context must have length {2 * params.in_dim}, got {context.shape}")
         coeffs = context @ params.mix_weight + params.mix_bias
-    weights = np.tensordot(coeffs, params.pool_weight, axes=1)
+    pool = params.pool_weight
+    weights = (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
     bias = coeffs @ params.pool_bias
-    cache = {"context": context, "coeffs": coeffs, "params": params,
-             "overridden": mix_override is not None}
+    cache = {"context": context, "coeffs": coeffs, "params": params}
     return (weights, bias), cache
 
 
 def acnn_filters_backward(cache, d_weights, d_bias):
     """Gradients of acnn_filters: (d_context, grads dict)."""
     p: AcnnParams = cache["params"]
-    coeffs = cache["coeffs"]
-    d_weights = as_f64(d_weights)
-    d_bias = as_f64(d_bias)
-    d_coeffs = (np.tensordot(p.pool_weight, d_weights, axes=([1, 2, 3], [0, 1, 2]))
-                + p.pool_bias @ d_bias)
+    coeffs = _rows(cache["coeffs"])
+    d_weights = as_f64(d_weights).reshape(coeffs.shape[0], -1)
+    d_bias = _rows(as_f64(d_bias))
+    d_coeffs = d_weights @ p.pool_weight.reshape(p.pool_size, -1).T + d_bias @ p.pool_bias.T
     grads = {
-        "pool_weight": coeffs[:, None, None, None] * d_weights[None],
-        "pool_bias": np.outer(coeffs, d_bias),
+        "pool_weight": (coeffs.T @ d_weights).reshape(p.pool_weight.shape),
+        "pool_bias": coeffs.T @ d_bias,
     }
-    if cache["overridden"]:
-        d_context = None
-    else:
-        grads["mix_weight"] = np.outer(cache["context"], d_coeffs)
-        grads["mix_bias"] = d_coeffs
-        d_context = p.mix_weight @ d_coeffs
-    return d_context, grads
+    context = cache["context"]
+    if context is None:
+        return None, grads
+    grads["mix_weight"] = _rows(context).T @ d_coeffs
+    grads["mix_bias"] = d_coeffs.sum(axis=0)
+    return (d_coeffs @ p.mix_weight.T).reshape(context.shape), grads
 
 
 def acnn_forward(frames, params: AcnnParams, mix_override=None):
-    """One utterance through the adaptive convolution: context, filter
-    mixing, then a conventional valid convolution with the mixed filters."""
+    """Utterances through the adaptive convolution: context, filter mixing,
+    then a valid convolution of each utterance with its own mixed filters."""
+    frames = _check_frames(frames, "adaptive conv")
     if mix_override is None:
         context, ctx_cache = acnn_context(frames, params)
     else:
         context, ctx_cache = None, None
     (weights, bias), mix_cache = acnn_filters(context, params, mix_override)
-    conv = ConvParams(weights, bias, params.dilation)
-    out = conv1d(frames, conv)
-    cache = {"frames": as_f64(frames), "conv": conv,
-             "ctx_cache": ctx_cache, "mix_cache": mix_cache}
+    windows = sliding_windows(frames, params.pool_weight.shape[1], params.dilation)
+    out = conv_forward(windows, weights, bias)
+    cache = {"windows": windows, "shape": frames.shape, "weights": weights,
+             "dilation": params.dilation, "ctx_cache": ctx_cache, "mix_cache": mix_cache}
     return out, cache
 
 
 def acnn_backward(cache, upstream):
     """Gradients of acnn_forward: (d_frames, grads dict over AcnnParams)."""
-    frames = cache["frames"]
-    d_frames, d_weights, d_bias = conv1d_backward(frames, cache["conv"], upstream)
+    d_frames, d_weights, d_bias = conv_backward(cache["windows"], cache["shape"],
+                                                cache["weights"], cache["dilation"],
+                                                as_f64(upstream))
     d_context, grads = acnn_filters_backward(cache["mix_cache"], d_weights, d_bias)
     if cache["ctx_cache"] is not None:
         d_frames_ctx, ctx_grads = acnn_context_backward(cache["ctx_cache"], d_context)
-        d_frames = d_frames + d_frames_ctx
+        d_frames += d_frames_ctx
         grads.update(ctx_grads)
     return d_frames, grads
 
@@ -380,14 +401,12 @@ class AbnParams:
 
 
 def abn_context(frames, params: AbnParams):
-    """Frame-attention context: tanh features weighted by a softmax over the
-    per-frame feature means."""
-    frames = as_f64(frames)
-    require(frames.ndim == 2 and frames.shape[0] >= 1,
-            f"context input must be (frames, channels), got {frames.shape}")
+    """Frame-attention context of each utterance: tanh features weighted by a
+    softmax over the per-frame feature means."""
+    frames = _check_frames(frames, "context")
     feats = np.tanh(frames @ params.ctx_weight + params.ctx_bias)
-    attn = softmax(feats.mean(axis=1))
-    context = attn @ feats
+    attn = softmax(feats.mean(axis=-1))
+    context = np.matmul(attn[..., None, :], feats)[..., 0, :]
     cache = {"frames": frames, "feats": feats, "attn": attn, "params": params}
     return context, cache
 
@@ -397,16 +416,16 @@ def abn_context_backward(cache, d_context):
     p: AbnParams = cache["params"]
     frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
     d_context = as_f64(d_context)
-    d_feats = np.outer(attn, d_context)
-    d_attn = feats @ d_context
+    d_attn = np.matmul(feats, d_context[..., None])[..., 0]
     d_means = softmax_backward(attn, d_attn)
-    d_feats += d_means[:, None] / feats.shape[1]
-    d_pre = d_feats * (1.0 - feats * feats)
+    d_feats = attn[..., None] * d_context[..., None, :]
+    d_feats += (d_means / feats.shape[-1])[..., None]
+    d_pre = tanh_backward(feats, d_feats)
     grads = {
-        "ctx_weight": frames.T @ d_pre,
-        "ctx_bias": d_pre.sum(axis=0),
+        "ctx_weight": _rows(frames).T @ _rows(d_pre),
+        "ctx_bias": _rows(d_pre).sum(axis=0),
     }
-    return d_pre @ p.ctx_weight.T, grads
+    return np.matmul(d_pre, p.ctx_weight.T), grads
 
 
 def abn_apply(x, state: BnState, contexts, params: AbnParams, mode: str):
@@ -426,7 +445,8 @@ def abn_apply(x, state: BnState, contexts, params: AbnParams, mode: str):
     xhat, core = _normalize_core(x, state, mode)
     scales = contexts @ params.scale_weight + params.scale_bias
     shifts = contexts @ params.shift_weight + params.shift_bias
-    y = xhat * scales[:, None, :] + shifts[:, None, :]
+    y = xhat * scales[:, None, :]
+    y += shifts[:, None, :]
     cache = {"core": core, "contexts": contexts, "scales": scales, "params": params}
     return y, cache
 
@@ -436,7 +456,7 @@ def abn_apply_backward(cache, upstream):
     p: AbnParams = cache["params"]
     core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
     upstream = as_f64(upstream)
-    d_scales = (upstream * core["xhat"]).sum(axis=1)
+    d_scales = np.einsum("btc,btc->bc", upstream, core["xhat"])
     d_shifts = upstream.sum(axis=1)
     grads = {
         "scale_weight": contexts.T @ d_scales,
@@ -452,23 +472,15 @@ def abn_apply_backward(cache, upstream):
 def abn_layer(x, state: BnState, params: AbnParams, mode: str):
     """Full adaptive normalization layer: per-utterance contexts computed from
     the layer input itself, then the generated-affine normalization."""
-    x = as_f64(x)
-    require(x.ndim == 3, f"adaptive normalization expects a 3-D batch, got shape {x.shape}")
-    ctx_caches = []
-    contexts = np.empty((x.shape[0], params.hidden))
-    for b in range(x.shape[0]):
-        contexts[b], c = abn_context(x[b], params)
-        ctx_caches.append(c)
+    contexts, ctx_cache = abn_context(x, params)
     y, apply_cache = abn_apply(x, state, contexts, params, mode)
-    return y, {"apply": apply_cache, "ctx_caches": ctx_caches}
+    return y, {"apply": apply_cache, "ctx": ctx_cache}
 
 
 def abn_layer_backward(cache, upstream):
     """Gradients of abn_layer: (d_input, grads dict over AbnParams)."""
     d_input, d_contexts, grads = abn_apply_backward(cache["apply"], upstream)
-    for b, ctx_cache in enumerate(cache["ctx_caches"]):
-        d_frames, ctx_grads = abn_context_backward(ctx_cache, d_contexts[b])
-        d_input[b] += d_frames
-        for key, val in ctx_grads.items():
-            grads[key] = grads.get(key, 0.0) + val
+    d_frames, ctx_grads = abn_context_backward(cache["ctx"], d_contexts)
+    d_input += d_frames
+    grads.update(ctx_grads)
     return d_input, grads

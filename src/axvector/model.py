@@ -9,11 +9,12 @@ The network is a flat sequence of primitive layers:
                                                   output, before relu/BN)
     output:          affine to speaker logits
 
-Convolutions run one utterance at a time through the same kernel whether the
-filters are shared or generated per utterance, so the static and adaptive
-paths are bit-comparable.  A model is immutable during inference and may be
-shared across readers; training mutates parameters and normalization
-statistics from a single writer.
+Every layer runs batch-first on (batch, frames, channels) arrays.  Static and
+adaptive convolutions share one kernel, the same matrix product per utterance
+for shared or per-utterance filters, so the two paths are bit-comparable.  A
+model is immutable during inference and may be shared across readers;
+training mutates parameters and normalization statistics from a single
+writer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import layers as L
-from .numerics import ConvParams, as_f64, conv1d, conv1d_backward, relu, relu_backward, require
+from .numerics import (as_f64, conv_backward, conv_forward, relu, relu_backward, require,
+                       sliding_windows)
 from .serialize import FormatError, read_records, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
@@ -125,7 +127,7 @@ class ReluLayer:
 
 
 class ConvLayer:
-    """Shared-filter dilated convolution applied per utterance."""
+    """Shared-filter dilated convolution over a batch of utterances."""
 
     def __init__(self, name: str, rng: np.random.Generator,
                  kernel: int, in_dim: int, out_dim: int, dilation: int):
@@ -138,23 +140,19 @@ class ConvLayer:
     def params(self):
         return [self.weight, self.bias]
 
-    def conv_params(self) -> ConvParams:
-        return ConvParams(self.weight.value, self.bias.value, self.dilation)
-
     def forward(self, x, mode):
         x = as_f64(x)
-        p = self.conv_params()
-        out = np.stack([conv1d(x[b], p) for b in range(x.shape[0])])
-        return out, x
+        require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
+                f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
+        windows = sliding_windows(x, self.weight.value.shape[0], self.dilation)
+        return conv_forward(windows, self.weight.value, self.bias.value), (windows, x.shape)
 
     def backward(self, cache, upstream):
-        x = cache
-        p = self.conv_params()
-        d_input = np.empty_like(x)
-        for b in range(x.shape[0]):
-            d_input[b], d_w, d_b = conv1d_backward(x[b], p, upstream[b])
-            self.weight.grad += d_w
-            self.bias.grad += d_b
+        windows, shape = cache
+        d_input, d_w, d_b = conv_backward(windows, shape, self.weight.value, self.dilation,
+                                          as_f64(upstream))
+        self.weight.grad += d_w
+        self.bias.grad += d_b
         return d_input
 
 
@@ -170,7 +168,6 @@ class AdaptiveConvLayer:
                  kernel: int, in_dim: int, out_dim: int, dilation: int,
                  hidden: int, pool_size: int):
         self.name = name
-        self.dilation = dilation
         fan_conv = kernel * in_dim
         self.score_weight = Param(f"{name}.score_weight", _he_normal(rng, (in_dim, hidden), in_dim), True)
         self.score_bias = Param(f"{name}.score_bias", np.zeros(hidden), False)
@@ -188,48 +185,35 @@ class AdaptiveConvLayer:
         self.mix_override = None
         self._fields = ("score_weight", "score_bias", "score_proj", "mix_weight", "mix_bias",
                         "pool_weight", "pool_bias")
+        # views of the parameter values, which are only ever updated in place
+        self.acnn = L.AcnnParams(*(getattr(self, f).value for f in self._fields), dilation=dilation)
 
     def params(self):
         return [getattr(self, f) for f in self._fields]
 
-    def acnn_params(self) -> L.AcnnParams:
-        return L.AcnnParams(*(getattr(self, f).value for f in self._fields), dilation=self.dilation)
-
     def forward(self, x, mode):
         x = as_f64(x)
-        p = self.acnn_params()
-        outs, caches = [], []
-        for b in range(x.shape[0]):
-            out, cache = L.acnn_forward(x[b], p, self.mix_override)
-            outs.append(out)
-            caches.append(cache)
-        return np.stack(outs), caches
+        require(x.ndim == 3, f"adaptive conv expects (batch, frames, channels), got shape {x.shape}")
+        return L.acnn_forward(x, self.acnn, self.mix_override)
 
-    def backward(self, caches, upstream):
-        d_input = None
-        for b, cache in enumerate(caches):
-            d_frames, grads = L.acnn_backward(cache, upstream[b])
-            if d_input is None:
-                d_input = np.zeros((len(caches),) + d_frames.shape)
-            d_input[b] = d_frames
-            for key, val in grads.items():
-                getattr(self, key).grad += val
+    def backward(self, cache, upstream):
+        d_input, grads = L.acnn_backward(cache, upstream)
+        for key, val in grads.items():
+            getattr(self, key).grad += val
         return d_input
 
 
 class BatchNormLayer:
     def __init__(self, name: str, channels: int, momentum: float, eps: float):
         self.name = name
-        self.gamma = Param(f"{name}.gamma", np.ones(channels), False)
-        self.beta = Param(f"{name}.beta", np.zeros(channels), False)
-        self.state = L.BnState.create(channels, momentum, eps, affine=False)
+        self.state = L.BnState.create(channels, momentum, eps)
+        self.gamma = Param(f"{name}.gamma", self.state.gamma, False)
+        self.beta = Param(f"{name}.beta", self.state.beta, False)
 
     def params(self):
         return [self.gamma, self.beta]
 
     def forward(self, x, mode):
-        self.state.gamma = self.gamma.value
-        self.state.beta = self.beta.value
         return L.batch_norm(x, self.state, mode)
 
     def backward(self, cache, upstream):
@@ -273,15 +257,14 @@ class AdaptiveNormLayer:
         self.state = L.BnState.create(channels, momentum, eps, affine=False)
         self._fields = ("ctx_weight", "ctx_bias", "scale_weight", "scale_bias",
                         "shift_weight", "shift_bias")
+        # views of the parameter values, which are only ever updated in place
+        self.abn = L.AbnParams(*(getattr(self, f).value for f in self._fields))
 
     def params(self):
         return [getattr(self, f) for f in self._fields]
 
-    def abn_params(self) -> L.AbnParams:
-        return L.AbnParams(*(getattr(self, f).value for f in self._fields))
-
     def forward(self, x, mode):
-        return L.abn_layer(x, self.state, self.abn_params(), mode)
+        return L.abn_layer(x, self.state, self.abn, mode)
 
     def backward(self, cache, upstream):
         d_input, grads = L.abn_layer_backward(cache, upstream)
@@ -303,15 +286,10 @@ class StatsPoolLayer:
     def forward(self, x, mode):
         x = as_f64(x)
         require(x.ndim == 3, f"pooling expects (batch, frames, channels), got shape {x.shape}")
-        outs, caches = [], []
-        for b in range(x.shape[0]):
-            out, cache = L.stats_pooling(x[b])
-            outs.append(out)
-            caches.append(cache)
-        return np.stack(outs), caches
+        return L.stats_pooling(x)
 
-    def backward(self, caches, upstream):
-        return np.stack([L.stats_pooling_backward(c, upstream[b]) for b, c in enumerate(caches)])
+    def backward(self, cache, upstream):
+        return L.stats_pooling_backward(cache, upstream)
 
 
 class DenseLayer:
@@ -518,15 +496,21 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     """Rebuild a model from a checkpoint.
 
-    Every record is checked against the layout the stored config builds
-    (names and shapes, nothing missing, nothing extra) before any value is
-    copied in, so a checkpoint in another layout fails with one FormatError.
+    The stored config must build a valid model, and every record is checked
+    against the layout it builds (names and shapes, nothing missing, nothing
+    extra) before any value is copied in, so a checkpoint with a bad config
+    or in another layout fails with one FormatError.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
         raise FormatError(f"{path}: not a model checkpoint (kind={header.get('kind')!r})")
-    config = ArchConfig(**header["config"])
-    model = build(config, seed=0)
+    if not isinstance(header.get("config"), dict):
+        raise FormatError(f"{path}: model header has no config")
+    try:
+        config = ArchConfig(**header["config"])
+        model = build(config, seed=0)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid model config: {exc}") from exc
     by_name = dict(records)
     if len(by_name) != len(records):
         raise FormatError(f"{path}: duplicate record names")

@@ -43,11 +43,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators plus the shared step counter, and one
+    scratch buffer the size of the largest parameter for the update itself."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def init_adam(params: list[Param]) -> AdamState:
@@ -72,24 +74,42 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
 
     L2 decay is added to the gradient before the moment updates, and only for
     parameters flagged as decaying (weights, not biases or norm affines).
+    Every intermediate lives in the state's scratch buffer; ``p.grad`` is
+    left untouched.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
+    size = max((p.value.size for p in params), default=0)
+    if state.scratch.size < size:
+        state.scratch = np.empty(size)
     for p in params:
-        g = p.grad
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(p.grad)):
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
-        if weight_decay != 0.0 and p.decay:
-            g = g + weight_decay * p.value
+        decay = weight_decay if p.decay else 0.0
+        s = state.scratch[:p.value.size].reshape(p.value.shape)
         m = state.m[p.name]
         v = state.v[p.name]
+        # the decayed gradient g is rebuilt in s for each moment
+        np.multiply(p.value, decay, out=s)
+        s += p.grad
+        s *= 1.0 - beta1
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += s
+        np.multiply(p.value, decay, out=s)
+        s += p.grad
+        np.multiply(s, s, out=s)
+        s *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += s
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= lr / bc1
+        p.value -= s
 
 
 # ---------------------------------------------------------------------------

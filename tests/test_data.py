@@ -119,6 +119,16 @@ class TestCorpusIo:
             assert utt.condition == original.condition
             assert np.array_equal(loaded.features(utt.utt_id), corpus.features(utt.utt_id))
 
+    def test_utterance_lookup_by_id(self):
+        corpus = D.generate_corpus(small_spec())
+        for utt in corpus.utterances:
+            assert corpus.utterance(utt.utt_id) is utt
+        with pytest.raises(KeyError, match="no-such-utt"):
+            corpus.utterance("no-such-utt")
+        twice = corpus.utterances[:1] * 2
+        with pytest.raises(ValueError, match="unique"):
+            D.Corpus(twice, {twice[0].utt_id: corpus.features(twice[0].utt_id)})
+
     def test_subset_by_speakers(self):
         corpus = D.generate_corpus(small_spec())
         keep = corpus.speakers()[:2]

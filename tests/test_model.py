@@ -230,3 +230,18 @@ class TestCheckpoint:
         for partial in built:
             for pa, pb in zip(partial.params(), fresh.params()):
                 assert np.array_equal(pa.value, pb.value), pa.name
+
+    @pytest.mark.parametrize("config, message", [
+        ({**tiny_config().to_dict(), "bogus": 1}, "bogus"),
+        (None, "no config"),
+        ({**tiny_config().to_dict(), "variant": "dense"}, "variant"),
+        ({**tiny_config().to_dict(), "kernel_sizes": 3}, "kernel_sizes|iterable"),
+    ])
+    def test_bad_config_is_format_error(self, tmp_path, config, message):
+        header = {"kind": "model"}
+        if config is not None:
+            header["config"] = config
+        path = str(tmp_path / "bad.ckpt")
+        write_records(path, header, [])
+        with pytest.raises(FormatError, match=message):
+            M.load_model(path)
