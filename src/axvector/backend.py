@@ -306,11 +306,6 @@ class PldaScorer:
         return quad_e + quad_t + cross + self.offset
 
 
-def plda_score(model: PldaModel, enroll, test) -> float:
-    """Log-likelihood ratio of same-speaker versus different-speaker."""
-    return PldaScorer(model).score(enroll, test)
-
-
 # ---------------------------------------------------------------------------
 # score lists and fusion
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every stage of an experiment is a subcommand (gen-data, train, extract,
 backend-fit, score, fuse, evaluate, det-export, sweep-n), so the whole run
 is reproducible from a config file and seeds.  Numeric modules are imported
 lazily inside the handlers so ``--threads`` can cap BLAS threading before
-anything numerical loads.  All outputs are written atomically; a failed run
+anything numerical loads; in a process that has already loaded numpy the flag
+cannot act and is refused.  All outputs are written atomically; a failed run
 leaves no partial files behind.
 """
 
@@ -187,6 +188,8 @@ def cmd_backend_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
+    import numpy as np
+
     from . import backend, data
 
     transform, plda = backend.load_backend(args.backend)
@@ -194,16 +197,10 @@ def cmd_score(args) -> int:
     trials = data.read_trials(args.trials)
     needed = sorted({t.enroll for t in trials} | {t.test for t in trials})
     projected = dict(zip(needed, backend.preprocess_apply(transform, table.select(needed))))
-    if args.cosine:
-        scores = [(t.enroll, t.test, float(projected[t.enroll] @ projected[t.test]))
-                  for t in trials]
-    else:
-        scorer = backend.PldaScorer(plda)
-        import numpy as np
-        enroll = np.stack([projected[t.enroll] for t in trials])
-        test = np.stack([projected[t.test] for t in trials])
-        values = scorer.score_pairs(enroll, test)
-        scores = [(t.enroll, t.test, float(v)) for t, v in zip(trials, values)]
+    enroll = np.stack([projected[t.enroll] for t in trials])
+    test = np.stack([projected[t.test] for t in trials])
+    values = backend.PldaScorer(plda).score_pairs(enroll, test)
+    scores = [(t.enroll, t.test, float(v)) for t, v in zip(trials, values)]
     backend.write_scores(_out_path(args.out), scores)
     _log(f"scored {len(scores)} trials")
     return 0
@@ -388,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Speaker verification pipeline: synthetic data, embedding "
                     "network training, scoring backend and evaluation.")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS threads (set before numeric modules load)")
+                        help="cap BLAS threads; refused in a process that has already "
+                             "loaded numpy")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic corpus and eval trials")
@@ -430,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cosine", action="store_true",
-                   help="debug: cosine similarity instead of the generative scorer")
     p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("fuse", help="equal-weight score fusion over systems")
@@ -473,6 +469,12 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.threads is not None:
+        # BLAS reads its thread count once, when numpy loads
+        if "numpy" in sys.modules:
+            print("error: --threads cannot act in a process that has already loaded numpy; "
+                  "set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) in the "
+                  "environment before starting it", file=sys.stderr)
+            return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:

@@ -205,8 +205,11 @@ def read_feature_file(path: str) -> np.ndarray:
     expected = 16 + frames * dim * 4
     if len(data) != expected:
         raise FormatError(f"{path}: payload is {len(data) - 16} bytes, expected {expected - 16}")
-    values = np.frombuffer(data[16:], dtype="<f4").astype(np.float64)
-    return values.reshape(frames, dim)
+    values = np.frombuffer(data[16:], dtype="<f4").astype(np.float64).reshape(frames, dim)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: frame {bad[0]} holds a NaN or infinite value")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +233,15 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
 
 
 def load_corpus(path: str) -> Corpus:
-    utt2spk = read_key_value_file(os.path.join(path, "utt2spk"))
-    utt2cond = read_key_value_file(os.path.join(path, "utt2cond"))
+    """Read a corpus written by save_corpus; every utterance listed in
+    ``utt2spk`` must have a condition in ``utt2cond``."""
+    spk_path, cond_path = os.path.join(path, "utt2spk"), os.path.join(path, "utt2cond")
+    utt2spk = read_key_value_file(spk_path)
+    utt2cond = read_key_value_file(cond_path)
+    missing = [utt_id for utt_id in utt2spk if utt_id not in utt2cond]
+    if missing:
+        raise FormatError(f"{spk_path}:{_line_of(spk_path, missing[0])}: utterance "
+                          f"{missing[0]!r} has no entry in {cond_path}")
     meta_path = os.path.join(path, "corpus.json")
     meta = {}
     if os.path.exists(meta_path):
@@ -240,12 +250,13 @@ def load_corpus(path: str) -> Corpus:
     utterances = []
     features = {}
     for utt_id in sorted(utt2spk):
-        utterances.append(Utterance(utt_id, utt2spk[utt_id], utt2cond.get(utt_id, "clean")))
+        utterances.append(Utterance(utt_id, utt2spk[utt_id], utt2cond[utt_id]))
         features[utt_id] = read_feature_file(os.path.join(path, "features", f"{utt_id}.axvf"))
     return Corpus(utterances, features, meta)
 
 
 def read_key_value_file(path: str) -> dict[str, str]:
+    """``key value`` lines, in file order; a repeated key is an error."""
     out = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
@@ -255,8 +266,19 @@ def read_key_value_file(path: str) -> dict[str, str]:
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"{path}:{line_no}: expected 'key value', got {line!r}")
+            if parts[0] in out:
+                raise FormatError(f"{path}:{line_no}: duplicate key {parts[0]!r} "
+                                  f"(first on line {_line_of(path, parts[0])})")
             out[parts[0]] = parts[1]
     return out
+
+
+def _line_of(path: str, key: str) -> int:
+    """Line number of the first ``key ...`` line of a key-value file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, 1):
+            if line.split()[:1] == [key]:
+                return line_no
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""Network building blocks: batch normalization (fixed and input-conditioned
-affine), statistics pooling, and the input-conditioned convolution whose
-filters are mixed per utterance from a trainable pool.
+"""The layers of the embedding networks, one class per layer.
 
-Every block works batch-first on (batch, frames, channels) arrays; the
-utterance-level blocks also take one (frames, channels) utterance and run
-the same code without the batch axis.  Forward functions return
-``(output, cache)`` pairs; each cache carries exactly the intermediates its
-``*_backward`` companion needs.  Parameter gradients come back as dicts keyed
-by the parameter field names, so callers can accumulate them into whatever
-container they use.  Parameter containers are treated as immutable during a
-forward/backward pair; only the normalization running statistics mutate,
-and only in train mode.
+Each layer owns its trainable parameters (a ``Param`` holds a value and its
+gradient accumulator) and, for the normalizations, its running statistics.
+Every layer works batch-first on (batch, frames, channels) arrays, or on
+(batch, channels) rows after pooling.  ``forward(x, mode)`` returns
+``(output, cache)``, where the cache carries exactly the intermediates the
+hand-written ``backward(cache, upstream)`` needs; ``backward`` returns the
+input gradient and adds each parameter gradient into that parameter's
+``grad``.  Parameter values change only between a forward/backward pair (the
+optimizer updates them in place); the running statistics change only in
+train mode.
+
+The two input-conditioned layers keep their sub-steps as separate methods,
+each with its own backward: the adaptive convolution's attentive context and
+filter mixing, and the adaptive normalization's context.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .numerics import (
     as_f64,
     conv_backward,
     conv_forward,
+    relu,
+    relu_backward,
     require,
     sliding_windows,
     softmax,
@@ -38,9 +41,9 @@ MODES = ("train", "infer")
 
 def _check_frames(frames, what: str) -> np.ndarray:
     frames = as_f64(frames)
-    require(frames.ndim in (2, 3) and frames.shape[-2] >= 1,
-            f"{what} input must be (frames, channels) or (batch, frames, channels) "
-            f"with frames >= 1, got {frames.shape}")
+    require(frames.ndim == 3 and frames.shape[1] >= 1,
+            f"{what} input must be (batch, frames, channels) with frames >= 1, "
+            f"got {frames.shape}")
     return frames
 
 
@@ -49,116 +52,97 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+class Param:
+    """A named trainable tensor with its gradient accumulator."""
+
+    __slots__ = ("name", "value", "grad", "decay")
+
+    def __init__(self, name: str, value: np.ndarray, decay: bool):
+        self.name = name
+        self.value = as_f64(value)
+        self.grad = np.zeros_like(self.value)
+        self.decay = decay
+
+    def zero_grad(self) -> None:
+        self.grad[...] = 0.0
+
+
+def _he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+
+
 # ---------------------------------------------------------------------------
-# batch normalization
+# activation and static layers
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BnState:
-    """Normalization state: running statistics plus an optional fixed affine.
+class ReluLayer:
+    def __init__(self, name: str):
+        self.name = name
 
-    ``gamma``/``beta`` are None when the affine is supplied externally (the
-    input-conditioned normalization generates them per utterance instead).
-    Running statistics are updated only in train mode; inference before any
-    update raises unless the statistics were explicitly initialized.
-    """
+    def params(self):
+        return []
 
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    initialized: bool = False
+    def forward(self, x, mode):
+        x = as_f64(x)
+        return relu(x), x
 
-    def __post_init__(self):
-        self.running_mean = as_f64(self.running_mean)
-        self.running_var = as_f64(self.running_var)
-        require(0.0 < self.momentum < 1.0, "momentum must lie in (0, 1)")
-        require(self.eps > 0.0, "epsilon must be positive")
-        require(bool(np.all(self.running_var >= 0.0)), "running variance must be nonnegative")
-
-    @classmethod
-    def create(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-               affine: bool = True) -> "BnState":
-        state = cls(running_mean=np.zeros(channels), running_var=np.zeros(channels),
-                    momentum=momentum, eps=eps)
-        if affine:
-            state.gamma = np.ones(channels)
-            state.beta = np.zeros(channels)
-        return state
-
-    @property
-    def channels(self) -> int:
-        return self.running_mean.shape[0]
+    def backward(self, cache, upstream):
+        return relu_backward(cache, upstream)
 
 
-def _normalize_core(x, state: BnState, mode: str):
-    """Shared standardization: (x - mean) / sqrt(var + eps).
+class ConvLayer:
+    """Shared-filter dilated convolution over a batch of utterances."""
 
-    Train mode uses batch statistics per channel over all leading axes and
-    updates the running statistics by exponential moving average; infer mode
-    uses the running statistics.  The statistics take one centring pass.
-    """
-    require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
-    x = as_f64(x)
-    require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
-    require(x.shape[-1] == state.channels,
-            f"input has {x.shape[-1]} channels, state tracks {state.channels}")
-    count = x.size // x.shape[-1]
-    require(count >= 1, "normalization batch must be nonempty")
-    if mode == "train":
-        mean = _rows(x).mean(axis=0)
-        xhat = x - mean
-        var = np.einsum("nc,nc->c", _rows(xhat), _rows(xhat)) / count
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mean
-        state.running_var = (1.0 - m) * state.running_var + m * var
-        state.initialized = True
-    else:
-        if not state.initialized:
-            raise RuntimeError("inference-mode normalization before any training update; "
-                               "initialize the running statistics first")
-        xhat = x - state.running_mean
-        var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat *= inv_std
-    return xhat, {"xhat": xhat, "inv_std": inv_std, "mode": mode, "count": count}
+    def __init__(self, name: str, rng: np.random.Generator,
+                 kernel: int, in_dim: int, out_dim: int, dilation: int):
+        self.name = name
+        self.dilation = dilation
+        fan_in = kernel * in_dim
+        self.weight = Param(f"{name}.weight", _he_normal(rng, (kernel, in_dim, out_dim), fan_in), True)
+        self.bias = Param(f"{name}.bias", np.zeros(out_dim), False)
+
+    def params(self):
+        return [self.weight, self.bias]
+
+    def forward(self, x, mode):
+        x = as_f64(x)
+        require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
+                f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
+        windows = sliding_windows(x, self.weight.value.shape[0], self.dilation)
+        return conv_forward(windows, self.weight.value, self.bias.value), (windows, x.shape)
+
+    def backward(self, cache, upstream):
+        windows, shape = cache
+        d_input, d_w, d_b = conv_backward(windows, shape, self.weight.value, self.dilation,
+                                          as_f64(upstream))
+        self.weight.grad += d_w
+        self.bias.grad += d_b
+        return d_input
 
 
-def _normalize_core_backward(cache, d_xhat: np.ndarray) -> np.ndarray:
-    """Gradient through _normalize_core, computed in place in ``d_xhat``
-    (a fresh array the caller hands over)."""
-    xhat, inv_std = cache["xhat"], cache["inv_std"]
-    if cache["mode"] == "train":
-        n = float(cache["count"])
-        mean_d = _rows(d_xhat).sum(axis=0) / n
-        mean_dx = np.einsum("nc,nc->c", _rows(d_xhat), _rows(xhat)) / n
-        d_xhat -= xhat * mean_dx
-        d_xhat -= mean_d
-    d_xhat *= inv_std
-    return d_xhat
+class DenseLayer:
+    def __init__(self, name: str, rng: np.random.Generator, in_dim: int, out_dim: int,
+                 init_scale: float = 1.0):
+        self.name = name
+        self.weight = Param(f"{name}.weight",
+                            init_scale * _he_normal(rng, (in_dim, out_dim), in_dim), True)
+        self.bias = Param(f"{name}.bias", np.zeros(out_dim), False)
 
+    def params(self):
+        return [self.weight, self.bias]
 
-def batch_norm(x, state: BnState, mode: str):
-    """Per-channel batch normalization with the state's fixed affine."""
-    require(state.gamma is not None and state.beta is not None,
-            "batch_norm needs a state with gamma and beta")
-    xhat, core = _normalize_core(x, state, mode)
-    y = xhat * state.gamma
-    y += state.beta
-    return y, {"core": core, "gamma": state.gamma}
+    def forward(self, x, mode):
+        x = as_f64(x)
+        require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
+                f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
+        return x @ self.weight.value + self.bias.value, x
 
-
-def batch_norm_backward(cache, upstream):
-    """Gradients of batch_norm: (d_input, d_gamma, d_beta)."""
-    core = cache["core"]
-    upstream = as_f64(upstream)
-    d_gamma = np.einsum("nc,nc->c", _rows(upstream), _rows(core["xhat"]))
-    d_beta = _rows(upstream).sum(axis=0)
-    d_input = _normalize_core_backward(core, upstream * cache["gamma"])
-    return d_input, d_gamma, d_beta
+    def backward(self, cache, upstream):
+        x = cache
+        self.weight.grad += x.T @ upstream
+        self.bias.grad += upstream.sum(axis=0)
+        return upstream @ self.weight.value.T
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +150,30 @@ def batch_norm_backward(cache, upstream):
 # ---------------------------------------------------------------------------
 
 
-def stats_pooling(frames):
-    """Concatenated per-channel mean and standard deviation over frames.
+class StatsPoolLayer:
+    """Per-channel mean and standard deviation over each utterance's frames,
+    concatenated as [mean, std]: weighted statistics with uniform weights."""
 
-    Identical to weighted_stats with uniform weights; order is [mean, std].
-    """
-    frames = _check_frames(frames, "pooling")
-    weights = np.full(frames.shape[:-1], 1.0 / frames.shape[-2])
-    mean, raw_var = weighted_moments(frames, weights)
-    std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
-    cache = {"frames": frames, "weights": weights, "moments": (mean, raw_var)}
-    return np.concatenate([mean, std], axis=-1), cache
+    def __init__(self, name: str):
+        self.name = name
 
+    def params(self):
+        return []
 
-def stats_pooling_backward(cache, upstream):
-    frames = cache["frames"]
-    c = frames.shape[-1]
-    upstream = as_f64(upstream)
-    d_values, _ = weighted_stats_backward(frames, cache["weights"], upstream[..., :c],
-                                          upstream[..., c:], moments=cache["moments"])
-    return d_values
+    def forward(self, x, mode):
+        x = _check_frames(x, "pooling")
+        weights = np.full(x.shape[:-1], 1.0 / x.shape[-2])
+        mean, raw_var = weighted_moments(x, weights)
+        std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
+        return np.concatenate([mean, std], axis=-1), (x, weights, (mean, raw_var))
+
+    def backward(self, cache, upstream):
+        x, weights, moments = cache
+        c = x.shape[-1]
+        upstream = as_f64(upstream)
+        d_x, _ = weighted_stats_backward(x, weights, upstream[..., :c], upstream[..., c:],
+                                         moments=moments)
+        return d_x
 
 
 # ---------------------------------------------------------------------------
@@ -193,294 +181,311 @@ def stats_pooling_backward(cache, upstream):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AcnnParams:
-    """Parameters of the input-conditioned convolution block.
+class AdaptiveConvLayer:
+    """Convolution whose filters are mixed per utterance from a trainable pool.
 
     The context is attentive statistics pooling of the input frames
-    themselves: ``score_*`` plus ``score_proj`` produce the per-frame
-    attention logits, and the frames are pooled under that attention.
-    ``mix_*`` turns the pooled context (mean and std concatenated, length
-    2*in) into unconstrained mixing coefficients over the filter pool.
+    themselves: ``score_*`` and ``score_proj`` give the per-frame attention
+    logits, and the frames' mean and std under that attention (length 2*in)
+    are regressed by ``mix_*`` into unconstrained coefficients over the
+    filter pool ``pool_*``.  ``mix_override`` (a fixed coefficient vector)
+    bypasses the context and regression for every utterance; used to reduce
+    the layer to a static convolution in tests.
     """
 
-    score_weight: np.ndarray   # (in, hidden)
-    score_bias: np.ndarray     # (hidden,)
-    score_proj: np.ndarray     # (hidden,)
-    mix_weight: np.ndarray     # (2*in, pool)
-    mix_bias: np.ndarray       # (pool,)
-    pool_weight: np.ndarray    # (pool, kernel, in, out)
-    pool_bias: np.ndarray      # (pool, out)
-    dilation: int = 1
+    def __init__(self, name: str, rng: np.random.Generator,
+                 kernel: int, in_dim: int, out_dim: int, dilation: int,
+                 hidden: int, pool_size: int):
+        self.name = name
+        self.dilation = dilation
+        fan_conv = kernel * in_dim
+        self.score_weight = Param(f"{name}.score_weight", _he_normal(rng, (in_dim, hidden), in_dim), True)
+        self.score_bias = Param(f"{name}.score_bias", np.zeros(hidden), False)
+        self.score_proj = Param(f"{name}.score_proj", _he_normal(rng, (hidden,), hidden), True)
+        # mixing regression starts small: the generated filters are modest at
+        # first and the following normalization keeps the layer well scaled
+        self.mix_weight = Param(f"{name}.mix_weight",
+                                0.1 * _he_normal(rng, (2 * in_dim, pool_size), 2 * in_dim), True)
+        self.mix_bias = Param(f"{name}.mix_bias", np.zeros(pool_size), False)
+        self.pool_weight = Param(
+            f"{name}.pool_weight",
+            np.stack([_he_normal(rng, (kernel, in_dim, out_dim), fan_conv) for _ in range(pool_size)]),
+            True)
+        self.pool_bias = Param(f"{name}.pool_bias", np.zeros((pool_size, out_dim)), False)
+        self.mix_override = None
 
-    def __post_init__(self):
-        for name in ("score_weight", "score_bias", "score_proj", "mix_weight", "mix_bias",
-                     "pool_weight", "pool_bias"):
-            setattr(self, name, as_f64(getattr(self, name)))
-        require(self.score_weight.ndim == 2, "score map must be (in, hidden)")
-        in_dim, hidden = self.score_weight.shape
-        require(self.score_bias.shape == (hidden,), "attention bias shape mismatch")
-        require(self.score_proj.shape == (hidden,), "score projector shape mismatch")
-        require(self.pool_weight.ndim == 4 and self.pool_weight.shape[0] >= 1,
-                "filter pool must be (pool, kernel, in, out) with pool >= 1")
-        require(self.pool_weight.shape[2] == in_dim,
-                f"filter pool expects {self.pool_weight.shape[2]} input channels, "
-                f"attention maps expect {in_dim}")
-        pool, out = self.pool_weight.shape[0], self.pool_weight.shape[3]
-        require(self.pool_bias.shape == (pool, out), "pool bias shape mismatch")
-        require(self.mix_weight.shape == (2 * in_dim, pool) and self.mix_bias.shape == (pool,),
-                "mixing regression shape mismatch")
-        require(int(self.dilation) >= 1, "dilation must be >= 1")
-        self.dilation = int(self.dilation)
+    def params(self):
+        return [self.score_weight, self.score_bias, self.score_proj, self.mix_weight,
+                self.mix_bias, self.pool_weight, self.pool_bias]
 
-    @property
-    def in_dim(self) -> int:
-        return self.score_weight.shape[0]
+    def context(self, frames):
+        """Attentive mean+std context vector of each utterance's frames.
 
-    @property
-    def pool_size(self) -> int:
-        return self.pool_weight.shape[0]
+        logit_t = score_proj . tanh(frames_t @ score_weight + score_bias)
+        attn    = softmax(logits);  context = [mean, std] of frames under attn.
+        """
+        frames = _check_frames(frames, "context")
+        scored = np.tanh(frames @ self.score_weight.value + self.score_bias.value)
+        attn = softmax(np.matmul(scored, self.score_proj.value))
+        mean, raw_var = weighted_moments(frames, attn)
+        context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
+        return context, {"frames": frames, "scored": scored, "attn": attn,
+                         "moments": (mean, raw_var)}
 
+    def context_backward(self, cache, d_context):
+        """Gradient of context with respect to the frames."""
+        frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
+        c = frames.shape[-1]
+        d_context = as_f64(d_context)
+        d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
+                                                   d_context[..., c:], moments=cache["moments"])
+        d_logits = softmax_backward(attn, d_attn)
+        d_pre = tanh_backward(scored, np.multiply.outer(d_logits, self.score_proj.value))
+        self.score_weight.grad += _rows(frames).T @ _rows(d_pre)
+        self.score_bias.grad += _rows(d_pre).sum(axis=0)
+        self.score_proj.grad += _rows(scored).T @ d_logits.ravel()
+        d_frames += np.matmul(d_pre, self.score_weight.value.T)
+        return d_frames
 
-def acnn_context(frames, params: AcnnParams):
-    """Attentive mean+std context vector of each utterance's input frames.
+    def filters(self, context):
+        """Mix the filter pool into one filter bank per (batch, 2*in) context row.
 
-    logit_t = score_proj . tanh(frames_t @ score_weight + score_bias)
-    attn    = softmax(logits);  context = [mean, std] of frames under attn.
-    """
-    frames = _check_frames(frames, "context")
-    scored = np.tanh(frames @ params.score_weight + params.score_bias)
-    attn = softmax(np.matmul(scored, params.score_proj))
-    mean, raw_var = weighted_moments(frames, attn)
-    context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
-    cache = {"frames": frames, "scored": scored, "attn": attn, "moments": (mean, raw_var),
-             "params": params}
-    return context, cache
+        coeffs = context @ mix_weight + mix_bias (no normalization); the
+        weights and bias are the coefficient-weighted sums of the pool
+        entries.  Under ``mix_override`` the context is unused and one bank
+        is shared by every utterance.
+        """
+        pool = self.pool_weight.value
+        if self.mix_override is not None:
+            coeffs = as_f64(self.mix_override)
+            require(coeffs.shape == (pool.shape[0],),
+                    f"mix override must have {pool.shape[0]} coefficients")
+            context = None
+        else:
+            context = as_f64(context)
+            require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
+                    f"context must be (batch, {self.mix_weight.value.shape[0]}), "
+                    f"got {context.shape}")
+            coeffs = context @ self.mix_weight.value + self.mix_bias.value
+        weights = (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
+        bias = coeffs @ self.pool_bias.value
+        return (weights, bias), {"context": context, "coeffs": coeffs}
 
+    def filters_backward(self, cache, d_weights, d_bias):
+        """Gradient of filters with respect to the context (None under
+        ``mix_override``)."""
+        pool = self.pool_weight.value
+        coeffs = _rows(cache["coeffs"])
+        d_weights = as_f64(d_weights).reshape(coeffs.shape[0], -1)
+        d_bias = _rows(as_f64(d_bias))
+        d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ self.pool_bias.value.T
+        self.pool_weight.grad += (coeffs.T @ d_weights).reshape(pool.shape)
+        self.pool_bias.grad += coeffs.T @ d_bias
+        context = cache["context"]
+        if context is None:
+            return None
+        self.mix_weight.grad += context.T @ d_coeffs
+        self.mix_bias.grad += d_coeffs.sum(axis=0)
+        return d_coeffs @ self.mix_weight.value.T
 
-def acnn_context_backward(cache, d_context):
-    """Gradients of acnn_context: (d_frames, grads dict)."""
-    p: AcnnParams = cache["params"]
-    frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
-    c = p.in_dim
-    d_context = as_f64(d_context)
-    d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
-                                               d_context[..., c:], moments=cache["moments"])
-    d_logits = softmax_backward(attn, d_attn)
-    d_pre = tanh_backward(scored, np.multiply.outer(d_logits, p.score_proj))
-    grads = {
-        "score_weight": _rows(frames).T @ _rows(d_pre),
-        "score_bias": _rows(d_pre).sum(axis=0),
-        "score_proj": _rows(scored).T @ d_logits.ravel(),
-    }
-    d_frames += np.matmul(d_pre, p.score_weight.T)
-    return d_frames, grads
+    def forward(self, x, mode):
+        """Context, filter mixing, then a valid convolution of each utterance
+        with its own mixed filters."""
+        x = _check_frames(x, "adaptive conv")
+        if self.mix_override is None:
+            context, ctx_cache = self.context(x)
+        else:
+            context, ctx_cache = None, None
+        (weights, bias), mix_cache = self.filters(context)
+        windows = sliding_windows(x, self.pool_weight.value.shape[1], self.dilation)
+        out = conv_forward(windows, weights, bias)
+        return out, {"windows": windows, "shape": x.shape, "weights": weights,
+                     "ctx": ctx_cache, "mix": mix_cache}
 
-
-def acnn_filters(context, params: AcnnParams, mix_override=None):
-    """Mix the filter pool into one filter bank per context vector.
-
-    coeffs = context @ mix_weight + mix_bias (no normalization); the output
-    weights and bias are the coefficient-weighted sums of the pool entries.
-    ``context`` is one (2*in,) vector or a (batch, 2*in) stack.
-    ``mix_override`` bypasses the regression with fixed coefficients, giving
-    one bank shared by every utterance.
-    """
-    if mix_override is not None:
-        coeffs = as_f64(mix_override)
-        require(coeffs.shape == (params.pool_size,),
-                f"mix override must have {params.pool_size} coefficients")
-        context = None
-    else:
-        context = as_f64(context)
-        require(context.ndim in (1, 2) and context.shape[-1] == 2 * params.in_dim,
-                f"context must have length {2 * params.in_dim}, got {context.shape}")
-        coeffs = context @ params.mix_weight + params.mix_bias
-    pool = params.pool_weight
-    weights = (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
-    bias = coeffs @ params.pool_bias
-    cache = {"context": context, "coeffs": coeffs, "params": params}
-    return (weights, bias), cache
-
-
-def acnn_filters_backward(cache, d_weights, d_bias):
-    """Gradients of acnn_filters: (d_context, grads dict)."""
-    p: AcnnParams = cache["params"]
-    coeffs = _rows(cache["coeffs"])
-    d_weights = as_f64(d_weights).reshape(coeffs.shape[0], -1)
-    d_bias = _rows(as_f64(d_bias))
-    d_coeffs = d_weights @ p.pool_weight.reshape(p.pool_size, -1).T + d_bias @ p.pool_bias.T
-    grads = {
-        "pool_weight": (coeffs.T @ d_weights).reshape(p.pool_weight.shape),
-        "pool_bias": coeffs.T @ d_bias,
-    }
-    context = cache["context"]
-    if context is None:
-        return None, grads
-    grads["mix_weight"] = _rows(context).T @ d_coeffs
-    grads["mix_bias"] = d_coeffs.sum(axis=0)
-    return (d_coeffs @ p.mix_weight.T).reshape(context.shape), grads
-
-
-def acnn_forward(frames, params: AcnnParams, mix_override=None):
-    """Utterances through the adaptive convolution: context, filter mixing,
-    then a valid convolution of each utterance with its own mixed filters."""
-    frames = _check_frames(frames, "adaptive conv")
-    if mix_override is None:
-        context, ctx_cache = acnn_context(frames, params)
-    else:
-        context, ctx_cache = None, None
-    (weights, bias), mix_cache = acnn_filters(context, params, mix_override)
-    windows = sliding_windows(frames, params.pool_weight.shape[1], params.dilation)
-    out = conv_forward(windows, weights, bias)
-    cache = {"windows": windows, "shape": frames.shape, "weights": weights,
-             "dilation": params.dilation, "ctx_cache": ctx_cache, "mix_cache": mix_cache}
-    return out, cache
-
-
-def acnn_backward(cache, upstream):
-    """Gradients of acnn_forward: (d_frames, grads dict over AcnnParams)."""
-    d_frames, d_weights, d_bias = conv_backward(cache["windows"], cache["shape"],
-                                                cache["weights"], cache["dilation"],
-                                                as_f64(upstream))
-    d_context, grads = acnn_filters_backward(cache["mix_cache"], d_weights, d_bias)
-    if cache["ctx_cache"] is not None:
-        d_frames_ctx, ctx_grads = acnn_context_backward(cache["ctx_cache"], d_context)
-        d_frames += d_frames_ctx
-        grads.update(ctx_grads)
-    return d_frames, grads
-
-
-def acnn_layer(frames, params: AcnnParams, activation=None, mix_override=None):
-    """Contract-level composition: context -> filters -> conv (-> activation)."""
-    out, _ = acnn_forward(frames, params, mix_override)
-    return activation(out) if activation is not None else out
+    def backward(self, cache, upstream):
+        d_input, d_weights, d_bias = conv_backward(cache["windows"], cache["shape"],
+                                                   cache["weights"], self.dilation,
+                                                   as_f64(upstream))
+        d_context = self.filters_backward(cache["mix"], d_weights, d_bias)
+        if cache["ctx"] is not None:
+            d_input += self.context_backward(cache["ctx"], d_context)
+        return d_input
 
 
 # ---------------------------------------------------------------------------
-# input-conditioned batch normalization
+# batch normalization: fixed affine, and affine generated per utterance
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AbnParams:
-    """Parameters of the input-conditioned normalization affine.
+class _Normalization:
+    """Running statistics, their checkpoint records and the standardization
+    shared by the two normalization layers.
 
-    ``ctx_*`` maps frames to a tanh feature space whose attention-weighted
-    sum is the utterance context; ``scale_*`` and ``shift_*`` regress the
-    per-utterance normalization affine from that context.
+    Train mode uses batch statistics per channel over all leading axes and
+    updates the running statistics by exponential moving average; infer mode
+    uses the running statistics, and raises before any update unless they
+    were explicitly initialized.
     """
 
-    ctx_weight: np.ndarray     # (channels, hidden)
-    ctx_bias: np.ndarray       # (hidden,)
-    scale_weight: np.ndarray   # (hidden, channels)
-    scale_bias: np.ndarray     # (channels,)
-    shift_weight: np.ndarray   # (hidden, channels)
-    shift_bias: np.ndarray     # (channels,)
+    def __init__(self, name: str, channels: int, momentum: float, eps: float):
+        self.name = name
+        self.momentum = momentum
+        self.eps = eps
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.zeros(channels)
+        self.initialized = False
 
-    def __post_init__(self):
-        for name in ("ctx_weight", "ctx_bias", "scale_weight", "scale_bias",
-                     "shift_weight", "shift_bias"):
-            setattr(self, name, as_f64(getattr(self, name)))
-        channels, hidden = self.ctx_weight.shape
-        require(self.ctx_bias.shape == (hidden,), "context bias shape mismatch")
-        for name in ("scale_weight", "shift_weight"):
-            require(getattr(self, name).shape == (hidden, channels),
-                    f"{name} must map hidden -> channels")
-        for name in ("scale_bias", "shift_bias"):
-            require(getattr(self, name).shape == (channels,),
-                    f"{name} must have one entry per channel")
+    def _normalize(self, x, mode: str):
+        """(x - mean) / sqrt(var + eps); the statistics take one centring pass."""
+        require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
+        x = as_f64(x)
+        require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
+        channels = self.running_mean.shape[0]
+        require(x.shape[-1] == channels,
+                f"input has {x.shape[-1]} channels, the layer tracks {channels}")
+        count = x.size // x.shape[-1]
+        require(count >= 1, "normalization batch must be nonempty")
+        if mode == "train":
+            mean = _rows(x).mean(axis=0)
+            xhat = x - mean
+            var = np.einsum("nc,nc->c", _rows(xhat), _rows(xhat)) / count
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * mean
+            self.running_var = (1.0 - m) * self.running_var + m * var
+            self.initialized = True
+        else:
+            if not self.initialized:
+                raise RuntimeError("inference-mode normalization before any training update; "
+                                   "initialize the running statistics first")
+            xhat = x - self.running_mean
+            var = self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat *= inv_std
+        return xhat, {"xhat": xhat, "inv_std": inv_std, "mode": mode, "count": count}
 
-    @property
-    def hidden(self) -> int:
-        return self.ctx_weight.shape[1]
+    @staticmethod
+    def _normalize_backward(cache, d_xhat: np.ndarray) -> np.ndarray:
+        """Gradient through _normalize, computed in place in ``d_xhat`` (a
+        fresh array the caller hands over)."""
+        xhat, inv_std = cache["xhat"], cache["inv_std"]
+        if cache["mode"] == "train":
+            n = float(cache["count"])
+            mean_d = _rows(d_xhat).sum(axis=0) / n
+            mean_dx = np.einsum("nc,nc->c", _rows(d_xhat), _rows(xhat)) / n
+            d_xhat -= xhat * mean_dx
+            d_xhat -= mean_d
+        d_xhat *= inv_std
+        return d_xhat
 
-    @property
-    def channels(self) -> int:
-        return self.ctx_weight.shape[0]
+    def state_items(self):
+        return [(f"{self.name}.running_mean", self.running_mean),
+                (f"{self.name}.running_var", self.running_var),
+                (f"{self.name}.initialized", np.array([1.0 if self.initialized else 0.0]))]
 
-
-def abn_context(frames, params: AbnParams):
-    """Frame-attention context of each utterance: tanh features weighted by a
-    softmax over the per-frame feature means."""
-    frames = _check_frames(frames, "context")
-    feats = np.tanh(frames @ params.ctx_weight + params.ctx_bias)
-    attn = softmax(feats.mean(axis=-1))
-    context = np.matmul(attn[..., None, :], feats)[..., 0, :]
-    cache = {"frames": frames, "feats": feats, "attn": attn, "params": params}
-    return context, cache
-
-
-def abn_context_backward(cache, d_context):
-    """Gradients of abn_context: (d_frames, grads dict)."""
-    p: AbnParams = cache["params"]
-    frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
-    d_context = as_f64(d_context)
-    d_attn = np.matmul(feats, d_context[..., None])[..., 0]
-    d_means = softmax_backward(attn, d_attn)
-    d_feats = attn[..., None] * d_context[..., None, :]
-    d_feats += (d_means / feats.shape[-1])[..., None]
-    d_pre = tanh_backward(feats, d_feats)
-    grads = {
-        "ctx_weight": _rows(frames).T @ _rows(d_pre),
-        "ctx_bias": _rows(d_pre).sum(axis=0),
-    }
-    return np.matmul(d_pre, p.ctx_weight.T), grads
+    def load_state_item(self, key: str, value: np.ndarray):
+        if key.endswith(".running_mean"):
+            self.running_mean = as_f64(value)
+        elif key.endswith(".running_var"):
+            self.running_var = as_f64(value)
+        elif key.endswith(".initialized"):
+            self.initialized = bool(value.ravel()[0] != 0.0)
+        else:
+            raise KeyError(key)
 
 
-def abn_apply(x, state: BnState, contexts, params: AbnParams, mode: str):
-    """Batch-normalize with a per-utterance generated affine.
+class BatchNormLayer(_Normalization):
+    """Per-channel batch normalization with a trained fixed affine."""
 
-    Statistics are the standard batch-norm statistics (batch stats in train
-    mode, running stats at inference); only the affine is generated, one
-    (scale, shift) pair per utterance from its context vector.
+    def __init__(self, name: str, channels: int, momentum: float, eps: float):
+        super().__init__(name, channels, momentum, eps)
+        self.gamma = Param(f"{name}.gamma", np.ones(channels), False)
+        self.beta = Param(f"{name}.beta", np.zeros(channels), False)
+
+    def params(self):
+        return [self.gamma, self.beta]
+
+    def forward(self, x, mode):
+        xhat, core = self._normalize(x, mode)
+        y = xhat * self.gamma.value
+        y += self.beta.value
+        return y, core
+
+    def backward(self, cache, upstream):
+        upstream = as_f64(upstream)
+        self.gamma.grad += np.einsum("nc,nc->c", _rows(upstream), _rows(cache["xhat"]))
+        self.beta.grad += _rows(upstream).sum(axis=0)
+        return self._normalize_backward(cache, upstream * self.gamma.value)
+
+
+class AdaptiveNormLayer(_Normalization):
+    """Batch normalization whose affine is generated per utterance.
+
+    The statistics are the standard batch-norm statistics; only the affine
+    is generated, one (scale, shift) pair per utterance, regressed by
+    ``scale_*`` and ``shift_*`` from a context of the layer input itself:
+    the tanh features ``ctx_*`` of its frames, weighted by a softmax over the
+    per-frame feature means.
     """
-    x = as_f64(x)
-    require(x.ndim == 3, f"adaptive normalization expects (batch, frames, channels), got {x.shape}")
-    contexts = as_f64(contexts)
-    require(contexts.ndim == 2 and contexts.shape[0] == x.shape[0],
-            f"need one context per utterance: got {contexts.shape[0] if contexts.ndim == 2 else contexts.shape} "
-            f"contexts for batch of {x.shape[0]}")
-    require(contexts.shape[1] == params.hidden, "context width does not match the generator maps")
-    xhat, core = _normalize_core(x, state, mode)
-    scales = contexts @ params.scale_weight + params.scale_bias
-    shifts = contexts @ params.shift_weight + params.shift_bias
-    y = xhat * scales[:, None, :]
-    y += shifts[:, None, :]
-    cache = {"core": core, "contexts": contexts, "scales": scales, "params": params}
-    return y, cache
 
+    def __init__(self, name: str, rng: np.random.Generator, channels: int,
+                 hidden: int, momentum: float, eps: float):
+        super().__init__(name, channels, momentum, eps)
+        self.ctx_weight = Param(f"{name}.ctx_weight", _he_normal(rng, (channels, hidden), channels), True)
+        self.ctx_bias = Param(f"{name}.ctx_bias", np.zeros(hidden), False)
+        # generators start near the identity affine: scale bias at one (like a
+        # fresh conventional BN) and small generator weights
+        self.scale_weight = Param(f"{name}.scale_weight",
+                                  0.1 * _he_normal(rng, (hidden, channels), hidden), True)
+        self.scale_bias = Param(f"{name}.scale_bias", np.ones(channels), False)
+        self.shift_weight = Param(f"{name}.shift_weight",
+                                  0.1 * _he_normal(rng, (hidden, channels), hidden), True)
+        self.shift_bias = Param(f"{name}.shift_bias", np.zeros(channels), False)
 
-def abn_apply_backward(cache, upstream):
-    """Gradients of abn_apply: (d_input, d_contexts, grads dict)."""
-    p: AbnParams = cache["params"]
-    core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
-    upstream = as_f64(upstream)
-    d_scales = np.einsum("btc,btc->bc", upstream, core["xhat"])
-    d_shifts = upstream.sum(axis=1)
-    grads = {
-        "scale_weight": contexts.T @ d_scales,
-        "scale_bias": d_scales.sum(axis=0),
-        "shift_weight": contexts.T @ d_shifts,
-        "shift_bias": d_shifts.sum(axis=0),
-    }
-    d_contexts = d_scales @ p.scale_weight.T + d_shifts @ p.shift_weight.T
-    d_input = _normalize_core_backward(core, upstream * scales[:, None, :])
-    return d_input, d_contexts, grads
+    def params(self):
+        return [self.ctx_weight, self.ctx_bias, self.scale_weight, self.scale_bias,
+                self.shift_weight, self.shift_bias]
 
+    def context(self, frames):
+        """Frame-attention context of each utterance: tanh features weighted
+        by a softmax over the per-frame feature means."""
+        frames = _check_frames(frames, "context")
+        feats = np.tanh(frames @ self.ctx_weight.value + self.ctx_bias.value)
+        attn = softmax(feats.mean(axis=-1))
+        context = np.matmul(attn[..., None, :], feats)[..., 0, :]
+        return context, {"frames": frames, "feats": feats, "attn": attn}
 
-def abn_layer(x, state: BnState, params: AbnParams, mode: str):
-    """Full adaptive normalization layer: per-utterance contexts computed from
-    the layer input itself, then the generated-affine normalization."""
-    contexts, ctx_cache = abn_context(x, params)
-    y, apply_cache = abn_apply(x, state, contexts, params, mode)
-    return y, {"apply": apply_cache, "ctx": ctx_cache}
+    def context_backward(self, cache, d_context):
+        """Gradient of context with respect to the frames."""
+        frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
+        d_context = as_f64(d_context)
+        d_attn = np.matmul(feats, d_context[..., None])[..., 0]
+        d_means = softmax_backward(attn, d_attn)
+        d_feats = attn[..., None] * d_context[..., None, :]
+        d_feats += (d_means / feats.shape[-1])[..., None]
+        d_pre = tanh_backward(feats, d_feats)
+        self.ctx_weight.grad += _rows(frames).T @ _rows(d_pre)
+        self.ctx_bias.grad += _rows(d_pre).sum(axis=0)
+        return np.matmul(d_pre, self.ctx_weight.value.T)
 
+    def forward(self, x, mode):
+        contexts, ctx_cache = self.context(x)
+        xhat, core = self._normalize(x, mode)
+        scales = contexts @ self.scale_weight.value + self.scale_bias.value
+        shifts = contexts @ self.shift_weight.value + self.shift_bias.value
+        y = xhat * scales[:, None, :]
+        y += shifts[:, None, :]
+        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales}
 
-def abn_layer_backward(cache, upstream):
-    """Gradients of abn_layer: (d_input, grads dict over AbnParams)."""
-    d_input, d_contexts, grads = abn_apply_backward(cache["apply"], upstream)
-    d_frames, ctx_grads = abn_context_backward(cache["ctx"], d_contexts)
-    d_input += d_frames
-    grads.update(ctx_grads)
-    return d_input, grads
+    def backward(self, cache, upstream):
+        core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
+        upstream = as_f64(upstream)
+        d_scales = np.einsum("btc,btc->bc", upstream, core["xhat"])
+        d_shifts = upstream.sum(axis=1)
+        self.scale_weight.grad += contexts.T @ d_scales
+        self.scale_bias.grad += d_scales.sum(axis=0)
+        self.shift_weight.grad += contexts.T @ d_shifts
+        self.shift_bias.grad += d_shifts.sum(axis=0)
+        d_contexts = d_scales @ self.scale_weight.value.T + d_shifts @ self.shift_weight.value.T
+        d_input = self._normalize_backward(core, upstream * scales[:, None, :])
+        d_input += self.context_backward(cache["ctx"], d_contexts)
+        return d_input

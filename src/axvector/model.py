@@ -1,7 +1,8 @@
-"""Assembly of the four embedding network variants, forward/backward
-execution, parameter counting and checkpointing.
+"""Assembly of the four embedding network variants from the layer classes in
+``layers``, forward/backward execution over the layer sequence, parameter
+counting and checkpointing.
 
-The network is a flat sequence of primitive layers:
+The network is a flat sequence of layers:
 
     frame1..frame5:  conv (or adaptive conv) -> relu -> norm (BN or adaptive)
     pool:            statistics pooling over frames
@@ -9,12 +10,11 @@ The network is a flat sequence of primitive layers:
                                                   output, before relu/BN)
     output:          affine to speaker logits
 
-Every layer runs batch-first on (batch, frames, channels) arrays.  Static and
-adaptive convolutions share one kernel, the same matrix product per utterance
-for shared or per-utterance filters, so the two paths are bit-comparable.  A
-model is immutable during inference and may be shared across readers;
-training mutates parameters and normalization statistics from a single
-writer.
+The model's parameters are its layers' ``Param``s in layer order; a
+checkpoint stores them by name, followed by the normalization layers'
+running statistics.  A model is immutable during inference and may be
+shared across readers; training mutates parameters and normalization
+statistics from a single writer.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import layers as L
-from .numerics import (as_f64, conv_backward, conv_forward, relu, relu_backward, require,
-                       sliding_windows)
+from .layers import (AdaptiveConvLayer, AdaptiveNormLayer, BatchNormLayer, ConvLayer, DenseLayer,
+                     Param, ReluLayer, StatsPoolLayer)
+from .numerics import as_f64, require
 from .serialize import FormatError, read_records, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
@@ -70,6 +70,8 @@ class ArchConfig:
         require(all(d >= 1 for d in self.dilations), "dilations must be >= 1")
         require(self.attention_hidden >= 1 and self.pool_size >= 1,
                 "attention_hidden and pool_size must be >= 1")
+        require(0.0 < self.bn_momentum < 1.0, "bn_momentum must lie in (0, 1)")
+        require(self.bn_eps > 0.0, "bn_eps must be positive")
 
     @property
     def min_frames(self) -> int:
@@ -85,235 +87,6 @@ class ArchConfig:
         for key in ("frame_dims", "kernel_sizes", "dilations", "utterance_dims"):
             out[key] = list(out[key])
         return out
-
-
-class Param:
-    """A named trainable tensor with its gradient accumulator."""
-
-    __slots__ = ("name", "value", "grad", "decay")
-
-    def __init__(self, name: str, value: np.ndarray, decay: bool):
-        self.name = name
-        self.value = as_f64(value)
-        self.grad = np.zeros_like(self.value)
-        self.decay = decay
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
-
-def _he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-# ---------------------------------------------------------------------------
-# primitive layers
-# ---------------------------------------------------------------------------
-
-
-class ReluLayer:
-    def __init__(self, name: str):
-        self.name = name
-
-    def params(self):
-        return []
-
-    def forward(self, x, mode):
-        x = as_f64(x)
-        return relu(x), x
-
-    def backward(self, cache, upstream):
-        return relu_backward(cache, upstream)
-
-
-class ConvLayer:
-    """Shared-filter dilated convolution over a batch of utterances."""
-
-    def __init__(self, name: str, rng: np.random.Generator,
-                 kernel: int, in_dim: int, out_dim: int, dilation: int):
-        self.name = name
-        self.dilation = dilation
-        fan_in = kernel * in_dim
-        self.weight = Param(f"{name}.weight", _he_normal(rng, (kernel, in_dim, out_dim), fan_in), True)
-        self.bias = Param(f"{name}.bias", np.zeros(out_dim), False)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def forward(self, x, mode):
-        x = as_f64(x)
-        require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
-                f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
-        windows = sliding_windows(x, self.weight.value.shape[0], self.dilation)
-        return conv_forward(windows, self.weight.value, self.bias.value), (windows, x.shape)
-
-    def backward(self, cache, upstream):
-        windows, shape = cache
-        d_input, d_w, d_b = conv_backward(windows, shape, self.weight.value, self.dilation,
-                                          as_f64(upstream))
-        self.weight.grad += d_w
-        self.bias.grad += d_b
-        return d_input
-
-
-class AdaptiveConvLayer:
-    """Per-utterance filter mixing from a trainable pool.
-
-    ``mix_override`` (a fixed coefficient vector) bypasses the context and
-    regression for every utterance; used to reduce the layer to a static
-    convolution in tests.
-    """
-
-    def __init__(self, name: str, rng: np.random.Generator,
-                 kernel: int, in_dim: int, out_dim: int, dilation: int,
-                 hidden: int, pool_size: int):
-        self.name = name
-        fan_conv = kernel * in_dim
-        self.score_weight = Param(f"{name}.score_weight", _he_normal(rng, (in_dim, hidden), in_dim), True)
-        self.score_bias = Param(f"{name}.score_bias", np.zeros(hidden), False)
-        self.score_proj = Param(f"{name}.score_proj", _he_normal(rng, (hidden,), hidden), True)
-        # mixing regression starts small: the generated filters are modest at
-        # first and the following normalization keeps the layer well scaled
-        self.mix_weight = Param(f"{name}.mix_weight",
-                                0.1 * _he_normal(rng, (2 * in_dim, pool_size), 2 * in_dim), True)
-        self.mix_bias = Param(f"{name}.mix_bias", np.zeros(pool_size), False)
-        self.pool_weight = Param(
-            f"{name}.pool_weight",
-            np.stack([_he_normal(rng, (kernel, in_dim, out_dim), fan_conv) for _ in range(pool_size)]),
-            True)
-        self.pool_bias = Param(f"{name}.pool_bias", np.zeros((pool_size, out_dim)), False)
-        self.mix_override = None
-        self._fields = ("score_weight", "score_bias", "score_proj", "mix_weight", "mix_bias",
-                        "pool_weight", "pool_bias")
-        # views of the parameter values, which are only ever updated in place
-        self.acnn = L.AcnnParams(*(getattr(self, f).value for f in self._fields), dilation=dilation)
-
-    def params(self):
-        return [getattr(self, f) for f in self._fields]
-
-    def forward(self, x, mode):
-        x = as_f64(x)
-        require(x.ndim == 3, f"adaptive conv expects (batch, frames, channels), got shape {x.shape}")
-        return L.acnn_forward(x, self.acnn, self.mix_override)
-
-    def backward(self, cache, upstream):
-        d_input, grads = L.acnn_backward(cache, upstream)
-        for key, val in grads.items():
-            getattr(self, key).grad += val
-        return d_input
-
-
-class BatchNormLayer:
-    def __init__(self, name: str, channels: int, momentum: float, eps: float):
-        self.name = name
-        self.state = L.BnState.create(channels, momentum, eps)
-        self.gamma = Param(f"{name}.gamma", self.state.gamma, False)
-        self.beta = Param(f"{name}.beta", self.state.beta, False)
-
-    def params(self):
-        return [self.gamma, self.beta]
-
-    def forward(self, x, mode):
-        return L.batch_norm(x, self.state, mode)
-
-    def backward(self, cache, upstream):
-        d_input, d_gamma, d_beta = L.batch_norm_backward(cache, upstream)
-        self.gamma.grad += d_gamma
-        self.beta.grad += d_beta
-        return d_input
-
-    def state_items(self):
-        return [(f"{self.name}.running_mean", self.state.running_mean),
-                (f"{self.name}.running_var", self.state.running_var),
-                (f"{self.name}.initialized", np.array([1.0 if self.state.initialized else 0.0]))]
-
-    def load_state_item(self, key: str, value: np.ndarray):
-        if key.endswith(".running_mean"):
-            self.state.running_mean = as_f64(value)
-        elif key.endswith(".running_var"):
-            self.state.running_var = as_f64(value)
-        elif key.endswith(".initialized"):
-            self.state.initialized = bool(value.ravel()[0] != 0.0)
-        else:
-            raise KeyError(key)
-
-
-class AdaptiveNormLayer:
-    """Batch normalization whose affine is generated per utterance."""
-
-    def __init__(self, name: str, rng: np.random.Generator, channels: int,
-                 hidden: int, momentum: float, eps: float):
-        self.name = name
-        self.ctx_weight = Param(f"{name}.ctx_weight", _he_normal(rng, (channels, hidden), channels), True)
-        self.ctx_bias = Param(f"{name}.ctx_bias", np.zeros(hidden), False)
-        # generators start near the identity affine: scale bias at one (like a
-        # fresh conventional BN) and small generator weights
-        self.scale_weight = Param(f"{name}.scale_weight",
-                                  0.1 * _he_normal(rng, (hidden, channels), hidden), True)
-        self.scale_bias = Param(f"{name}.scale_bias", np.ones(channels), False)
-        self.shift_weight = Param(f"{name}.shift_weight",
-                                  0.1 * _he_normal(rng, (hidden, channels), hidden), True)
-        self.shift_bias = Param(f"{name}.shift_bias", np.zeros(channels), False)
-        self.state = L.BnState.create(channels, momentum, eps, affine=False)
-        self._fields = ("ctx_weight", "ctx_bias", "scale_weight", "scale_bias",
-                        "shift_weight", "shift_bias")
-        # views of the parameter values, which are only ever updated in place
-        self.abn = L.AbnParams(*(getattr(self, f).value for f in self._fields))
-
-    def params(self):
-        return [getattr(self, f) for f in self._fields]
-
-    def forward(self, x, mode):
-        return L.abn_layer(x, self.state, self.abn, mode)
-
-    def backward(self, cache, upstream):
-        d_input, grads = L.abn_layer_backward(cache, upstream)
-        for key, val in grads.items():
-            getattr(self, key).grad += val
-        return d_input
-
-    state_items = BatchNormLayer.state_items
-    load_state_item = BatchNormLayer.load_state_item
-
-
-class StatsPoolLayer:
-    def __init__(self, name: str):
-        self.name = name
-
-    def params(self):
-        return []
-
-    def forward(self, x, mode):
-        x = as_f64(x)
-        require(x.ndim == 3, f"pooling expects (batch, frames, channels), got shape {x.shape}")
-        return L.stats_pooling(x)
-
-    def backward(self, cache, upstream):
-        return L.stats_pooling_backward(cache, upstream)
-
-
-class DenseLayer:
-    def __init__(self, name: str, rng: np.random.Generator, in_dim: int, out_dim: int,
-                 init_scale: float = 1.0):
-        self.name = name
-        self.weight = Param(f"{name}.weight",
-                            init_scale * _he_normal(rng, (in_dim, out_dim), in_dim), True)
-        self.bias = Param(f"{name}.bias", np.zeros(out_dim), False)
-
-    def params(self):
-        return [self.weight, self.bias]
-
-    def forward(self, x, mode):
-        x = as_f64(x)
-        require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
-                f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
-        return x @ self.weight.value + self.bias.value, x
-
-    def backward(self, cache, upstream):
-        x = cache
-        self.weight.grad += x.T @ upstream
-        self.bias.grad += upstream.sum(axis=0)
-        return upstream @ self.weight.value.T
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +271,9 @@ def load_model(path: str) -> Model:
 
     The stored config must build a valid model, and every record is checked
     against the layout it builds (names and shapes, nothing missing, nothing
-    extra) before any value is copied in, so a checkpoint with a bad config
-    or in another layout fails with one FormatError.
+    extra) and for finite values and nonnegative running variances before
+    any value is copied in, so a checkpoint with a bad config, in another
+    layout or with impossible values fails with one FormatError.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
@@ -524,6 +298,10 @@ def load_model(path: str) -> Model:
         if by_name[name].shape != value.shape:
             raise FormatError(f"{path}: record {name!r} has shape {by_name[name].shape}, "
                               f"expected {value.shape}")
+        if not np.all(np.isfinite(by_name[name])):
+            raise FormatError(f"{path}: record {name!r} holds a NaN or infinite value")
+        if name.endswith(".running_var") and np.any(by_name[name] < 0.0):
+            raise FormatError(f"{path}: record {name!r} holds a negative variance")
     for p in model.params():
         p.value[...] = by_name[p.name]
     for lyr in model.layers:

@@ -40,3 +40,19 @@ def check_grads(loss_fn, arrays_and_analytic, tol: float, step: float = STEP) ->
         numeric = numeric_grad(loss_fn, array, step)
         err = rel_err(analytic, numeric)
         assert err < tol, f"{name}: finite-difference mismatch, rel err {err:.3e} >= {tol:g}"
+
+
+def randomize(layer, rng, offsets=None):
+    """Overwrite every parameter of ``layer`` with standard normal draws, in
+    params() order, plus an optional offset per short parameter name."""
+    for p in layer.params():
+        short = p.name.rsplit(".", 1)[1]
+        p.value[...] = rng.normal(size=p.value.shape) + (offsets or {}).get(short, 0.0)
+    return layer
+
+
+def param_grads(layer, names=None):
+    """(name, value, accumulated gradient) of the layer's parameters, all of
+    them or those with the given short names, for check_grads."""
+    return [(p.name, p.value, p.grad) for p in layer.params()
+            if names is None or p.name.rsplit(".", 1)[1] in names]

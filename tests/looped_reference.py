@@ -84,9 +84,14 @@ def conv_layer(lyr, x):
     return out, backward
 
 
+def _values(lyr):
+    """The layer's parameter values by short name (``score_weight``, ...)."""
+    return {prm.name[len(lyr.name) + 1:]: prm.value for prm in lyr.params()}
+
+
 def adaptive_conv_layer(lyr, x):
-    p = {name: getattr(lyr, name).value for name in lyr._fields}
-    dilation = lyr.acnn.dilation
+    p = _values(lyr)
+    dilation = lyr.dilation
     c = x.shape[2]
     outs, utts = [], []
     for frames in x:
@@ -103,7 +108,7 @@ def adaptive_conv_layer(lyr, x):
         utts.append((scored, attn, context, coeffs, weights))
 
     def backward(upstream):
-        grads = {name: 0.0 for name in lyr._fields}
+        grads = {name: 0.0 for name in p}
         d_x = np.empty_like(x)
         for i, (frames, (scored, attn, context, coeffs, weights)) in enumerate(zip(x, utts)):
             d_x[i], d_w, d_b = conv1d_backward(frames, weights, dilation, upstream[i])
@@ -143,7 +148,7 @@ def _normalize_backward(xhat, inv_std, d_xhat):
 
 
 def batch_norm_layer(lyr, x):
-    xhat, inv_std = _normalize(x, lyr.state.eps)
+    xhat, inv_std = _normalize(x, lyr.eps)
     gamma = lyr.gamma.value
     axes = tuple(range(x.ndim - 1))
 
@@ -155,14 +160,14 @@ def batch_norm_layer(lyr, x):
 
 
 def adaptive_norm_layer(lyr, x):
-    p = {name: getattr(lyr, name).value for name in lyr._fields}
+    p = _values(lyr)
     utts = []
     for frames in x:
         feats = np.tanh(frames @ p["ctx_weight"] + p["ctx_bias"])
         attn = softmax(feats.mean(axis=1))
         utts.append((feats, attn, attn @ feats))
     contexts = np.stack([u[2] for u in utts])
-    xhat, inv_std = _normalize(x, lyr.state.eps)
+    xhat, inv_std = _normalize(x, lyr.eps)
     scales = contexts @ p["scale_weight"] + p["scale_bias"]
     shifts = contexts @ p["shift_weight"] + p["shift_bias"]
 

@@ -20,7 +20,7 @@ from axvector import numerics as N
 from axvector import training as T
 from axvector.cli import dispatch
 
-from gradcheck import check_grads
+from gradcheck import check_grads, param_grads, randomize
 from test_metrics import oracle_eer, oracle_min_dcf
 
 # ---------------------------------------------------------------------------
@@ -65,101 +65,89 @@ class TestCriterion2Gradients:
                     self.TOL)
 
     def test_criterion_2_gradients_batch_norm(self, rng):
-        state = L.BnState.create(3)
-        state.gamma = rng.normal(size=3) + 1.0
-        state.beta = rng.normal(size=3)
+        layer = L.BatchNormLayer("bn", 3, 0.1, 1e-5)
+        layer.gamma.value[...] = rng.normal(size=3) + 1.0
+        layer.beta.value[...] = rng.normal(size=3)
         x = rng.normal(size=(2, 4, 3))
         probe = rng.normal(size=(2, 4, 3))
 
         def loss():
-            return float(np.sum(L.batch_norm(x, state, "train")[0] * probe))
+            return float(np.sum(layer.forward(x, "train")[0] * probe))
 
-        _, cache = L.batch_norm(x, state, "train")
-        dx, dg, db = L.batch_norm_backward(cache, probe)
-        check_grads(loss, [("x", x, dx), ("gamma", state.gamma, dg), ("beta", state.beta, db)],
-                    self.TOL)
+        _, cache = layer.forward(x, "train")
+        dx = layer.backward(cache, probe)
+        check_grads(loss, [("x", x, dx)] + param_grads(layer), self.TOL)
 
     def test_criterion_2_gradients_abn(self, rng):
-        params = L.AbnParams(ctx_weight=rng.normal(size=(3, 2)), ctx_bias=rng.normal(size=2),
-                             scale_weight=rng.normal(size=(2, 3)),
-                             scale_bias=rng.normal(size=3) + 1.0,
-                             shift_weight=rng.normal(size=(2, 3)),
-                             shift_bias=rng.normal(size=3))
-        state = L.BnState.create(3)
+        layer = randomize(L.AdaptiveNormLayer("abn", np.random.default_rng(0), 3, 2, 0.1, 1e-5),
+                           rng, {"scale_bias": 1.0})
         x = rng.normal(size=(2, 4, 3))
         probe = rng.normal(size=(2, 4, 3))
 
         def loss():
-            return float(np.sum(L.abn_layer(x, state, params, "train")[0] * probe))
+            return float(np.sum(layer.forward(x, "train")[0] * probe))
 
-        _, cache = L.abn_layer(x, state, params, "train")
-        dx, grads = L.abn_layer_backward(cache, probe)
-        checks = [("x", x, dx)]
-        checks += [(k, getattr(params, k), grads[k]) for k in grads]
-        check_grads(loss, checks, self.TOL)
+        _, cache = layer.forward(x, "train")
+        dx = layer.backward(cache, probe)
+        check_grads(loss, [("x", x, dx)] + param_grads(layer), self.TOL)
 
-    def _acnn_params(self, rng):
-        return L.AcnnParams(
-            score_weight=rng.normal(size=(3, 2)), score_bias=rng.normal(size=2),
-            score_proj=rng.normal(size=2),
-            mix_weight=rng.normal(size=(6, 2)), mix_bias=rng.normal(size=2),
-            pool_weight=rng.normal(size=(2, 2, 3, 4)), pool_bias=rng.normal(size=(2, 4)),
-        )
+    def _acnn_layer(self, rng):
+        # kernel 2, 3 -> 4 channels, dilation 1, attention hidden 2, pool of 2
+        layer = L.AdaptiveConvLayer("acnn", np.random.default_rng(0), 2, 3, 4, 1, 2, 2)
+        return randomize(layer, rng)
 
     def test_criterion_2_gradients_acnn_context(self, rng):
-        params = self._acnn_params(rng)
-        frames = rng.normal(size=(5, 3))
-        probe = rng.normal(size=6)
+        layer = self._acnn_layer(rng)
+        frames = rng.normal(size=(1, 5, 3))
+        probe = rng.normal(size=(1, 6))
 
         def loss():
-            return float(L.acnn_context(frames, params)[0] @ probe)
+            return float(np.sum(layer.context(frames)[0] * probe))
 
-        _, cache = L.acnn_context(frames, params)
-        d_frames, grads = L.acnn_context_backward(cache, probe)
+        _, cache = layer.context(frames)
+        d_frames = layer.context_backward(cache, probe)
         checks = [("frames", frames, d_frames)]
-        checks += [(k, getattr(params, k), grads[k]) for k in grads]
+        checks += param_grads(layer, ("score_weight", "score_bias", "score_proj"))
         check_grads(loss, checks, self.TOL)
 
     def test_criterion_2_gradients_acnn_filters(self, rng):
-        params = self._acnn_params(rng)
-        context = rng.normal(size=6)
-        probe_w = rng.normal(size=(2, 3, 4))
-        probe_b = rng.normal(size=4)
+        layer = self._acnn_layer(rng)
+        context = rng.normal(size=(1, 6))
+        probe_w = rng.normal(size=(1, 2, 3, 4))
+        probe_b = rng.normal(size=(1, 4))
 
         def loss():
-            (weights, bias), _ = L.acnn_filters(context, params)
-            return float(np.sum(weights * probe_w) + bias @ probe_b)
+            (weights, bias), _ = layer.filters(context)
+            return float(np.sum(weights * probe_w) + np.sum(bias * probe_b))
 
-        _, cache = L.acnn_filters(context, params)
-        d_context, grads = L.acnn_filters_backward(cache, probe_w, probe_b)
+        _, cache = layer.filters(context)
+        d_context = layer.filters_backward(cache, probe_w, probe_b)
         checks = [("context", context, d_context)]
-        checks += [(k, getattr(params, k), grads[k]) for k in grads]
+        checks += param_grads(layer, ("mix_weight", "mix_bias", "pool_weight", "pool_bias"))
         check_grads(loss, checks, self.TOL)
 
     def test_criterion_2_gradients_acnn_layer(self, rng):
-        params = self._acnn_params(rng)
-        frames = rng.normal(size=(6, 3))
-        probe = rng.normal(size=(5, 4))
+        layer = self._acnn_layer(rng)
+        frames = rng.normal(size=(1, 6, 3))
+        probe = rng.normal(size=(1, 5, 4))
 
         def loss():
-            return float(np.sum(L.acnn_forward(frames, params)[0] * probe))
+            return float(np.sum(layer.forward(frames, "train")[0] * probe))
 
-        _, cache = L.acnn_forward(frames, params)
-        d_frames, grads = L.acnn_backward(cache, probe)
-        checks = [("frames", frames, d_frames)]
-        checks += [(k, getattr(params, k), grads[k]) for k in grads]
-        check_grads(loss, checks, self.TOL)
+        _, cache = layer.forward(frames, "train")
+        d_frames = layer.backward(cache, probe)
+        check_grads(loss, [("frames", frames, d_frames)] + param_grads(layer), self.TOL)
 
     def test_criterion_2_gradients_stats_pooling(self, rng):
-        frames = rng.normal(size=(6, 3))
-        probe = rng.normal(size=6)
+        layer = L.StatsPoolLayer("pool")
+        frames = rng.normal(size=(1, 6, 3))
+        probe = rng.normal(size=(1, 6))
 
         def loss():
-            return float(L.stats_pooling(frames)[0] @ probe)
+            return float(np.sum(layer.forward(frames, "train")[0] * probe))
 
-        _, cache = L.stats_pooling(frames)
-        check_grads(loss, [("frames", frames, L.stats_pooling_backward(cache, probe))],
-                    self.TOL)
+        _, cache = layer.forward(frames, "train")
+        check_grads(loss, [("frames", frames, layer.backward(cache, probe))], self.TOL)
 
     def test_criterion_2_gradients_dense(self, rng):
         layer = M.DenseLayer("d", rng, 4, 3)
@@ -214,32 +202,31 @@ class TestCriterion2Gradients:
 class TestCriterion3Reductions:
     def test_criterion_3_reduction_abn_to_bn(self, rng):
         channels = 5
-        params = L.AbnParams(ctx_weight=rng.normal(size=(channels, 3)),
-                             ctx_bias=rng.normal(size=3),
-                             scale_weight=np.zeros((3, channels)),
-                             scale_bias=np.ones(channels),
-                             shift_weight=np.zeros((3, channels)),
-                             shift_bias=np.zeros(channels))
+        abn = L.AdaptiveNormLayer("abn", np.random.default_rng(0), channels, 3, 0.1, 1e-5)
+        abn.ctx_weight.value[...] = rng.normal(size=(channels, 3))
+        abn.ctx_bias.value[...] = rng.normal(size=3)
+        abn.scale_weight.value[...] = 0.0
+        abn.scale_bias.value[...] = 1.0
+        abn.shift_weight.value[...] = 0.0
+        abn.shift_bias.value[...] = 0.0
         x = rng.normal(size=(4, 7, channels))
-        out_abn, _ = L.abn_layer(x, L.BnState.create(channels), params, "train")
-        out_bn, _ = L.batch_norm(x, L.BnState.create(channels), "train")
+        out_abn, _ = abn.forward(x, "train")
+        out_bn, _ = L.BatchNormLayer("bn", channels, 0.1, 1e-5).forward(x, "train")
         assert np.max(np.abs(out_abn - out_bn)) <= 1e-12
         assert np.array_equal(out_abn, out_bn)
 
     def test_criterion_3_reduction_acnn_to_static_conv(self, rng):
-        params = L.AcnnParams(
-            score_weight=rng.normal(size=(3, 2)), score_bias=rng.normal(size=2),
-            score_proj=rng.normal(size=2),
-            mix_weight=rng.normal(size=(6, 4)), mix_bias=rng.normal(size=4),
-            pool_weight=rng.normal(size=(4, 2, 3, 5)), pool_bias=rng.normal(size=(4, 5)),
-            dilation=2)
-        frames = rng.normal(size=(9, 3))
+        # kernel 2, 3 -> 5 channels, dilation 2, attention hidden 2, pool of 4
+        layer = randomize(L.AdaptiveConvLayer("acnn", np.random.default_rng(0), 2, 3, 5, 2, 2, 4),
+                           rng)
+        frames = rng.normal(size=(1, 9, 3))
         for slot in range(4):
             one_hot = np.zeros(4)
             one_hot[slot] = 1.0
-            out = L.acnn_layer(frames, params, mix_override=one_hot)
-            static = N.conv1d(frames, N.ConvParams(params.pool_weight[slot],
-                                                   params.pool_bias[slot], 2))
+            layer.mix_override = one_hot
+            out = layer.forward(frames, "infer")[0][0]
+            static = N.conv1d(frames[0], N.ConvParams(layer.pool_weight.value[slot],
+                                                      layer.pool_bias.value[slot], 2))
             assert np.max(np.abs(out - static)) <= 1e-12
             assert np.array_equal(out, static)
 

@@ -150,15 +150,15 @@ class TestPldaScoring:
     def test_zero_between_gives_zero_llr(self, rng):
         model = B.PldaModel(mean=np.zeros(3), between=np.zeros((3, 3)),
                             within=random_spd(rng, 3))
-        assert B.plda_score(model, rng.normal(size=3), rng.normal(size=3)) == 0.0
+        assert B.PldaScorer(model).score(rng.normal(size=3), rng.normal(size=3)) == 0.0
 
     def test_symmetry(self, rng):
         model = self._model(rng)
         for _ in range(5):
             a = rng.normal(size=4)
             b = rng.normal(size=4)
-            assert B.plda_score(model, a, b) == pytest.approx(
-                B.plda_score(model, b, a), abs=1e-10)
+            assert B.PldaScorer(model).score(a, b) == pytest.approx(
+                B.PldaScorer(model).score(b, a), abs=1e-10)
 
     def test_against_joint_gaussian_evaluation(self, rng):
         model = self._model(rng, dim=3)
@@ -191,7 +191,7 @@ class TestPldaScoring:
                 * integrate.quad(lambda y: gauss(t, mu + y, w) * gauss(y, 0.0, b),
                                  -12, 12, epsabs=1e-13, epsrel=1e-13)[0])
         expected = np.log(same) - np.log(diff)
-        assert B.plda_score(model, np.array([e]), np.array([t])) == pytest.approx(
+        assert B.PldaScorer(model).score(np.array([e]), np.array([t])) == pytest.approx(
             expected, abs=1e-8)
 
     def test_rotation_invariance(self, rng):
@@ -201,13 +201,13 @@ class TestPldaScoring:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rotated = B.PldaModel(mean=q @ model.mean, between=q @ model.between @ q.T,
                               within=q @ model.within @ q.T)
-        assert B.plda_score(model, e, t) == pytest.approx(
-            B.plda_score(rotated, q @ e, q @ t), abs=1e-9)
+        assert B.PldaScorer(model).score(e, t) == pytest.approx(
+            B.PldaScorer(rotated).score(q @ e, q @ t), abs=1e-9)
 
     def test_dim_mismatch(self, rng):
         model = self._model(rng, dim=4)
         with pytest.raises(ValueError, match="dim"):
-            B.plda_score(model, np.zeros(3), np.zeros(4))
+            B.PldaScorer(model).score(np.zeros(3), np.zeros(4))
 
     def test_score_pairs_matches_scalar_path(self, rng):
         model = self._model(rng, dim=5)

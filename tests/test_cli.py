@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,15 +156,25 @@ def test_fuse_cli(pipeline, tmp_path):
     assert open(fused).read() == open(pipeline["scores"]).read()
 
 
-def test_score_cosine_flag(pipeline, tmp_path):
-    out = str(tmp_path / "cosine.txt")
-    corpus = pipeline["corpus"]
-    assert dispatch(["score", "--backend", pipeline["backend"],
-                     "--embeddings", pipeline["emb"],
-                     "--trials", os.path.join(corpus, "trials.txt"),
-                     "--out", out, "--cosine"]) == 0
-    values = [s for _, _, s in B.read_scores(out)]
-    assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in values)
+def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys):
+    """BLAS reads its thread count when numpy loads, which this process has
+    already done, so --threads fails with one error instead of doing nothing."""
+    before = {var: os.environ.get(var)
+              for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = tmp_path / "corpus"
+    assert dispatch(["--threads", "1", "gen-data", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "OPENBLAS_NUM_THREADS" in err
+    assert not out.exists()
+    assert {var: os.environ.get(var) for var in before} == before
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """--threads only works because importing the command line loads no numpy."""
+    code = "import sys, axvector.cli; sys.exit('numpy' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestDetExport:

@@ -106,6 +106,15 @@ class TestFeatureFiles:
         with pytest.raises(ValueError):
             D.write_feature_file(str(tmp_path / "x.axvf"), np.empty((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, rng, bad):
+        mat = rng.normal(size=(5, 3))
+        mat[3, 1] = bad
+        path = str(tmp_path / "bad.axvf")
+        D.write_feature_file(path, mat)
+        with pytest.raises(FormatError, match=r"bad\.axvf: frame 3 holds a NaN or infinite"):
+            D.read_feature_file(path)
+
 
 class TestCorpusIo:
     def test_save_load_round_trip(self, tmp_path):
@@ -128,6 +137,23 @@ class TestCorpusIo:
         twice = corpus.utterances[:1] * 2
         with pytest.raises(ValueError, match="unique"):
             D.Corpus(twice, {twice[0].utt_id: corpus.features(twice[0].utt_id)})
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "utt2spk"
+        path.write_text("a spk1\nb spk1\n\na spk2\n")
+        with pytest.raises(FormatError, match=r"utt2spk:4: duplicate key 'a' \(first on line 1\)"):
+            D.read_key_value_file(str(path))
+
+    def test_utterance_without_condition_rejected(self, tmp_path):
+        corpus = D.generate_corpus(small_spec())
+        root = tmp_path / "c"
+        D.save_corpus(corpus, str(root))
+        lines = (root / "utt2cond").read_text().splitlines(keepends=True)
+        (root / "utt2cond").write_text("".join(lines[:2] + lines[3:]))
+        dropped = lines[2].split()[0]
+        with pytest.raises(FormatError, match=rf"utt2spk:3: utterance '{dropped}' has no "
+                                              r"entry in .*utt2cond"):
+            D.load_corpus(str(root))
 
     def test_subset_by_speakers(self):
         corpus = D.generate_corpus(small_spec())

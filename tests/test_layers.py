@@ -6,139 +6,132 @@ from hypothesis import strategies as st
 from axvector import layers as L
 from axvector import numerics as N
 
-from gradcheck import check_grads
+from gradcheck import check_grads, param_grads, randomize
 
 
-def make_acnn_params(rng, in_dim=4, hidden=3, pool=3, kernel=2, out_dim=5, dilation=1):
-    return L.AcnnParams(
-        score_weight=rng.normal(size=(in_dim, hidden)),
-        score_bias=rng.normal(size=hidden),
-        score_proj=rng.normal(size=hidden),
-        mix_weight=rng.normal(size=(2 * in_dim, pool)),
-        mix_bias=rng.normal(size=pool),
-        pool_weight=rng.normal(size=(pool, kernel, in_dim, out_dim)),
-        pool_bias=rng.normal(size=(pool, out_dim)),
-        dilation=dilation,
-    )
+def make_acnn_layer(rng, in_dim=4, hidden=3, pool=3, kernel=2, out_dim=5, dilation=1):
+    layer = L.AdaptiveConvLayer("acnn", np.random.default_rng(0), kernel, in_dim, out_dim,
+                                dilation, hidden, pool)
+    return randomize(layer, rng)
 
 
-def make_abn_params(rng, channels=4, hidden=3):
-    return L.AbnParams(
-        ctx_weight=rng.normal(size=(channels, hidden)),
-        ctx_bias=rng.normal(size=hidden),
-        scale_weight=rng.normal(size=(hidden, channels)),
-        scale_bias=rng.normal(size=channels) + 1.0,
-        shift_weight=rng.normal(size=(hidden, channels)),
-        shift_bias=rng.normal(size=channels),
-    )
+def make_abn_layer(rng, channels=4, hidden=3):
+    layer = L.AdaptiveNormLayer("abn", np.random.default_rng(0), channels, hidden, 0.1, 1e-5)
+    return randomize(layer, rng, {"scale_bias": 1.0})
+
+
+def make_bn_layer(channels, momentum=0.1, eps=1e-5):
+    return L.BatchNormLayer("bn", channels, momentum, eps)
 
 
 class TestBatchNorm:
     def test_infer_identity(self, rng):
-        state = L.BnState(running_mean=np.zeros(3), running_var=np.ones(3),
-                          eps=1e-12, gamma=np.ones(3), beta=np.zeros(3), initialized=True)
+        bn = make_bn_layer(3, eps=1e-12)
+        bn.running_var = np.ones(3)
+        bn.initialized = True
         x = rng.normal(size=(4, 6, 3))
-        out, _ = L.batch_norm(x, state, "infer")
+        out, _ = bn.forward(x, "infer")
         np.testing.assert_allclose(out, x, rtol=1e-10)
 
     def test_train_two_values(self):
-        state = L.BnState.create(1)
+        bn = make_bn_layer(1)
         x = np.array([[-1.0], [1.0]])
-        out, _ = L.batch_norm(x, state, "train")
-        expected = 1.0 / np.sqrt(1.0 + state.eps)
+        out, _ = bn.forward(x, "train")
+        expected = 1.0 / np.sqrt(1.0 + bn.eps)
         np.testing.assert_allclose(out.ravel(), [-expected, expected], rtol=1e-15)
 
     def test_running_update_from_zero(self, rng):
-        state = L.BnState.create(2, momentum=0.25)
+        bn = make_bn_layer(2, momentum=0.25)
         x = rng.normal(size=(5, 7, 2)) + 3.0
-        L.batch_norm(x, state, "train")
-        np.testing.assert_allclose(state.running_mean, 0.25 * x.mean(axis=(0, 1)), rtol=1e-12)
-        np.testing.assert_allclose(state.running_var, 0.25 * x.var(axis=(0, 1)), rtol=1e-12)
-        assert state.initialized
+        bn.forward(x, "train")
+        np.testing.assert_allclose(bn.running_mean, 0.25 * x.mean(axis=(0, 1)), rtol=1e-12)
+        np.testing.assert_allclose(bn.running_var, 0.25 * x.var(axis=(0, 1)), rtol=1e-12)
+        assert bn.initialized
 
     def test_infer_before_training_errors(self, rng):
-        state = L.BnState.create(2)
+        bn = make_bn_layer(2)
         with pytest.raises(RuntimeError, match="running statistics"):
-            L.batch_norm(rng.normal(size=(3, 2)), state, "infer")
+            bn.forward(rng.normal(size=(3, 2)), "infer")
 
     def test_train_output_standardized(self, rng):
-        state = L.BnState.create(4)
+        bn = make_bn_layer(4)
         x = rng.normal(loc=2.0, scale=3.0, size=(6, 11, 4))
-        out, _ = L.batch_norm(x, state, "train")
+        out, _ = bn.forward(x, "train")
         var = x.var(axis=(0, 1))
         np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-9)
-        np.testing.assert_allclose(out.var(axis=(0, 1)), var / (var + state.eps), atol=1e-9)
+        np.testing.assert_allclose(out.var(axis=(0, 1)), var / (var + bn.eps), atol=1e-9)
 
     def test_gradients_train_mode(self, rng):
-        state = L.BnState.create(3)
-        state.gamma = rng.normal(size=3) + 1.0
-        state.beta = rng.normal(size=3)
+        bn = make_bn_layer(3)
+        bn.gamma.value[...] = rng.normal(size=3) + 1.0
+        bn.beta.value[...] = rng.normal(size=3)
         x = rng.normal(size=(2, 5, 3))
         probe = rng.normal(size=(2, 5, 3))
 
         def loss():
-            out, _ = L.batch_norm(x, state, "train")
+            out, _ = bn.forward(x, "train")
             return float(np.sum(out * probe))
 
-        _, cache = L.batch_norm(x, state, "train")
-        dx, dg, db = L.batch_norm_backward(cache, probe)
-        check_grads(loss, [("input", x, dx), ("gamma", state.gamma, dg),
-                           ("beta", state.beta, db)], tol=1e-5)
+        _, cache = bn.forward(x, "train")
+        dx = bn.backward(cache, probe)
+        check_grads(loss, [("input", x, dx)] + param_grads(bn), tol=1e-5)
 
     def test_running_stats_untouched_in_infer(self, rng):
-        state = L.BnState.create(2)
-        L.batch_norm(rng.normal(size=(4, 2)), state, "train")
-        mean_before = state.running_mean.copy()
-        L.batch_norm(rng.normal(size=(4, 2)), state, "infer")
-        assert np.array_equal(state.running_mean, mean_before)
+        bn = make_bn_layer(2)
+        bn.forward(rng.normal(size=(4, 2)), "train")
+        mean_before = bn.running_mean.copy()
+        bn.forward(rng.normal(size=(4, 2)), "infer")
+        assert np.array_equal(bn.running_mean, mean_before)
 
 
 class TestStatsPooling:
+    pool = L.StatsPoolLayer("pool")
+
     def test_constant_frames(self):
-        out, _ = L.stats_pooling(np.full((5, 2), 3.0))
-        np.testing.assert_allclose(out[:2], 3.0, rtol=1e-15)
-        np.testing.assert_allclose(out[2:], np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
+        out, _ = self.pool.forward(np.full((1, 5, 2), 3.0), "train")
+        np.testing.assert_allclose(out[0, :2], 3.0, rtol=1e-15)
+        np.testing.assert_allclose(out[0, 2:], np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
 
     def test_hand_computation(self):
-        out, _ = L.stats_pooling(np.array([[0.0], [2.0]]))
-        np.testing.assert_allclose(out, [1.0, 1.0], rtol=1e-12)
+        out, _ = self.pool.forward(np.array([[[0.0], [2.0]]]), "train")
+        np.testing.assert_allclose(out, [[1.0, 1.0]], rtol=1e-12)
 
     def test_matches_uniform_weighted_stats(self, rng):
-        frames = rng.normal(size=(7, 3))
-        out, _ = L.stats_pooling(frames)
-        mean, std = N.weighted_stats(frames, np.full(7, 1 / 7))
-        np.testing.assert_allclose(out, np.concatenate([mean, std]), rtol=1e-15)
+        frames = rng.normal(size=(1, 7, 3))
+        out, _ = self.pool.forward(frames, "train")
+        mean, std = N.weighted_stats(frames, np.full((1, 7), 1 / 7))
+        np.testing.assert_allclose(out, np.concatenate([mean, std], axis=-1), rtol=1e-15)
 
     @given(st.integers(0, 2 ** 30))
     def test_permutation_invariant(self, seed):
         rng = np.random.default_rng(seed)
         frames = rng.normal(size=(6, 3))
-        out, _ = L.stats_pooling(frames)
-        perm_out, _ = L.stats_pooling(frames[rng.permutation(6)])
+        out, _ = self.pool.forward(frames[None], "train")
+        perm_out, _ = self.pool.forward(frames[rng.permutation(6)][None], "train")
         np.testing.assert_allclose(out, perm_out, atol=1e-12)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            L.stats_pooling(np.empty((0, 3)))
+            self.pool.forward(np.empty((1, 0, 3)), "train")
 
     def test_gradient(self, rng):
-        frames = rng.normal(size=(5, 3))
-        probe = rng.normal(size=6)
+        frames = rng.normal(size=(1, 5, 3))
+        probe = rng.normal(size=(1, 6))
 
         def loss():
-            out, _ = L.stats_pooling(frames)
-            return float(out @ probe)
+            out, _ = self.pool.forward(frames, "train")
+            return float(np.sum(out * probe))
 
-        _, cache = L.stats_pooling(frames)
-        check_grads(loss, [("frames", frames, L.stats_pooling_backward(cache, probe))],
-                    tol=1e-5)
+        _, cache = self.pool.forward(frames, "train")
+        check_grads(loss, [("frames", frames, self.pool.backward(cache, probe))], tol=1e-5)
 
 
-def context_reference(frames, p):
-    """Straight-line loop reimplementation of the attentive context."""
+def context_reference(frames, lyr):
+    """Straight-line loop reimplementation of the attentive context of one
+    (frames, channels) utterance."""
     t = frames.shape[0]
-    logits = np.array([p.score_proj @ np.tanh(frames[i] @ p.score_weight + p.score_bias)
-                       for i in range(t)])
+    w, b, proj = lyr.score_weight.value, lyr.score_bias.value, lyr.score_proj.value
+    logits = np.array([proj @ np.tanh(frames[i] @ w + b) for i in range(t)])
     exp = np.exp(logits - logits.max())
     attn = exp / exp.sum()
     mean = sum(attn[i] * frames[i] for i in range(t))
@@ -149,104 +142,104 @@ def context_reference(frames, p):
 
 class TestAcnnContext:
     def test_zero_score_map_gives_uniform_attention(self, rng):
-        p = make_acnn_params(rng)
-        p.score_weight = np.zeros_like(p.score_weight)
-        p.score_bias = np.zeros_like(p.score_bias)
-        frames = rng.normal(size=(6, 4))
-        context, cache = L.acnn_context(frames, p)
+        lyr = make_acnn_layer(rng)
+        lyr.score_weight.value[...] = 0.0
+        lyr.score_bias.value[...] = 0.0
+        frames = rng.normal(size=(1, 6, 4))
+        context, cache = lyr.context(frames)
         np.testing.assert_allclose(cache["attn"], 1 / 6, rtol=1e-15)
-        mean, std = N.weighted_stats(frames, np.full(6, 1 / 6))
-        np.testing.assert_allclose(context, np.concatenate([mean, std]), rtol=1e-12)
+        mean, std = N.weighted_stats(frames, np.full((1, 6), 1 / 6))
+        np.testing.assert_allclose(context, np.concatenate([mean, std], axis=-1), rtol=1e-12)
 
     def test_single_frame(self, rng):
-        p = make_acnn_params(rng)
-        frames = rng.normal(size=(1, 4))
-        context, _ = L.acnn_context(frames, p)
-        np.testing.assert_allclose(context[:4], frames[0], rtol=1e-12)
-        np.testing.assert_allclose(context[4:], np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
+        lyr = make_acnn_layer(rng)
+        frames = rng.normal(size=(1, 1, 4))
+        context, _ = lyr.context(frames)
+        np.testing.assert_allclose(context[0, :4], frames[0, 0], rtol=1e-12)
+        np.testing.assert_allclose(context[0, 4:], np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
 
     def test_against_independent_reference(self, rng):
-        p = make_acnn_params(rng, in_dim=4, hidden=3)
-        frames = rng.normal(size=(6, 4))
-        context, cache = L.acnn_context(frames, p)
-        expected, attn = context_reference(frames, p)
-        np.testing.assert_allclose(context, expected, atol=1e-12)
-        np.testing.assert_allclose(cache["attn"], attn, atol=1e-12)
+        lyr = make_acnn_layer(rng, in_dim=4, hidden=3)
+        frames = rng.normal(size=(1, 6, 4))
+        context, cache = lyr.context(frames)
+        expected, attn = context_reference(frames[0], lyr)
+        np.testing.assert_allclose(context[0], expected, atol=1e-12)
+        np.testing.assert_allclose(cache["attn"][0], attn, atol=1e-12)
 
     def test_attention_is_probability_vector(self, rng):
-        p = make_acnn_params(rng)
-        _, cache = L.acnn_context(rng.normal(size=(9, 4)), p)
+        lyr = make_acnn_layer(rng)
+        _, cache = lyr.context(rng.normal(size=(1, 9, 4)))
         attn = cache["attn"]
         assert np.all(attn >= 0)
         assert abs(attn.sum() - 1.0) <= 1e-12
 
     def test_permutation_invariant(self, rng):
-        p = make_acnn_params(rng)
+        lyr = make_acnn_layer(rng)
         frames = rng.normal(size=(8, 4))
-        out, _ = L.acnn_context(frames, p)
-        perm, _ = L.acnn_context(frames[rng.permutation(8)], p)
+        out, _ = lyr.context(frames[None])
+        perm, _ = lyr.context(frames[rng.permutation(8)][None])
         np.testing.assert_allclose(out, perm, atol=1e-12)
 
 
 class TestAcnnFilters:
     def test_one_hot_selection(self, rng):
-        p = make_acnn_params(rng)
-        p.mix_weight = np.zeros_like(p.mix_weight)
-        p.mix_bias = np.array([0.0, 1.0, 0.0])
-        (weights, bias), _ = L.acnn_filters(np.zeros(8), p)
-        assert np.array_equal(weights, p.pool_weight[1])
-        assert np.array_equal(bias, p.pool_bias[1])
+        lyr = make_acnn_layer(rng)
+        lyr.mix_weight.value[...] = 0.0
+        lyr.mix_bias.value[...] = [0.0, 1.0, 0.0]
+        (weights, bias), _ = lyr.filters(np.zeros((1, 8)))
+        assert np.array_equal(weights[0], lyr.pool_weight.value[1])
+        assert np.array_equal(bias[0], lyr.pool_bias.value[1])
 
     def test_equal_mixture(self, rng):
-        p = make_acnn_params(rng, pool=2)
-        (weights, bias), _ = L.acnn_filters(None, p, mix_override=np.array([0.5, 0.5]))
-        np.testing.assert_allclose(weights, 0.5 * (p.pool_weight[0] + p.pool_weight[1]),
-                                   rtol=1e-15)
-        np.testing.assert_allclose(bias, 0.5 * (p.pool_bias[0] + p.pool_bias[1]), rtol=1e-15)
+        lyr = make_acnn_layer(rng, pool=2)
+        lyr.mix_override = np.array([0.5, 0.5])
+        (weights, bias), _ = lyr.filters(None)
+        pool_w, pool_b = lyr.pool_weight.value, lyr.pool_bias.value
+        np.testing.assert_allclose(weights, 0.5 * (pool_w[0] + pool_w[1]), rtol=1e-15)
+        np.testing.assert_allclose(bias, 0.5 * (pool_b[0] + pool_b[1]), rtol=1e-15)
 
     def test_zero_regression(self, rng):
-        p = make_acnn_params(rng)
-        p.mix_weight = np.zeros_like(p.mix_weight)
-        p.mix_bias = np.zeros_like(p.mix_bias)
-        (weights, bias), _ = L.acnn_filters(rng.normal(size=8), p)
+        lyr = make_acnn_layer(rng)
+        lyr.mix_weight.value[...] = 0.0
+        lyr.mix_bias.value[...] = 0.0
+        (weights, bias), _ = lyr.filters(rng.normal(size=(1, 8)))
         assert not weights.any() and not bias.any()
 
 
 class TestAcnnLayer:
     def test_one_hot_override_reduces_to_static_conv(self, rng):
-        p = make_acnn_params(rng)
-        frames = rng.normal(size=(7, 4))
-        one_hot = np.array([0.0, 0.0, 1.0])
-        out = L.acnn_layer(frames, p, mix_override=one_hot)
-        static = N.conv1d(frames, N.ConvParams(p.pool_weight[2], p.pool_bias[2], p.dilation))
-        assert np.array_equal(out, static)
+        lyr = make_acnn_layer(rng)
+        frames = rng.normal(size=(1, 7, 4))
+        lyr.mix_override = np.array([0.0, 0.0, 1.0])
+        out, _ = lyr.forward(frames, "train")
+        static = N.conv1d(frames[0], N.ConvParams(lyr.pool_weight.value[2],
+                                                  lyr.pool_bias.value[2], lyr.dilation))
+        assert np.array_equal(out[0], static)
 
     def test_kernel_one_preserves_frames(self, rng):
-        p = make_acnn_params(rng, kernel=1)
-        frames = rng.normal(size=(9, 4))
-        assert L.acnn_layer(frames, p).shape[0] == 9
+        lyr = make_acnn_layer(rng, kernel=1)
+        frames = rng.normal(size=(1, 9, 4))
+        assert lyr.forward(frames, "train")[0].shape[1] == 9
 
     def test_end_to_end_gradients(self, rng):
-        p = make_acnn_params(rng)
-        frames = rng.normal(size=(6, 4))
-        probe = rng.normal(size=(5, 5))
+        lyr = make_acnn_layer(rng)
+        frames = rng.normal(size=(1, 6, 4))
+        probe = rng.normal(size=(1, 5, 5))
 
         def loss():
-            out, _ = L.acnn_forward(frames, p)
+            out, _ = lyr.forward(frames, "train")
             return float(np.sum(out * probe))
 
-        _, cache = L.acnn_forward(frames, p)
-        d_frames, grads = L.acnn_backward(cache, probe)
-        checks = [("frames", frames, d_frames)]
-        for name in ("score_weight", "score_bias", "score_proj", "mix_weight", "mix_bias",
-                     "pool_weight", "pool_bias"):
-            checks.append((name, getattr(p, name), grads[name]))
-        check_grads(loss, checks, tol=1e-5)
+        _, cache = lyr.forward(frames, "train")
+        d_frames = lyr.backward(cache, probe)
+        assert len(lyr.params()) == 7
+        check_grads(loss, [("frames", frames, d_frames)] + param_grads(lyr), tol=1e-5)
 
 
-def abn_context_reference(frames, p):
+def abn_context_reference(frames, lyr):
     t = frames.shape[0]
-    feats = np.array([np.tanh(frames[i] @ p.ctx_weight + p.ctx_bias) for i in range(t)])
+    w, b = lyr.ctx_weight.value, lyr.ctx_bias.value
+    feats = np.array([np.tanh(frames[i] @ w + b) for i in range(t)])
     means = np.array([feats[i].mean() for i in range(t)])
     exp = np.exp(means - means.max())
     attn = exp / exp.sum()
@@ -255,94 +248,85 @@ def abn_context_reference(frames, p):
 
 class TestAbnContext:
     def test_identical_frames_uniform_attention(self, rng):
-        p = make_abn_params(rng)
+        lyr = make_abn_layer(rng)
         frame = rng.normal(size=4)
-        frames = np.tile(frame, (5, 1))
-        context, cache = L.abn_context(frames, p)
+        frames = np.tile(frame, (1, 5, 1))
+        context, cache = lyr.context(frames)
         np.testing.assert_allclose(cache["attn"], 0.2, rtol=1e-15)
-        np.testing.assert_allclose(context, np.tanh(frame @ p.ctx_weight + p.ctx_bias),
-                                   atol=1e-12)
+        np.testing.assert_allclose(context[0], np.tanh(frame @ lyr.ctx_weight.value
+                                                       + lyr.ctx_bias.value), atol=1e-12)
 
     def test_single_frame(self, rng):
-        p = make_abn_params(rng)
-        frames = rng.normal(size=(1, 4))
-        context, cache = L.abn_context(frames, p)
-        np.testing.assert_allclose(cache["attn"], [1.0], rtol=1e-15)
-        np.testing.assert_allclose(context, np.tanh(frames[0] @ p.ctx_weight + p.ctx_bias),
-                                   atol=1e-12)
+        lyr = make_abn_layer(rng)
+        frames = rng.normal(size=(1, 1, 4))
+        context, cache = lyr.context(frames)
+        np.testing.assert_allclose(cache["attn"], [[1.0]], rtol=1e-15)
+        np.testing.assert_allclose(context, np.tanh(frames[0] @ lyr.ctx_weight.value
+                                                    + lyr.ctx_bias.value), atol=1e-12)
 
     def test_against_independent_reference(self, rng):
-        p = make_abn_params(rng, channels=3, hidden=4)
-        frames = rng.normal(size=(5, 3))
-        context, cache = L.abn_context(frames, p)
-        expected, attn = abn_context_reference(frames, p)
-        np.testing.assert_allclose(context, expected, atol=1e-12)
-        np.testing.assert_allclose(cache["attn"], attn, atol=1e-12)
+        lyr = make_abn_layer(rng, channels=3, hidden=4)
+        frames = rng.normal(size=(1, 5, 3))
+        context, cache = lyr.context(frames)
+        expected, attn = abn_context_reference(frames[0], lyr)
+        np.testing.assert_allclose(context[0], expected, atol=1e-12)
+        np.testing.assert_allclose(cache["attn"][0], attn, atol=1e-12)
 
     def test_permutation_invariant(self, rng):
-        p = make_abn_params(rng)
+        lyr = make_abn_layer(rng)
         frames = rng.normal(size=(7, 4))
-        out, _ = L.abn_context(frames, p)
-        perm, _ = L.abn_context(frames[rng.permutation(7)], p)
+        out, _ = lyr.context(frames[None])
+        perm, _ = lyr.context(frames[rng.permutation(7)][None])
         np.testing.assert_allclose(out, perm, atol=1e-12)
 
 
 class TestAbnApply:
     def test_zeroed_generators_reduce_to_batch_norm(self, rng):
         channels = 4
-        p = make_abn_params(rng, channels=channels)
-        p.scale_weight = np.zeros_like(p.scale_weight)
-        p.scale_bias = np.ones(channels)
-        p.shift_weight = np.zeros_like(p.shift_weight)
-        p.shift_bias = np.zeros(channels)
+        abn = make_abn_layer(rng, channels=channels)
+        abn.scale_weight.value[...] = 0.0
+        abn.scale_bias.value[...] = 1.0
+        abn.shift_weight.value[...] = 0.0
+        abn.shift_bias.value[...] = 0.0
         x = rng.normal(size=(3, 6, channels))
-        contexts = rng.normal(size=(3, p.hidden))
 
-        abn_state = L.BnState.create(channels)
-        out, _ = L.abn_apply(x, abn_state, contexts, p, "train")
-        bn_state = L.BnState.create(channels)
-        expected, _ = L.batch_norm(x, bn_state, "train")
+        out, _ = abn.forward(x, "train")
+        bn = make_bn_layer(channels)
+        expected, _ = bn.forward(x, "train")
         assert np.array_equal(out, expected)
-        assert np.array_equal(abn_state.running_mean, bn_state.running_mean)
+        assert np.array_equal(abn.running_mean, bn.running_mean)
 
     def test_infer_affine_arithmetic(self):
-        p = L.AbnParams(ctx_weight=np.zeros((1, 2)), ctx_bias=np.zeros(2),
-                        scale_weight=np.zeros((2, 1)), scale_bias=np.array([2.0]),
-                        shift_weight=np.zeros((2, 1)), shift_bias=np.array([3.0]))
-        state = L.BnState(running_mean=np.zeros(1), running_var=np.ones(1), initialized=True)
+        abn = L.AdaptiveNormLayer("abn", np.random.default_rng(0), 1, 2, 0.1, 1e-5)
+        for p in abn.params():
+            p.value[...] = 0.0
+        abn.scale_bias.value[...] = 2.0
+        abn.shift_bias.value[...] = 3.0
+        abn.running_var = np.ones(1)
+        abn.initialized = True
         x = np.ones((1, 1, 1))
-        out, _ = L.abn_apply(x, state, np.zeros((1, 2)), p, "infer")
-        expected = 2.0 / np.sqrt(1.0 + state.eps) + 3.0
+        out, _ = abn.forward(x, "infer")
+        expected = 2.0 / np.sqrt(1.0 + abn.eps) + 3.0
         np.testing.assert_allclose(out.ravel(), [expected], rtol=1e-15)
         assert abs(out.ravel()[0] - 5.0) < 1e-4
 
-    def test_context_count_mismatch(self, rng):
-        p = make_abn_params(rng)
-        state = L.BnState.create(4)
-        with pytest.raises(ValueError, match="context"):
-            L.abn_apply(rng.normal(size=(3, 5, 4)), state, rng.normal(size=(2, 3)), p, "train")
-
     def test_layer_gradients(self, rng):
-        p = make_abn_params(rng, channels=3, hidden=2)
-        state = L.BnState.create(3)
+        abn = make_abn_layer(rng, channels=3, hidden=2)
         x = rng.normal(size=(2, 4, 3))
         probe = rng.normal(size=(2, 4, 3))
 
         def loss():
-            out, _ = L.abn_layer(x, state, p, "train")
+            out, _ = abn.forward(x, "train")
             return float(np.sum(out * probe))
 
-        _, cache = L.abn_layer(x, state, p, "train")
-        d_input, grads = L.abn_layer_backward(cache, probe)
-        checks = [("input", x, d_input)]
-        for name in ("ctx_weight", "ctx_bias", "scale_weight", "scale_bias",
-                     "shift_weight", "shift_bias"):
-            checks.append((name, getattr(p, name), grads[name]))
-        check_grads(loss, checks, tol=1e-5)
+        _, cache = abn.forward(x, "train")
+        d_input = abn.backward(cache, probe)
+        assert len(abn.params()) == 6
+        check_grads(loss, [("input", x, d_input)] + param_grads(abn), tol=1e-5)
 
     def test_abn_attention_is_probability_vector(self, rng):
-        p = make_abn_params(rng)
-        _, cache = L.abn_context(rng.normal(size=(10, 4)), p)
+        lyr = make_abn_layer(rng)
+        _, cache = lyr.context(rng.normal(size=(1, 10, 4)))
         attn = cache["attn"]
         assert np.all(attn >= 0)
         assert abs(attn.sum() - 1.0) <= 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from axvector import model as M
+from axvector import numerics as N
 from axvector.serialize import FormatError, write_records
 
 
@@ -236,6 +237,8 @@ class TestCheckpoint:
         (None, "no config"),
         ({**tiny_config().to_dict(), "variant": "dense"}, "variant"),
         ({**tiny_config().to_dict(), "kernel_sizes": 3}, "kernel_sizes|iterable"),
+        ({**tiny_config().to_dict(), "bn_momentum": 2.0}, "bn_momentum"),
+        ({**tiny_config().to_dict(), "bn_eps": 0.0}, "bn_eps"),
     ])
     def test_bad_config_is_format_error(self, tmp_path, config, message):
         header = {"kind": "model"}
@@ -245,3 +248,40 @@ class TestCheckpoint:
         write_records(path, header, [])
         with pytest.raises(FormatError, match=message):
             M.load_model(path)
+
+    @pytest.mark.parametrize("record, value, message", [
+        ("frame2.conv.weight", np.nan, r"frame2\.conv\.weight.*NaN or infinite"),
+        ("utt1.norm.running_mean", np.inf, r"utt1\.norm\.running_mean.*NaN or infinite"),
+        ("frame3.norm.running_var", -1e-3, r"frame3\.norm\.running_var.*negative variance"),
+    ])
+    def test_impossible_values_refused(self, tmp_path, rng, record, value, message):
+        cfg = tiny_config("abn")
+        model = M.build(cfg, seed=4)
+        model.forward(rng.normal(size=(2, 6, 3)), mode="train")
+        records = [(p.name, p.value.copy()) for p in model.params()]
+        records += [(name, v.copy()) for name, v in model.state_items()]
+        dict(records)[record].flat[0] = value
+        path = str(tmp_path / "bad.ckpt")
+        write_records(path, {"kind": "model", "config": cfg.to_dict()}, records)
+        with pytest.raises(FormatError, match=message):
+            M.load_model(path)
+
+
+LAYER_CLASSES = ("ConvLayer", "AdaptiveConvLayer", "BatchNormLayer", "AdaptiveNormLayer",
+                 "ReluLayer", "StatsPoolLayer", "DenseLayer")
+
+
+def test_benchmark_binding_contract(rng):
+    """perfbench/tracing.py looks these classes up on ``axvector.model`` and
+    wraps the forward/backward each defines in its own body, reads the norm
+    layers' (output, cache) results and array gradients, and counts calls of
+    ``numerics.conv1d``/``conv1d_backward`` by name."""
+    for name in LAYER_CLASSES:
+        assert {"forward", "backward"} <= set(vars(getattr(M, name))), name
+    assert callable(N.conv1d) and callable(N.conv1d_backward)
+    model = M.build(tiny_config("abn"), seed=0)
+    for name, shape in (("frame1.norm", (2, 6, 4)), ("utt1.norm", (2, 5))):
+        lyr = model.layer(name)
+        out, cache = lyr.forward(rng.normal(size=shape), "train")
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert isinstance(lyr.backward(cache, np.ones(shape)), np.ndarray)
