@@ -11,6 +11,7 @@ closed form.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import scipy.linalg
 
 from .model import Model
 from .numerics import as_f64, require
-from .serialize import FormatError, atomic_write_text, read_records, write_records
+from .serialize import FormatError, atomic_write_text, read_records, text_lines, write_records
 
 LDA_RIDGE = 1e-6          # scaled by trace/dim of the within scatter
 COVARIANCE_FLOOR = 1e-8   # minimum eigenvalue kept in the PLDA covariances
@@ -341,16 +342,19 @@ def write_scores(path: str, scores: list[tuple[str, str, float]]) -> None:
 
 
 def read_scores(path: str) -> list[tuple[str, str, float]]:
+    """``enroll test score`` lines; every score must be a finite number."""
     out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{line_no}: expected 'enroll test score', got {line!r}")
-            out.append((parts[0], parts[1], float(parts[2])))
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{line_no}: expected 'enroll test score', got {line!r}")
+        try:
+            score = float(parts[2])
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise FormatError(f"{path}:{line_no}: score {parts[2]!r} is not a finite number")
+        out.append((parts[0], parts[1], score))
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .numerics import require
-from .serialize import FormatError, atomic_write_bytes, atomic_write_text
+from .serialize import FormatError, atomic_write_bytes, atomic_write_text, text_lines
 
 FEATURE_MAGIC = b"AXVF"
 FEATURE_VERSION = 1
@@ -258,18 +258,14 @@ def load_corpus(path: str) -> Corpus:
 def read_key_value_file(path: str) -> dict[str, str]:
     """``key value`` lines, in file order; a repeated key is an error."""
     out = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{line_no}: expected 'key value', got {line!r}")
-            if parts[0] in out:
-                raise FormatError(f"{path}:{line_no}: duplicate key {parts[0]!r} "
-                                  f"(first on line {_line_of(path, parts[0])})")
-            out[parts[0]] = parts[1]
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{line_no}: expected 'key value', got {line!r}")
+        if parts[0] in out:
+            raise FormatError(f"{path}:{line_no}: duplicate key {parts[0]!r} "
+                              f"(first on line {_line_of(path, parts[0])})")
+        out[parts[0]] = parts[1]
     return out
 
 
@@ -335,14 +331,10 @@ def write_trials(path: str, trials: list[Trial]) -> None:
 
 def read_trials(path: str) -> list[Trial]:
     trials = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-                raise FormatError(f"{path}:{line_no}: expected 'enroll test target|nontarget', "
-                                  f"got {line!r}")
-            trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
+    for line_no, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
+            raise FormatError(f"{path}:{line_no}: expected 'enroll test target|nontarget', "
+                              f"got {line!r}")
+        trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
     return trials

@@ -11,6 +11,12 @@ input gradient and adds each parameter gradient into that parameter's
 optimizer updates them in place); the running statistics change only in
 train mode.
 
+A layer computes in the dtype of its input: float32 stays float32, anything
+else runs in float64.  Parameters, their gradients and the running
+statistics are always float64; each forward casts the parameter values it
+uses to the input's dtype once (a no-op in float64) and keeps the cast copies
+in its cache for the backward.
+
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
 filter mixing, and the adaptive normalization's context.
@@ -23,6 +29,7 @@ import numpy as np
 from .numerics import (
     VARIANCE_FLOOR,
     as_f64,
+    as_float,
     conv_backward,
     conv_forward,
     relu,
@@ -40,7 +47,7 @@ MODES = ("train", "infer")
 
 
 def _check_frames(frames, what: str) -> np.ndarray:
-    frames = as_f64(frames)
+    frames = as_float(frames)
     require(frames.ndim == 3 and frames.shape[1] >= 1,
             f"{what} input must be (batch, frames, channels) with frames >= 1, "
             f"got {frames.shape}")
@@ -50,6 +57,12 @@ def _check_frames(frames, what: str) -> np.ndarray:
 def _rows(a: np.ndarray) -> np.ndarray:
     """All leading axes folded into one: (n, last)."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _cast(dtype, *params) -> list[np.ndarray]:
+    """The parameters' values in the compute dtype (the values themselves in
+    float64)."""
+    return [p.value.astype(dtype, copy=False) for p in params]
 
 
 class Param:
@@ -84,7 +97,7 @@ class ReluLayer:
         return []
 
     def forward(self, x, mode):
-        x = as_f64(x)
+        x = as_float(x)
         return relu(x), x
 
     def backward(self, cache, upstream):
@@ -106,16 +119,17 @@ class ConvLayer:
         return [self.weight, self.bias]
 
     def forward(self, x, mode):
-        x = as_f64(x)
+        x = as_float(x)
         require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
                 f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
-        windows = sliding_windows(x, self.weight.value.shape[0], self.dilation)
-        return conv_forward(windows, self.weight.value, self.bias.value), (windows, x.shape)
+        weight, bias = _cast(x.dtype, self.weight, self.bias)
+        windows = sliding_windows(x, weight.shape[0], self.dilation)
+        return conv_forward(windows, weight, bias), (windows, x.shape, weight)
 
     def backward(self, cache, upstream):
-        windows, shape = cache
-        d_input, d_w, d_b = conv_backward(windows, shape, self.weight.value, self.dilation,
-                                          as_f64(upstream))
+        windows, shape, weight = cache
+        d_input, d_w, d_b = conv_backward(windows, shape, weight, self.dilation,
+                                          as_float(upstream))
         self.weight.grad += d_w
         self.bias.grad += d_b
         return d_input
@@ -133,16 +147,17 @@ class DenseLayer:
         return [self.weight, self.bias]
 
     def forward(self, x, mode):
-        x = as_f64(x)
+        x = as_float(x)
         require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
                 f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
-        return x @ self.weight.value + self.bias.value, x
+        weight, bias = _cast(x.dtype, self.weight, self.bias)
+        return x @ weight + bias, (x, weight)
 
     def backward(self, cache, upstream):
-        x = cache
+        x, weight = cache
         self.weight.grad += x.T @ upstream
         self.bias.grad += upstream.sum(axis=0)
-        return upstream @ self.weight.value.T
+        return upstream @ weight.T
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +178,14 @@ class StatsPoolLayer:
     def forward(self, x, mode):
         x = _check_frames(x, "pooling")
         weights = np.full(x.shape[:-1], 1.0 / x.shape[-2])
-        mean, raw_var = weighted_moments(x, weights)
+        mean, raw_var = weighted_moments(x, weights.astype(x.dtype, copy=False))
         std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
         return np.concatenate([mean, std], axis=-1), (x, weights, (mean, raw_var))
 
     def backward(self, cache, upstream):
         x, weights, moments = cache
         c = x.shape[-1]
-        upstream = as_f64(upstream)
+        upstream = as_float(upstream)
         d_x, _ = weighted_stats_backward(x, weights, upstream[..., :c], upstream[..., c:],
                                          moments=moments)
         return d_x
@@ -225,26 +240,29 @@ class AdaptiveConvLayer:
         attn    = softmax(logits);  context = [mean, std] of frames under attn.
         """
         frames = _check_frames(frames, "context")
-        scored = np.tanh(frames @ self.score_weight.value + self.score_bias.value)
-        attn = softmax(np.matmul(scored, self.score_proj.value))
-        mean, raw_var = weighted_moments(frames, attn)
+        score_weight, score_bias, score_proj = _cast(frames.dtype, self.score_weight,
+                                                     self.score_bias, self.score_proj)
+        scored = np.tanh(frames @ score_weight + score_bias)
+        attn = softmax(np.matmul(scored, score_proj))
+        mean, raw_var = weighted_moments(frames, attn.astype(frames.dtype, copy=False))
         context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
         return context, {"frames": frames, "scored": scored, "attn": attn,
-                         "moments": (mean, raw_var)}
+                         "moments": (mean, raw_var), "params": (score_weight, score_proj)}
 
     def context_backward(self, cache, d_context):
         """Gradient of context with respect to the frames."""
         frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
+        score_weight, score_proj = cache["params"]
         c = frames.shape[-1]
-        d_context = as_f64(d_context)
+        d_context = as_float(d_context)
         d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
                                                    d_context[..., c:], moments=cache["moments"])
-        d_logits = softmax_backward(attn, d_attn)
-        d_pre = tanh_backward(scored, np.multiply.outer(d_logits, self.score_proj.value))
+        d_logits = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
+        d_pre = tanh_backward(scored, np.multiply.outer(d_logits, score_proj))
         self.score_weight.grad += _rows(frames).T @ _rows(d_pre)
         self.score_bias.grad += _rows(d_pre).sum(axis=0)
         self.score_proj.grad += _rows(scored).T @ d_logits.ravel()
-        d_frames += np.matmul(d_pre, self.score_weight.value.T)
+        d_frames += np.matmul(d_pre, score_weight.T)
         return d_frames
 
     def filters(self, context):
@@ -252,33 +270,35 @@ class AdaptiveConvLayer:
 
         coeffs = context @ mix_weight + mix_bias (no normalization); the
         weights and bias are the coefficient-weighted sums of the pool
-        entries.  Under ``mix_override`` the context is unused and one bank
-        is shared by every utterance.
+        entries, in the context's dtype.  Under ``mix_override`` the context
+        is unused and one float64 bank is shared by every utterance.
         """
-        pool = self.pool_weight.value
+        n_pool = self.pool_weight.value.shape[0]
         if self.mix_override is not None:
             coeffs = as_f64(self.mix_override)
-            require(coeffs.shape == (pool.shape[0],),
-                    f"mix override must have {pool.shape[0]} coefficients")
-            context = None
+            require(coeffs.shape == (n_pool,), f"mix override must have {n_pool} coefficients")
+            context, mix_weight = None, None
         else:
-            context = as_f64(context)
+            context = as_float(context)
             require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
                     f"context must be (batch, {self.mix_weight.value.shape[0]}), "
                     f"got {context.shape}")
-            coeffs = context @ self.mix_weight.value + self.mix_bias.value
+            mix_weight, mix_bias = _cast(context.dtype, self.mix_weight, self.mix_bias)
+            coeffs = context @ mix_weight + mix_bias
+        pool, pool_bias = _cast(coeffs.dtype, self.pool_weight, self.pool_bias)
         weights = (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
-        bias = coeffs @ self.pool_bias.value
-        return (weights, bias), {"context": context, "coeffs": coeffs}
+        bias = coeffs @ pool_bias
+        return (weights, bias), {"context": context, "coeffs": coeffs,
+                                 "params": (mix_weight, pool, pool_bias)}
 
     def filters_backward(self, cache, d_weights, d_bias):
         """Gradient of filters with respect to the context (None under
         ``mix_override``)."""
-        pool = self.pool_weight.value
+        mix_weight, pool, pool_bias = cache["params"]
         coeffs = _rows(cache["coeffs"])
-        d_weights = as_f64(d_weights).reshape(coeffs.shape[0], -1)
-        d_bias = _rows(as_f64(d_bias))
-        d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ self.pool_bias.value.T
+        d_weights = as_float(d_weights).reshape(coeffs.shape[0], -1)
+        d_bias = _rows(as_float(d_bias))
+        d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ pool_bias.T
         self.pool_weight.grad += (coeffs.T @ d_weights).reshape(pool.shape)
         self.pool_bias.grad += coeffs.T @ d_bias
         context = cache["context"]
@@ -286,7 +306,7 @@ class AdaptiveConvLayer:
             return None
         self.mix_weight.grad += context.T @ d_coeffs
         self.mix_bias.grad += d_coeffs.sum(axis=0)
-        return d_coeffs @ self.mix_weight.value.T
+        return d_coeffs @ mix_weight.T
 
     def forward(self, x, mode):
         """Context, filter mixing, then a valid convolution of each utterance
@@ -297,6 +317,8 @@ class AdaptiveConvLayer:
         else:
             context, ctx_cache = None, None
         (weights, bias), mix_cache = self.filters(context)
+        # a no-op except for the float64 override bank on a float32 input
+        weights, bias = weights.astype(x.dtype, copy=False), bias.astype(x.dtype, copy=False)
         windows = sliding_windows(x, self.pool_weight.value.shape[1], self.dilation)
         out = conv_forward(windows, weights, bias)
         return out, {"windows": windows, "shape": x.shape, "weights": weights,
@@ -305,7 +327,7 @@ class AdaptiveConvLayer:
     def backward(self, cache, upstream):
         d_input, d_weights, d_bias = conv_backward(cache["windows"], cache["shape"],
                                                    cache["weights"], self.dilation,
-                                                   as_f64(upstream))
+                                                   as_float(upstream))
         d_context = self.filters_backward(cache["mix"], d_weights, d_bias)
         if cache["ctx"] is not None:
             d_input += self.context_backward(cache["ctx"], d_context)
@@ -338,7 +360,7 @@ class _Normalization:
     def _normalize(self, x, mode: str):
         """(x - mean) / sqrt(var + eps); the statistics take one centring pass."""
         require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
-        x = as_f64(x)
+        x = as_float(x)
         require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
         channels = self.running_mean.shape[0]
         require(x.shape[-1] == channels,
@@ -357,8 +379,8 @@ class _Normalization:
             if not self.initialized:
                 raise RuntimeError("inference-mode normalization before any training update; "
                                    "initialize the running statistics first")
-            xhat = x - self.running_mean
-            var = self.running_var
+            xhat = x - self.running_mean.astype(x.dtype, copy=False)
+            var = self.running_var.astype(x.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
         return xhat, {"xhat": xhat, "inv_std": inv_std, "mode": mode, "count": count}
@@ -406,15 +428,17 @@ class BatchNormLayer(_Normalization):
 
     def forward(self, x, mode):
         xhat, core = self._normalize(x, mode)
-        y = xhat * self.gamma.value
-        y += self.beta.value
+        gamma, beta = _cast(xhat.dtype, self.gamma, self.beta)
+        y = xhat * gamma
+        y += beta
+        core["gamma"] = gamma
         return y, core
 
     def backward(self, cache, upstream):
-        upstream = as_f64(upstream)
+        upstream = as_float(upstream)
         self.gamma.grad += np.einsum("nc,nc->c", _rows(upstream), _rows(cache["xhat"]))
         self.beta.grad += _rows(upstream).sum(axis=0)
-        return self._normalize_backward(cache, upstream * self.gamma.value)
+        return self._normalize_backward(cache, upstream * cache["gamma"])
 
 
 class AdaptiveNormLayer(_Normalization):
@@ -449,43 +473,48 @@ class AdaptiveNormLayer(_Normalization):
         """Frame-attention context of each utterance: tanh features weighted
         by a softmax over the per-frame feature means."""
         frames = _check_frames(frames, "context")
-        feats = np.tanh(frames @ self.ctx_weight.value + self.ctx_bias.value)
+        ctx_weight, ctx_bias = _cast(frames.dtype, self.ctx_weight, self.ctx_bias)
+        feats = np.tanh(frames @ ctx_weight + ctx_bias)
         attn = softmax(feats.mean(axis=-1))
-        context = np.matmul(attn[..., None, :], feats)[..., 0, :]
-        return context, {"frames": frames, "feats": feats, "attn": attn}
+        context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
+        return context, {"frames": frames, "feats": feats, "attn": attn, "ctx_weight": ctx_weight}
 
     def context_backward(self, cache, d_context):
         """Gradient of context with respect to the frames."""
         frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
-        d_context = as_f64(d_context)
+        d_context = as_float(d_context)
         d_attn = np.matmul(feats, d_context[..., None])[..., 0]
-        d_means = softmax_backward(attn, d_attn)
-        d_feats = attn[..., None] * d_context[..., None, :]
+        d_means = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
+        d_feats = attn.astype(frames.dtype, copy=False)[..., None] * d_context[..., None, :]
         d_feats += (d_means / feats.shape[-1])[..., None]
         d_pre = tanh_backward(feats, d_feats)
         self.ctx_weight.grad += _rows(frames).T @ _rows(d_pre)
         self.ctx_bias.grad += _rows(d_pre).sum(axis=0)
-        return np.matmul(d_pre, self.ctx_weight.value.T)
+        return np.matmul(d_pre, cache["ctx_weight"].T)
 
     def forward(self, x, mode):
         contexts, ctx_cache = self.context(x)
         xhat, core = self._normalize(x, mode)
-        scales = contexts @ self.scale_weight.value + self.scale_bias.value
-        shifts = contexts @ self.shift_weight.value + self.shift_bias.value
+        scale_weight, scale_bias, shift_weight, shift_bias = _cast(
+            xhat.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
+        scales = contexts @ scale_weight + scale_bias
+        shifts = contexts @ shift_weight + shift_bias
         y = xhat * scales[:, None, :]
         y += shifts[:, None, :]
-        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales}
+        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales,
+                   "params": (scale_weight, shift_weight)}
 
     def backward(self, cache, upstream):
         core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
-        upstream = as_f64(upstream)
+        scale_weight, shift_weight = cache["params"]
+        upstream = as_float(upstream)
         d_scales = np.einsum("btc,btc->bc", upstream, core["xhat"])
         d_shifts = upstream.sum(axis=1)
         self.scale_weight.grad += contexts.T @ d_scales
         self.scale_bias.grad += d_scales.sum(axis=0)
         self.shift_weight.grad += contexts.T @ d_shifts
         self.shift_bias.grad += d_shifts.sum(axis=0)
-        d_contexts = d_scales @ self.scale_weight.value.T + d_shifts @ self.shift_weight.value.T
+        d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
         d_input = self._normalize_backward(core, upstream * scales[:, None, :])
         d_input += self.context_backward(cache["ctx"], d_contexts)
         return d_input

@@ -14,7 +14,9 @@ The model's parameters are its layers' ``Param``s in layer order; a
 checkpoint stores them by name, followed by the normalization layers'
 running statistics.  A model is immutable during inference and may be
 shared across readers; training mutates parameters and normalization
-statistics from a single writer.
+statistics from a single writer.  The network computes in the dtype of its
+input (float32 stays float32, anything else is float64); parameters and
+statistics are float64 either way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .layers import (AdaptiveConvLayer, AdaptiveNormLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      Param, ReluLayer, StatsPoolLayer)
-from .numerics import as_f64, require
+from .numerics import as_float, require
 from .serialize import FormatError, read_records, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
@@ -128,7 +130,7 @@ class Model:
         return self.config.min_frames
 
     def _check_input(self, x) -> np.ndarray:
-        x = as_f64(x)
+        x = as_float(x)
         require(x.ndim == 3,
                 f"model input must be (batch, frames, features), got shape {x.shape}")
         require(x.shape[2] == self.config.input_dim,
@@ -159,7 +161,7 @@ class Model:
         return self._run(x, "train", "logits", keep_caches=True)
 
     def backward(self, caches, d_logits) -> np.ndarray:
-        d = as_f64(d_logits)
+        d = as_float(d_logits)
         for lyr, cache in zip(reversed(self.layers), reversed(caches)):
             d = lyr.backward(cache, d)
         return d

@@ -1,11 +1,16 @@
-"""Dense float64 kernels and their hand-written backward passes.
+"""Dense kernels and their hand-written backward passes.
 
 Every forward here is a pure function of its arguments; the matching
 ``*_backward`` consumes the forward's inputs (plus cheap recomputed
 intermediates) and returns exact gradients of the documented contract.
 Shape arithmetic is validated before any compute so failures surface as
 descriptive ``ValueError``s instead of numpy broadcasting accidents.
-All kernels run in 64-bit floats.
+
+Precision follows the input: float32 arrays stay float32 (training feeds
+float32 batches), anything else runs in float64, and every fresh buffer takes
+its input's dtype.  The softmax and the weights of weighted statistics are the
+exception: they are computed and checked in float64 and cast to the values'
+dtype only for the products.
 """
 
 from __future__ import annotations
@@ -30,6 +35,12 @@ def require(condition: bool, message: str) -> None:
 
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def as_float(x) -> np.ndarray:
+    """``x`` as float32 if it already is float32, otherwise as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def require_all_finite(x: np.ndarray, name: str) -> None:
@@ -92,7 +103,7 @@ def sliding_windows(x: np.ndarray, kernel: int, dilation: int) -> np.ndarray:
     if kernel == 1:
         return x
     c = x.shape[-1]
-    win = np.empty(x.shape[:-2] + (t_out, kernel * c))
+    win = np.empty(x.shape[:-2] + (t_out, kernel * c), dtype=x.dtype)
     for k in range(kernel):
         win[..., k * c:(k + 1) * c] = x[..., k * dilation:k * dilation + t_out, :]
     return win
@@ -132,14 +143,14 @@ def conv_backward(windows: np.ndarray, in_shape: tuple, weights: np.ndarray, dil
     if k == 1:
         return d_windows, d_weights.reshape(weights.shape), d_bias
     t_out = upstream.shape[-2]
-    d_input = np.zeros(in_shape)
+    d_input = np.zeros(in_shape, dtype=d_windows.dtype)
     for j in range(k):
         d_input[..., j * dilation:j * dilation + t_out, :] += d_windows[..., j * c:(j + 1) * c]
     return d_input, d_weights.reshape(weights.shape), d_bias
 
 
 def _check_conv_input(x, params: ConvParams) -> np.ndarray:
-    x = as_f64(x)
+    x = as_float(x)
     require(x.ndim == 2, f"conv input must be (frames, channels), got shape {x.shape}")
     require(x.shape[1] == params.in_channels,
             f"conv input has {x.shape[1]} channels, filters expect {params.in_channels}")
@@ -153,19 +164,21 @@ def conv1d(x, params: ConvParams) -> np.ndarray:
     """
     x = _check_conv_input(x, params)
     win = sliding_windows(x, params.kernel_width, params.dilation)
-    return conv_forward(win, params.weights, params.bias)
+    return conv_forward(win, params.weights.astype(x.dtype, copy=False),
+                        params.bias.astype(x.dtype, copy=False))
 
 
 def conv1d_backward(x, params: ConvParams, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of conv1d: (d_input, d_weights, d_bias)."""
     x = _check_conv_input(x, params)
     t_out = output_frames(x.shape[0], params.kernel_width, params.dilation)
-    upstream = as_f64(upstream)
+    upstream = as_float(upstream)
     require(upstream.shape == (t_out, params.out_channels),
             f"upstream shape {upstream.shape} does not match conv output "
             f"({t_out}, {params.out_channels})")
     win = sliding_windows(x, params.kernel_width, params.dilation)
-    return conv_backward(win, x.shape, params.weights, params.dilation, upstream)
+    return conv_backward(win, x.shape, params.weights.astype(x.dtype, copy=False),
+                         params.dilation, upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +188,7 @@ def conv1d_backward(x, params: ConvParams, upstream) -> tuple[np.ndarray, np.nda
 
 def softmax(v) -> np.ndarray:
     """Probabilities exp(v_i) / sum_j exp(v_j) along the last axis, computed
-    with max subtraction."""
+    with max subtraction, in float64 whatever the input's dtype."""
     v = as_f64(v)
     require(v.ndim >= 1 and v.shape[-1] >= 1, "softmax input must have a nonempty last axis")
     require_all_finite(v, "softmax input")
@@ -185,7 +198,8 @@ def softmax(v) -> np.ndarray:
 
 
 def softmax_backward(probs: np.ndarray, upstream) -> np.ndarray:
-    """Gradient through softmax (last axis) given its output probabilities."""
+    """Gradient through softmax (last axis) given its output probabilities,
+    in float64."""
     upstream = as_f64(upstream)
     inner = np.einsum("...t,...t->...", probs, upstream)[..., None]
     return probs * (upstream - inner)
@@ -197,13 +211,14 @@ def softmax_backward(probs: np.ndarray, upstream) -> np.ndarray:
 
 
 def _check_weights(values: np.ndarray, weights) -> np.ndarray:
+    """The weights checked in float64, returned in the values' dtype."""
     weights = as_f64(weights)
     require(weights.shape == values.shape[:-1],
             f"weights must be one per frame; got {weights.shape} for values {values.shape}")
     require(bool(np.all(weights >= 0.0)), "weights must be nonnegative")
     off = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
     require(off <= WEIGHT_SUM_TOL, f"weights must sum to 1 (off by {off!r})")
-    return weights
+    return weights.astype(values.dtype, copy=False)
 
 
 def weighted_moments(values, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +240,7 @@ def weighted_stats(values, weights) -> tuple[np.ndarray, np.ndarray]:
     one weight vector per utterance.  Weights must be nonnegative and sum to
     one.
     """
-    values = as_f64(values)
+    values = as_float(values)
     require(values.ndim in (2, 3) and values.shape[-2] >= 1,
             f"values must be (frames, channels) with frames >= 1, got {values.shape}")
     mean, raw_var = weighted_moments(values, _check_weights(values, weights))
@@ -240,12 +255,12 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
     it is recomputed when omitted.  The variance floor contributes zero
     gradient while active.
     """
-    values = as_f64(values)
+    values = as_float(values)
     weights = _check_weights(values, weights)
     mean, raw_var = weighted_moments(values, weights) if moments is None else moments
     std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
-    d_var = np.where(raw_var > VARIANCE_FLOOR, as_f64(d_std) / (2.0 * std), 0.0)
-    d_mean_eff = as_f64(d_mean) - 2.0 * mean * d_var
+    d_var = np.where(raw_var > VARIANCE_FLOOR, as_float(d_std) / (2.0 * std), 0.0)
+    d_mean_eff = as_float(d_mean) - 2.0 * mean * d_var
     d_weights = (np.matmul(values, d_mean_eff[..., None])[..., 0]
                  + np.einsum("...tc,...tc,...c->...t", values, values, d_var))
     d_values = values * (2.0 * d_var)[..., None, :]
@@ -260,7 +275,7 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
 
 
 def relu(x) -> np.ndarray:
-    return np.maximum(as_f64(x), 0.0)
+    return np.maximum(as_float(x), 0.0)
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:

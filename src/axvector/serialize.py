@@ -15,6 +15,7 @@ every value bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -46,6 +47,19 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def text_lines(path: str):
+    """(line number, stripped line) for each nonblank line of a UTF-8 text
+    file; a file that is not UTF-8 raises FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, 1):
+                line = line.strip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def write_records(path: str, header: dict, records: list[tuple[str, np.ndarray]]) -> None:
@@ -104,15 +118,19 @@ def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     header_len = reader.u32()
     try:
         header = json.loads(reader.take(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     records = []
-    for _ in range(reader.u32()):
-        name = reader.take(reader.u16()).decode("utf-8")
+    for index in range(reader.u32()):
+        try:
+            name = reader.take(reader.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: record {index} name is not UTF-8") from exc
         ndim = reader.u8()
         shape = tuple(reader.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        payload = reader.take(count * 8)
+        payload = reader.take(math.prod(shape) * 8)
         array = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
         records.append((name, array))
     if reader.pos != len(reader.data):

@@ -1,6 +1,10 @@
 """Cross-entropy training: Adam with decoupled-from-bias L2 decay, an
 exponential learning-rate ramp, and same-duration crop batching.
 
+Mixed precision: batches are float32 (exact, since features are stored as
+float32), so the network's forward and backward run in float32, while the
+loss, the parameters, their gradients and the Adam moments stay float64.
+
 One logical writer mutates the model; batch assembly is deterministic given
 (seed, epoch), so a full run reproduces bit for bit on one machine.
 """
@@ -41,15 +45,20 @@ class TrainConfig:
         require(self.max_wrap_factor >= 1, "max_wrap_factor must be >= 1")
 
 
+# Elements per slice of the Adam update: small enough that a slice of the
+# value, gradient, both moments and the scratch buffer stays in cache.
+ADAM_CHUNK = 32768
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the shared step counter, and one
-    scratch buffer the size of the largest parameter for the update itself."""
+    ADAM_CHUNK-sized scratch buffer for the update itself."""
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(ADAM_CHUNK))
 
 
 def init_adam(params: list[Param]) -> AdamState:
@@ -74,42 +83,44 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
 
     L2 decay is added to the gradient before the moment updates, and only for
     parameters flagged as decaying (weights, not biases or norm affines).
-    Every intermediate lives in the state's scratch buffer; ``p.grad`` is
-    left untouched.
+    Every gradient is checked before anything changes, so a non-finite one
+    leaves the values, the moments and the step count as they were.  The
+    update runs over ADAM_CHUNK-element slices with every intermediate in the
+    state's scratch buffer; ``p.grad`` is left untouched.
     """
+    for p in params:
+        if not np.all(np.isfinite(p.grad)):
+            raise ValueError(f"non-finite gradient for parameter {p.name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    size = max((p.value.size for p in params), default=0)
-    if state.scratch.size < size:
-        state.scratch = np.empty(size)
     for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise ValueError(f"non-finite gradient for parameter {p.name!r}")
         decay = weight_decay if p.decay else 0.0
-        s = state.scratch[:p.value.size].reshape(p.value.shape)
-        m = state.m[p.name]
-        v = state.v[p.name]
-        # the decayed gradient g is rebuilt in s for each moment
-        np.multiply(p.value, decay, out=s)
-        s += p.grad
-        s *= 1.0 - beta1
-        m *= beta1
-        m += s
-        np.multiply(p.value, decay, out=s)
-        s += p.grad
-        np.multiply(s, s, out=s)
-        s *= 1.0 - beta2
-        v *= beta2
-        v += s
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(v, bc2, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        np.divide(m, s, out=s)
-        s *= lr / bc1
-        p.value -= s
+        flat = [np.reshape(a, -1, copy=False)
+                for a in (p.value, p.grad, state.m[p.name], state.v[p.name])]
+        for start in range(0, p.value.size, ADAM_CHUNK):
+            value, grad, m, v = (a[start:start + ADAM_CHUNK] for a in flat)
+            s = state.scratch[:value.size]
+            # the decayed gradient g is rebuilt in s for each moment
+            np.multiply(value, decay, out=s)
+            s += grad
+            s *= 1.0 - beta1
+            m *= beta1
+            m += s
+            np.multiply(value, decay, out=s)
+            s += grad
+            np.multiply(s, s, out=s)
+            s *= 1.0 - beta2
+            v *= beta2
+            v += s
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= lr / bc1
+            value -= s
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +140,8 @@ def crop_or_wrap(features: np.ndarray, crop: int, offset: int, max_wrap: int, ut
 
 
 def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One epoch of (batch, labels) pairs, deterministic given epoch_seed.
+    """One epoch of (float32 batch, labels) pairs, deterministic given
+    epoch_seed.
 
     Every utterance appears once per epoch.  Each batch shares a single crop
     length drawn uniformly from [crop_frames_min, crop_frames_max]; utterances
@@ -154,7 +166,7 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray,
             offset = int(rng.integers(0, max(x.shape[0] - crop, 0) + 1))
             feats.append(crop_or_wrap(x, crop, offset, cfg.max_wrap_factor, utt.utt_id))
             labels.append(label_of[utt.speaker_id])
-        batches.append((np.stack(feats), np.asarray(labels, dtype=np.int64)))
+        batches.append((np.stack(feats, dtype=np.float32), np.asarray(labels, dtype=np.int64)))
     return batches
 
 
@@ -230,7 +242,7 @@ def train(model: Model, corpus, cfg: TrainConfig,
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step}")
             model.zero_grads()
-            model.backward(caches, d_logits)
+            model.backward(caches, d_logits.astype(logits.dtype))
             adam_step(params, state, lr, cfg.weight_decay,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             record = StepRecord(step, lr, loss, accuracy)

@@ -54,6 +54,35 @@ class TestAdam:
         with pytest.raises(ValueError, match="'p'"):
             T.adam_step([p], state, lr=1e-3, weight_decay=0.0)
 
+        # a NaN in the second parameter leaves the first one untouched too
+        first = M.Param("first", np.array([1.0]), True)
+        second = M.Param("second", np.array([2.0]), True)
+        first.grad[:] = 0.5
+        second.grad[:] = np.nan
+        state = T.init_adam([first, second])
+        with pytest.raises(ValueError, match="'second'"):
+            T.adam_step([first, second], state, lr=1e-3, weight_decay=0.0)
+        assert first.value[0] == 1.0 and second.value[0] == 2.0
+        assert state.step == 0
+        for moments in (state.m, state.v):
+            assert all(np.all(a == 0.0) for a in moments.values())
+
+    def test_chunked_update_matches_whole_array_formula(self, rng):
+        shape = (3, T.ADAM_CHUNK + 123)
+        p = M.Param("w", rng.normal(size=shape), True)
+        state = T.init_adam([p])
+        value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+        lr, decay, beta1, beta2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
+        for t in range(1, 5):
+            p.grad[...] = rng.normal(size=shape)
+            T.adam_step([p], state, lr, decay, beta1, beta2, eps)
+            g = p.grad + decay * value
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            value = value - (lr / (1.0 - beta1 ** t)) * (m / (np.sqrt(v / (1.0 - beta2 ** t)) + eps))
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+            assert np.array_equal(p.value, value)
+
     def test_decay_shrinks_norm_with_zero_data_gradient(self):
         p = self._param(np.array([1.0, -1.5, 2.0]))
         state = T.init_adam([p])
@@ -85,7 +114,7 @@ class TestBatches:
         corpus = micro_corpus()
         cfg = micro_train_config(batch_size=4)
         for batch, labels in T.make_batches(corpus, cfg, epoch_seed=0):
-            assert batch.ndim == 3
+            assert batch.ndim == 3 and batch.dtype == np.float32
             assert labels.shape == (batch.shape[0],)
             assert cfg.crop_frames_min <= batch.shape[1] <= cfg.crop_frames_max
 
@@ -168,6 +197,15 @@ class TestTrainLoop:
         assert last < first
         assert all(np.isfinite(r.loss) for r in log_a)
         # identical seeds give bit-identical checkpoints
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_float32_training_checkpoints_byte_identical(self, tmp_path, variant):
+        corpus = micro_corpus()
+        cfg = micro_train_config(total_steps=8)
+        for name in ("a", "b"):
+            T.train(M.build(tiny_arch(variant), seed=4), corpus, cfg,
+                    checkpoint_path=str(tmp_path / f"{name}.ckpt"))
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_checkpoint_round_trip_logits(self, tmp_path, rng):
