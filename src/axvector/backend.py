@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .model import Model
 from .numerics import as_f64, require
@@ -34,6 +33,10 @@ class EmbeddingTable:
         require(vectors.ndim == 2 and vectors.shape[0] == len(ids),
                 "need one vector per utterance id")
         require(len(ids) == len(set(ids)), "utterance ids must be unique")
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if bad.size:
+            raise ValueError(f"embedding of utterance {ids[bad[0]]!r} holds a NaN or "
+                             f"infinite value")
         self.ids = list(ids)
         self.vectors = vectors
         self._index = {utt_id: i for i, utt_id in enumerate(self.ids)}
@@ -63,7 +66,10 @@ class EmbeddingTable:
         if header.get("kind") != "embeddings":
             raise FormatError(f"{path}: not an embedding table")
         ids = [name for name, _ in records]
-        return cls(ids, np.stack([vec for _, vec in records]))
+        try:
+            return cls(ids, np.stack([vec for _, vec in records]))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def extract_embeddings(model: Model, corpus) -> EmbeddingTable:
@@ -110,6 +116,17 @@ def _scatter_matrices(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return within, between
 
 
+def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric-definite problem ``a v = lambda b v``,
+    eigenvalues ascending and eigenvectors b-orthonormal, by Cholesky
+    reduction to a standard problem (what LAPACK ``sygvd`` does): with
+    ``b = L L^T``, ``v = L^-T u`` for the eigenvectors u of ``L^-1 a L^-T``."""
+    inv_lower = np.linalg.inv(np.linalg.cholesky(b))
+    reduced = inv_lower @ a @ inv_lower.T
+    eigvals, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return eigvals, inv_lower.T @ vectors
+
+
 def preprocess_fit(vectors, labels, lda_dim: int) -> PreprocessTransform:
     """Fit centering plus a Fisher discriminant projection on labeled
     training embeddings.  A small ridge keeps the within scatter invertible."""
@@ -125,7 +142,7 @@ def preprocess_fit(vectors, labels, lda_dim: int) -> PreprocessTransform:
     within, between = _scatter_matrices(x - mean, labels)
     ridge = LDA_RIDGE * np.trace(within) / within.shape[0]
     within = within + max(ridge, LDA_RIDGE) * np.eye(within.shape[0])
-    eigvals, eigvecs = scipy.linalg.eigh(between, within)
+    eigvals, eigvecs = _generalized_eigh(between, within)
     order = np.argsort(eigvals)[::-1][:lda_dim]
     projection = eigvecs[:, order]
     # deterministic sign convention: largest-magnitude component positive

@@ -20,7 +20,6 @@ import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .numerics import require
 from .serialize import FormatError, atomic_write_bytes, atomic_write_text, text_lines
@@ -113,13 +112,19 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _ar1_noise(rng: np.random.Generator, frames: int, dim: int, rho: float) -> np.ndarray:
-    eps = rng.standard_normal((frames, dim))
-    if rho == 0.0:
-        return eps
-    driven = eps * math.sqrt(1.0 - rho * rho)
-    driven[0] = eps[0]  # stationary start: unit variance from the first frame
-    return lfilter([1.0], [1.0, -rho], driven, axis=0)
+def ar1_filter(driven: np.ndarray, rho: float) -> np.ndarray:
+    """Run ``y[..., t, :] = driven[..., t, :] + rho * y[..., t - 1, :]`` in place
+    along the frame axis (second to last) and return ``driven``.
+
+    The loop runs over the frame index only, so a zero-padded
+    (utterances, frames, dim) stack filters every utterance at once.  Each
+    step is the float operation of ``lfilter([1], [1, -rho], ., axis=0)``,
+    so the result matches it bit for bit."""
+    if rho != 0.0:
+        for t in range(1, driven.shape[-2]):
+            step = driven[..., t, :]
+            step += rho * driven[..., t - 1, :]
+    return driven
 
 
 def _apply_condition(x: np.ndarray, condition: str, spec: CorpusSpec,
@@ -144,28 +149,44 @@ def _apply_condition(x: np.ndarray, condition: str, spec: CorpusSpec,
 
 
 def generate_corpus(spec: CorpusSpec, output_dir: str | None = None) -> Corpus:
-    """Generate the full corpus; optionally write it to disk as well."""
+    """Generate the full corpus; optionally write it to disk as well.
+
+    Each utterance draws from its own stream, in a fixed order: frame count,
+    session offset, AR(1) driving noise, then its condition's draws.  A first
+    pass draws everything up to the driving noise, one filter pass then runs
+    the AR(1) recursion over all utterances at once, and a second pass
+    applies the conditions with each utterance's stream where it left off."""
     spec.validate()
-    utterances = []
-    features = {}
+    utterances, offsets, rngs, lengths = [], [], [], []
     for s in range(spec.num_speakers):
         speaker_id = f"spk{s:04d}"
         speaker_rng = np.random.default_rng([spec.seed, 1, s])
         speaker_mean = spec.sigma_between * speaker_rng.standard_normal(spec.feature_dim)
         for u in range(spec.utts_per_speaker):
-            utt_id = f"{speaker_id}_utt{u:03d}"
-            condition = spec.conditions[u % len(spec.conditions)]
             rng = np.random.default_rng([spec.seed, 2, s, u])
-            frames = int(rng.integers(spec.frames_min, spec.frames_max + 1))
+            lengths.append(int(rng.integers(spec.frames_min, spec.frames_max + 1)))
             session = spec.sigma_session * rng.standard_normal(spec.feature_dim)
-            noise = spec.sigma_frame * _ar1_noise(rng, frames, spec.feature_dim,
-                                                  spec.ar_coefficient)
-            x = speaker_mean + session + noise
-            x = _apply_condition(x, condition, spec, rng)
-            # features live on disk as float32; quantize in memory too so the
-            # in-memory and reloaded corpora are identical
-            features[utt_id] = x.astype(np.float32).astype(np.float64)
-            utterances.append(Utterance(utt_id, speaker_id, condition))
+            offsets.append(speaker_mean + session)
+            rngs.append(rng)
+            utterances.append(Utterance(f"{speaker_id}_utt{u:03d}", speaker_id,
+                                        spec.conditions[u % len(spec.conditions)]))
+    # AR(1) frame noise with unit stationary variance: the driving noise is
+    # scaled by sqrt(1 - rho^2) except on the first frame, which starts the
+    # recursion at the stationary variance
+    rho = spec.ar_coefficient
+    noise = np.zeros((len(utterances), max(lengths), spec.feature_dim))
+    for padded, rng, frames in zip(noise, rngs, lengths):
+        eps = padded[:frames]
+        rng.standard_normal(out=eps)
+        eps[1:] *= math.sqrt(1.0 - rho * rho)
+    ar1_filter(noise, rho)
+    features = {}
+    for utt, offset, rng, frames, padded in zip(utterances, offsets, rngs, lengths, noise):
+        x = _apply_condition(offset + spec.sigma_frame * padded[:frames], utt.condition,
+                             spec, rng)
+        # features live on disk as float32; quantize in memory too so the
+        # in-memory and reloaded corpora are identical
+        features[utt.utt_id] = x.astype(np.float32).astype(np.float64)
     corpus = Corpus(utterances, features, meta={"spec": asdict(spec)})
     if output_dir is not None:
         save_corpus(corpus, output_dir)
@@ -289,38 +310,61 @@ class Trial:
     target: bool
 
 
+def _unrank(row_sizes: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each rank, and its offset in that row, over rows that hold
+    ``row_sizes`` items one after another."""
+    starts = np.cumsum(row_sizes) - row_sizes
+    rows = np.searchsorted(starts, ranks, side="right") - 1
+    return rows, ranks - starts[rows]
+
+
 def generate_trials(corpus: Corpus, seed, n_target: int, n_nontarget: int) -> list[Trial]:
     """Sample distinct unordered utterance pairs: targets within a speaker,
-    nontargets across speakers.  Deterministic given the seed."""
-    by_speaker: dict[str, list[str]] = {}
-    for u in corpus.utterances:
-        by_speaker.setdefault(u.speaker_id, []).append(u.utt_id)
-    for utts in by_speaker.values():
-        utts.sort()
-    target_pairs = []
-    for spk in sorted(by_speaker):
-        utts = by_speaker[spk]
-        for i in range(len(utts)):
-            for j in range(i + 1, len(utts)):
-                target_pairs.append((utts[i], utts[j]))
-    all_ids = sorted(u.utt_id for u in corpus.utterances)
+    nontargets across speakers.  Deterministic given the seed.
+
+    Over the sorted utterance ids, target pairs are ranked by (speaker, first,
+    second) and nontarget pairs by (first, second).  Ranks are drawn without
+    listing the pairs and mapped back to them through per-row pair counts, so
+    the cost is linear in the utterances and the draws."""
     speaker_of = {u.utt_id: u.speaker_id for u in corpus.utterances}
-    nontarget_pairs = []
-    for i in range(len(all_ids)):
-        for j in range(i + 1, len(all_ids)):
-            if speaker_of[all_ids[i]] != speaker_of[all_ids[j]]:
-                nontarget_pairs.append((all_ids[i], all_ids[j]))
-    if n_target > len(target_pairs):
+    ids = sorted(speaker_of)
+    code_of = {spk: c for c, spk in enumerate(sorted(set(speaker_of.values())))}
+    codes = np.array([code_of[speaker_of[u]] for u in ids], dtype=np.int64)
+    n = codes.size
+    sizes = np.bincount(codes)
+    first = np.cumsum(sizes) - sizes
+    order = np.argsort(codes, kind="stable")   # speaker-major positions
+    rank = np.empty_like(codes)                # position among the speaker's own
+    rank[order] = np.arange(n) - first[codes[order]]
+    # target row p (speaker-major) pairs with the rest of its speaker after it;
+    # nontarget row i pairs with every later utterance of another speaker
+    target_rows = sizes[codes[order]] - 1 - rank[order]
+    nontarget_rows = (n - 1 - np.arange(n)) - (sizes[codes] - 1 - rank)
+    n_target_pairs, n_nontarget_pairs = int(target_rows.sum()), int(nontarget_rows.sum())
+    if n_target > n_target_pairs:
         raise ValueError(f"requested {n_target} target trials but only "
-                         f"{len(target_pairs)} distinct same-speaker pairs exist")
-    if n_nontarget > len(nontarget_pairs):
+                         f"{n_target_pairs} distinct same-speaker pairs exist")
+    if n_nontarget > n_nontarget_pairs:
         raise ValueError(f"requested {n_nontarget} nontarget trials but only "
-                         f"{len(nontarget_pairs)} distinct cross-speaker pairs exist")
+                         f"{n_nontarget_pairs} distinct cross-speaker pairs exist")
     rng = np.random.default_rng(seed)
-    chosen_t = rng.choice(len(target_pairs), size=n_target, replace=False)
-    chosen_n = rng.choice(len(nontarget_pairs), size=n_nontarget, replace=False)
-    trials = [Trial(*target_pairs[int(i)], True) for i in sorted(chosen_t)]
-    trials += [Trial(*nontarget_pairs[int(i)], False) for i in sorted(chosen_n)]
+    chosen_t = np.sort(rng.choice(n_target_pairs, size=n_target, replace=False))
+    chosen_n = np.sort(rng.choice(n_nontarget_pairs, size=n_nontarget, replace=False))
+
+    rows, offsets = _unrank(target_rows, chosen_t)
+    enroll, test = order[rows], order[rows + 1 + offsets]
+    trials = [Trial(ids[e], ids[t], True) for e, t in zip(enroll.tolist(), test.tolist())]
+
+    # the second of a nontarget pair is the m-th (from 0) position outside the
+    # first's speaker s, with m = (positions outside s before the row) + offset;
+    # that position is m plus the count of s's positions p_l (its l-th, from 0)
+    # with p_l - l <= m, found by one search over (speaker, p_l - l) keys
+    rows, offsets = _unrank(nontarget_rows, chosen_n)
+    spk = codes[rows]
+    m = rows - rank[rows] + offsets
+    keys = codes[order] * (n + 1) + (order - rank[order])
+    test = m + np.searchsorted(keys, spk * (n + 1) + m, side="right") - first[spk]
+    trials += [Trial(ids[e], ids[t], False) for e, t in zip(rows.tolist(), test.tolist())]
     return trials
 
 

@@ -1,15 +1,20 @@
-"""The per-utterance implementation of the frame stack, kept as the reference
-the batch-first layers are checked against.
+"""Looped implementations kept as references for the vectorized code.
 
-Each utterance goes through its own convolution, pooling and attentive
-contexts in a Python loop, exactly as the network computed them before the
-layers became batch-first; the batch-level normalization statistics use
-``np.var``.  Nothing here calls the package's layer code.
+The per-utterance frame stack: each utterance goes through its own
+convolution, pooling and attentive contexts in a Python loop, exactly as the
+network computed them before the layers became batch-first; the batch-level
+normalization statistics use ``np.var``.  Nothing here calls the package's
+layer code.
+
+The enumerating trial sampler: it lists every same-speaker and every
+cross-speaker pair before drawing, as ``data.generate_trials`` did before it
+mapped drawn ranks to pairs without listing them.
 """
 
 import numpy as np
 
 from axvector import model as M
+from axvector.data import Trial
 
 FLOOR = 1e-10   # numerics.VARIANCE_FLOOR
 
@@ -232,3 +237,31 @@ def forward_backward(model, x, loss_grad):
         d, layer_grads = backward(d)
         grads.update(layer_grads)
     return h, d, grads
+
+
+def generate_trials(corpus, seed, n_target, n_nontarget):
+    """Trials drawn from the full lists of target and nontarget pairs."""
+    by_speaker = {}
+    for u in corpus.utterances:
+        by_speaker.setdefault(u.speaker_id, []).append(u.utt_id)
+    for utts in by_speaker.values():
+        utts.sort()
+    target_pairs = []
+    for spk in sorted(by_speaker):
+        utts = by_speaker[spk]
+        for i in range(len(utts)):
+            for j in range(i + 1, len(utts)):
+                target_pairs.append((utts[i], utts[j]))
+    all_ids = sorted(u.utt_id for u in corpus.utterances)
+    speaker_of = {u.utt_id: u.speaker_id for u in corpus.utterances}
+    nontarget_pairs = []
+    for i in range(len(all_ids)):
+        for j in range(i + 1, len(all_ids)):
+            if speaker_of[all_ids[i]] != speaker_of[all_ids[j]]:
+                nontarget_pairs.append((all_ids[i], all_ids[j]))
+    rng = np.random.default_rng(seed)
+    chosen_t = rng.choice(len(target_pairs), size=n_target, replace=False)
+    chosen_n = rng.choice(len(nontarget_pairs), size=n_nontarget, replace=False)
+    trials = [Trial(*target_pairs[int(i)], True) for i in sorted(chosen_t)]
+    trials += [Trial(*nontarget_pairs[int(i)], False) for i in sorted(chosen_n)]
+    return trials

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate
 from scipy.stats import multivariate_normal
 
 from axvector import backend as B
 from axvector import data as D
 from axvector import model as M
+from axvector.serialize import FormatError, write_records
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -63,6 +65,23 @@ class TestExtraction:
         assert np.array_equal(loaded.vectors, table.vectors)
 
 
+class TestEmbeddingTable:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vector_names_utterance(self, bad):
+        vectors = np.ones((3, 4))
+        vectors[1, 2] = bad
+        with pytest.raises(ValueError, match="utterance 'b' holds a NaN or infinite value"):
+            B.EmbeddingTable(["a", "b", "c"], vectors)
+
+    def test_load_refuses_nonfinite_vector(self, tmp_path):
+        path = str(tmp_path / "emb.axvr")
+        write_records(path, {"kind": "embeddings", "dim": 2},
+                      [("a", np.ones(2)), ("b", np.array([1.0, np.nan]))])
+        with pytest.raises(FormatError, match=r"emb\.axvr: embedding of utterance 'b' "
+                                              r"holds a NaN or infinite value"):
+            B.EmbeddingTable.load(path)
+
+
 class TestPreprocess:
     def test_centering_and_unit_norm(self, rng):
         x = rng.normal(size=(60, 8)) + 5.0
@@ -99,6 +118,28 @@ class TestPreprocess:
         labels = np.repeat(np.arange(3), 10)
         with pytest.raises(ValueError, match="lda_dim"):
             B.preprocess_fit(x, labels, lda_dim=3)   # only 2 discriminant directions
+
+    def test_generalized_eigh_matches_scipy(self, rng):
+        a, b = random_spd(rng, 7), random_spd(rng, 7, scale=3.0)
+        vals, vecs = B._generalized_eigh(a, b)
+        ref_vals, ref_vecs = scipy.linalg.eigh(a, b)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-10)
+        np.testing.assert_allclose(vecs.T @ b @ vecs, np.eye(7), rtol=0, atol=1e-10)
+        signs = np.sign(np.sum(vecs * ref_vecs, axis=0))
+        np.testing.assert_allclose(vecs * signs, ref_vecs, rtol=0, atol=1e-10)
+
+    def test_projection_matches_scipy_reference(self, rng):
+        # six separated classes in 8 dims: five distinct discriminant directions
+        labels = np.repeat(np.arange(6), 20)
+        x = rng.normal(size=(120, 8)) + 3.0 * rng.normal(size=(6, 8))[labels]
+        transform = B.preprocess_fit(x, labels, lda_dim=5)
+        within, between = B._scatter_matrices(x - x.mean(axis=0), labels)
+        within += max(B.LDA_RIDGE * np.trace(within) / 8, B.LDA_RIDGE) * np.eye(8)
+        expected = scipy.linalg.eigh(between, within)[1][:, ::-1][:, :5]
+        expected *= np.sign(expected[np.argmax(np.abs(expected), axis=0), np.arange(5)])
+        np.testing.assert_allclose(transform.projection, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(transform.projection.T @ within @ transform.projection,
+                                   np.eye(5), rtol=0, atol=1e-10)
 
     def test_singular_within_scatter_survives(self):
         # within scatter is exactly rank deficient; the ridge must absorb it

@@ -10,6 +10,7 @@ from axvector import backend as B
 from axvector import data as D
 from axvector import metrics as X
 from axvector.cli import dispatch
+from axvector.serialize import read_records, write_records
 
 MINI_CONFIG = {
     "corpus": {
@@ -169,12 +170,39 @@ def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys):
     assert {var: os.environ.get(var) for var in before} == before
 
 
+def test_nonfinite_embedding_fails_backend_fit_without_output(pipeline, tmp_path, capsys):
+    header, records = read_records(pipeline["emb"])
+    bad_id, vector = records[0]   # a training-speaker utterance
+    vector[1] = np.nan
+    emb = str(tmp_path / "nan.axvr")
+    write_records(emb, header, records)
+    out = tmp_path / "backend.axvr"
+    assert dispatch(["backend-fit", "--config", pipeline["config"], "--embeddings", emb,
+                     "--corpus", pipeline["corpus"], "--out", str(out)]) != 0
+    err = capsys.readouterr().err
+    assert f"utterance {bad_id!r} holds a NaN or infinite value" in err
+    assert not out.exists()
+
+
+def _fresh_interpreter_exit_code(code: str) -> int:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """--threads only works because importing the command line loads no numpy."""
     code = "import sys, axvector.cli; sys.exit('numpy' in sys.modules)"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_interpreter_exit_code(code) == 0
+
+
+def test_stage_imports_leave_scipy_unloaded():
+    """Every stage runs on numpy alone; loading scipy would add about a
+    second to the start-up of each stage process."""
+    code = ("import sys, axvector.cli, axvector.data, axvector.training, axvector.model, "
+            "axvector.config, axvector.backend, axvector.metrics; "
+            "sys.exit('scipy' in sys.modules)")
+    assert _fresh_interpreter_exit_code(code) == 0
 
 
 class TestDetExport:

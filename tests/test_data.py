@@ -1,8 +1,11 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import looped_reference as ref
 from axvector import data as D
 from axvector.serialize import FormatError
 
@@ -67,6 +70,44 @@ class TestGeneration:
     def test_frames_min_guard(self):
         with pytest.raises(ValueError, match="14"):
             small_spec(frames_min=10).validate()
+
+    # SHA-256 of the feature-file bytes, in corpus order, of corpora written
+    # by the per-utterance generator that ran scipy.signal.lfilter on each
+    # utterance; the stacked recursion must keep every byte
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "dc1dd13ae10e8ea25cb07a2e70836f63d4bc38c7f446e7c4e8841460ab99a68f"),
+        ({"ar_coefficient": 0.95, "frames_min": 15, "frames_max": 40},
+         "da583e5b3ba6fb18cbd9225732c5a2ef4bef35db5a43a18f28f97367ae886908"),
+        ({"ar_coefficient": 0.0},
+         "a28b54536046e54a93610f9405c6aa99f29ffca54e48294b5854e1940be93f5d"),
+    ])
+    def test_feature_bytes_are_pinned(self, overrides, digest):
+        corpus = D.generate_corpus(small_spec(**overrides))
+        sha = hashlib.sha256()
+        for utt in corpus.utterances:
+            sha.update(D.feature_file_bytes(corpus.features(utt.utt_id)))
+        assert sha.hexdigest() == digest
+
+
+class TestArFilter:
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("frames", [1, 2, 37])
+    def test_matches_lfilter(self, rng, rho, frames):
+        x = rng.standard_normal((frames, 6))
+        expected = lfilter([1.0], [1.0, -rho], x, axis=0)
+        assert np.array_equal(D.ar1_filter(x.copy(), rho), expected)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.95])
+    def test_padded_stack_matches_each_utterance(self, rng, rho):
+        lengths = [1, 17, 5, 40, 2]
+        stack = np.zeros((len(lengths), max(lengths), 3))
+        for i, n in enumerate(lengths):
+            stack[i, :n] = rng.standard_normal((n, 3))
+        expected = [lfilter([1.0], [1.0, -rho], stack[i, :n], axis=0)
+                    for i, n in enumerate(lengths)]
+        assert D.ar1_filter(stack, rho) is stack
+        for i, n in enumerate(lengths):
+            assert np.array_equal(stack[i, :n], expected[i])
 
 
 class TestFeatureFiles:
@@ -203,3 +244,44 @@ class TestTrials:
         assert D.read_trials(path) == trials
         first_line = open(path).readline().split()
         assert len(first_line) == 3 and first_line[2] in ("target", "nontarget")
+
+
+def metadata_corpus(speaker_of: dict[str, str]) -> D.Corpus:
+    """A corpus of utterance ids and speakers only; trials need no features."""
+    return D.Corpus([D.Utterance(u, s, "clean") for u, s in speaker_of.items()], {})
+
+
+class TestTrialsMatchEnumeration:
+    """``generate_trials`` against the enumerating sampler it replaced."""
+
+    # the eval subsets gen-data draws from: the toy acceptance config (8 of 32
+    # speakers x 20 utterances) and the eval-scale benchmark config (250 of
+    # 750 speakers x 8 utterances, about 2 M cross-speaker pairs)
+    @pytest.mark.parametrize("first, speakers, utts, n_target, n_nontarget, seed", [
+        (24, 8, 20, 400, 1600, 99),
+        (500, 250, 8, 5000, 95000, 902),
+    ])
+    def test_trial_files_identical(self, tmp_path, first, speakers, utts, n_target,
+                                   n_nontarget, seed):
+        corpus = metadata_corpus({f"spk{s:04d}_utt{u:03d}": f"spk{s:04d}"
+                                  for s in range(first, first + speakers)
+                                  for u in range(utts)})
+        D.write_trials(str(tmp_path / "new"),
+                       D.generate_trials(corpus, [seed], n_target, n_nontarget))
+        D.write_trials(str(tmp_path / "old"),
+                       ref.generate_trials(corpus, [seed], n_target, n_nontarget))
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleaved_uneven_speakers(self, seed):
+        # speakers drawn per utterance: a speaker's ids are not contiguous in
+        # sorted order, and speakers differ in size
+        rng = np.random.default_rng(seed)
+        speakers = rng.integers(0, 5, size=rng.integers(8, 30))
+        corpus = metadata_corpus({f"u{i:03d}": f"s{k}" for i, k in enumerate(speakers)})
+        n_target_pairs = sum(c * (c - 1) // 2 for c in np.bincount(speakers))
+        n_nontarget_pairs = len(speakers) * (len(speakers) - 1) // 2 - n_target_pairs
+        counts = (int(rng.integers(0, n_target_pairs + 1)),
+                  int(rng.integers(0, n_nontarget_pairs + 1)))
+        assert (D.generate_trials(corpus, seed, *counts)
+                == ref.generate_trials(corpus, seed, *counts))
