@@ -41,6 +41,7 @@ from .numerics import (
     tanh_backward,
     weighted_moments,
     weighted_stats_backward,
+    weighted_stats_values_backward,
 )
 
 MODES = ("train", "infer")
@@ -80,7 +81,11 @@ class Param:
         self.grad[...] = 0.0
 
 
-def _he_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def _he_normal(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
+    """He-normal draws; zeros without a generator (a layout that a checkpoint
+    fills)."""
+    if rng is None:
+        return np.zeros(shape)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
@@ -107,7 +112,7 @@ class ReluLayer:
 class ConvLayer:
     """Shared-filter dilated convolution over a batch of utterances."""
 
-    def __init__(self, name: str, rng: np.random.Generator,
+    def __init__(self, name: str, rng: np.random.Generator | None,
                  kernel: int, in_dim: int, out_dim: int, dilation: int):
         self.name = name
         self.dilation = dilation
@@ -136,7 +141,7 @@ class ConvLayer:
 
 
 class DenseLayer:
-    def __init__(self, name: str, rng: np.random.Generator, in_dim: int, out_dim: int,
+    def __init__(self, name: str, rng: np.random.Generator | None, in_dim: int, out_dim: int,
                  init_scale: float = 1.0):
         self.name = name
         self.weight = Param(f"{name}.weight",
@@ -186,9 +191,8 @@ class StatsPoolLayer:
         x, weights, moments = cache
         c = x.shape[-1]
         upstream = as_float(upstream)
-        d_x, _ = weighted_stats_backward(x, weights, upstream[..., :c], upstream[..., c:],
-                                         moments=moments)
-        return d_x
+        return weighted_stats_values_backward(x, weights, upstream[..., :c], upstream[..., c:],
+                                              moments=moments)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +212,7 @@ class AdaptiveConvLayer:
     the layer to a static convolution in tests.
     """
 
-    def __init__(self, name: str, rng: np.random.Generator,
+    def __init__(self, name: str, rng: np.random.Generator | None,
                  kernel: int, in_dim: int, out_dim: int, dilation: int,
                  hidden: int, pool_size: int):
         self.name = name
@@ -451,7 +455,7 @@ class AdaptiveNormLayer(_Normalization):
     per-frame feature means.
     """
 
-    def __init__(self, name: str, rng: np.random.Generator, channels: int,
+    def __init__(self, name: str, rng: np.random.Generator | None, channels: int,
                  hidden: int, momentum: float, eps: float):
         super().__init__(name, channels, momentum, eps)
         self.ctx_weight = Param(f"{name}.ctx_weight", _he_normal(rng, (channels, hidden), channels), True)

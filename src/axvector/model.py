@@ -169,8 +169,13 @@ class Model:
 
 def build(config: ArchConfig, seed: int = 0) -> Model:
     """Deterministically initialize a model for the configured variant."""
+    return _assemble(config, np.random.default_rng(seed))
+
+
+def _assemble(config: ArchConfig, rng: np.random.Generator | None) -> Model:
+    """The configured layer sequence, with He-normal weights drawn from
+    ``rng``, or with zero weights when ``rng`` is None."""
     config.validate()
-    rng = np.random.default_rng(seed)
     layer_list = []
     in_dim = config.input_dim
     for i in range(5):
@@ -274,8 +279,10 @@ def load_model(path: str) -> Model:
     The stored config must build a valid model, and every record is checked
     against the layout it builds (names and shapes, nothing missing, nothing
     extra) and for finite values and nonnegative running variances before
-    any value is copied in, so a checkpoint with a bad config, in another
-    layout or with impossible values fails with one FormatError.
+    any value is set, so a checkpoint with a bad config, in another
+    layout or with impossible values fails with one FormatError.  The layout
+    is built without random draws, and each parameter takes its record's
+    array as its value.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
@@ -284,7 +291,7 @@ def load_model(path: str) -> Model:
         raise FormatError(f"{path}: model header has no config")
     try:
         config = ArchConfig(**header["config"])
-        model = build(config, seed=0)
+        model = _assemble(config, None)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid model config: {exc}") from exc
     by_name = dict(records)
@@ -305,7 +312,7 @@ def load_model(path: str) -> Model:
         if name.endswith(".running_var") and np.any(by_name[name] < 0.0):
             raise FormatError(f"{path}: record {name!r} holds a negative variance")
     for p in model.params():
-        p.value[...] = by_name[p.name]
+        p.value = by_name[p.name]
     for lyr in model.layers:
         if hasattr(lyr, "load_state_item"):
             for key, _ in lyr.state_items():

@@ -14,6 +14,7 @@ every value bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -30,19 +31,28 @@ class FormatError(ValueError):
     """Raised when an on-disk artifact does not parse cleanly."""
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A binary file handle on a temp file in the same directory as ``path``,
+    renamed into place when the block ends; on any error the temp file is
+    removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write via a temp file in the same directory, then rename into place."""
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -63,34 +73,34 @@ def text_lines(path: str):
 
 
 def write_records(path: str, header: dict, records: list[tuple[str, np.ndarray]]) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
+    """Stream the container into an atomic temp file: each record's prefix,
+    then its float64 buffer, with no copy of the whole file in memory."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf += struct.pack("<I", len(header_bytes))
-    buf += header_bytes
-    buf += struct.pack("<I", len(records))
-    for name, array in records:
-        arr = np.asarray(array, dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        if len(name_bytes) > 0xFFFF:
-            raise ValueError(f"record name too long: {name[:40]}...")
-        buf += struct.pack("<H", len(name_bytes))
-        buf += name_bytes
-        buf += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            buf += struct.pack("<I", dim)
-        buf += np.ascontiguousarray(arr).astype("<f8", copy=False).tobytes()
-    atomic_write_bytes(path, bytes(buf))
+    with _atomic_file(path) as handle:
+        handle.write(MAGIC + struct.pack("<II", VERSION, len(header_bytes)) + header_bytes
+                     + struct.pack("<I", len(records)))
+        for name, array in records:
+            name_bytes = name.encode("utf-8")
+            if len(name_bytes) > 0xFFFF:
+                raise ValueError(f"record name too long: {name[:40]}...")
+            # order="C" copies only a non-contiguous or non-float64 array and,
+            # unlike ascontiguousarray, keeps a 0-d array 0-d
+            arr = np.asarray(array, dtype="<f8", order="C")
+            handle.write(struct.pack("<H", len(name_bytes)) + name_bytes
+                         + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            handle.write(memoryview(arr))
 
 
 class _Reader:
+    """Bounds-checked cursor over a file's bytes; ``take`` returns zero-copy
+    memoryview slices."""
+
     def __init__(self, data: bytes, path: str):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError(f"{self.path}: truncated file")
         chunk = self.data[self.pos:self.pos + n]
@@ -108,6 +118,8 @@ class _Reader:
 
 
 def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """Parse a record file; each record's values are copied once out of the
+    file's bytes into their own writable float64 array."""
     with open(path, "rb") as handle:
         reader = _Reader(handle.read(), path)
     if reader.take(4) != MAGIC:
@@ -117,7 +129,7 @@ def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
         raise FormatError(f"{path}: unsupported version {version}")
     header_len = reader.u32()
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
+        header = json.loads(str(reader.take(header_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict):
@@ -125,7 +137,7 @@ def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     records = []
     for index in range(reader.u32()):
         try:
-            name = reader.take(reader.u16()).decode("utf-8")
+            name = str(reader.take(reader.u16()), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: record {index} name is not UTF-8") from exc
         ndim = reader.u8()

@@ -243,6 +243,9 @@ def train(model: Model, corpus, cfg: TrainConfig,
                 raise RuntimeError(f"non-finite training loss at step {step}")
             model.zero_grads()
             model.backward(caches, d_logits.astype(logits.dtype))
+            # release this step's activations now, so they are not alive
+            # through the next forward or a checkpoint write
+            del logits, caches, d_logits
             adam_step(params, state, lr, cfg.weight_decay,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             record = StepRecord(step, lr, loss, accuracy)

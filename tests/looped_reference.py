@@ -9,7 +9,13 @@ layer code.
 The enumerating trial sampler: it lists every same-speaker and every
 cross-speaker pair before drawing, as ``data.generate_trials`` did before it
 mapped drawn ranks to pairs without listing them.
+
+The whole-buffer record encoder: it builds a record file in memory, as
+``serialize.write_records`` did before it streamed records into the file.
 """
+
+import json
+import struct
 
 import numpy as np
 
@@ -265,3 +271,23 @@ def generate_trials(corpus, seed, n_target, n_nontarget):
     trials = [Trial(*target_pairs[int(i)], True) for i in sorted(chosen_t)]
     trials += [Trial(*nontarget_pairs[int(i)], False) for i in sorted(chosen_n)]
     return trials
+
+
+def encode_records(header, records):
+    buf = bytearray()
+    buf += b"AXVR"
+    buf += struct.pack("<I", 1)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    buf += struct.pack("<I", len(header_bytes))
+    buf += header_bytes
+    buf += struct.pack("<I", len(records))
+    for name, array in records:
+        arr = np.asarray(array, dtype=np.float64)
+        name_bytes = name.encode("utf-8")
+        buf += struct.pack("<H", len(name_bytes))
+        buf += name_bytes
+        buf += struct.pack("<B", arr.ndim)
+        for dim in arr.shape:
+            buf += struct.pack("<I", dim)
+        buf += np.ascontiguousarray(arr).astype("<f8", copy=False).tobytes()
+    return bytes(buf)

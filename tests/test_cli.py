@@ -170,6 +170,41 @@ def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys):
     assert {var: os.environ.get(var) for var in before} == before
 
 
+class _RecordingLibc:
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def _raise_oserror(name):
+    raise OSError("no C library here")
+
+
+@pytest.mark.parametrize("cdll", [_raise_oserror, lambda name: object()],
+                         ids=["CDLL-raises-OSError", "no-mallopt"])
+def test_dispatch_runs_without_mallopt(workdir, monkeypatch, tmp_path, cdll):
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    _, config = workdir
+    out = tmp_path / "corpus"
+    assert dispatch(["gen-data", "--config", config, "--out", str(out)]) == 0
+    assert (out / "trials.txt").exists()
+
+
+def test_dispatch_keeps_freed_memory_in_process(monkeypatch, capsys):
+    """Blocks up to 32 MiB come from the heap (M_MMAP_THRESHOLD) and its free
+    top is kept up to 1 GiB (M_TRIM_THRESHOLD), set before any stage runs."""
+    import ctypes
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _RecordingLibc(calls))
+    assert dispatch(["frobnicate"]) != 0
+    capsys.readouterr()
+    assert sorted(calls) == [(-3, 32 << 20), (-1, 1 << 30)]
+
+
 def test_nonfinite_embedding_fails_backend_fit_without_output(pipeline, tmp_path, capsys):
     header, records = read_records(pipeline["emb"])
     bad_id, vector = records[0]   # a training-speaker utterance

@@ -186,6 +186,23 @@ class TestCheckpoint:
             assert ka == kb and np.array_equal(va, vb)
         assert np.array_equal(model.forward(x), loaded.forward(x))
 
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch, rng):
+        model = M.build(tiny_config("acnn_abn"), seed=4)
+        model.forward(rng.normal(size=(2, 6, 3)), mode="train")
+        path = str(tmp_path / "model.ckpt")
+        M.save_model(model, path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = M.load_model(path)
+        values = [p.value for p in loaded.params()]
+        for pa, value in zip(model.params(), values):
+            assert np.array_equal(pa.value, value) and value.dtype == np.float64
+            assert value.flags.c_contiguous and value.flags.writeable
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(values) for b in values[:i])
+
     def test_corrupted_checkpoint(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -212,12 +229,12 @@ class TestCheckpoint:
         header = {"kind": "model", "config": cfg.to_dict()}
         built = []
 
-        def recording_build(config, seed=0):
-            built.append(real_build(config, seed))
+        def recording_assemble(config, rng):
+            built.append(real_assemble(config, rng))
             return built[-1]
 
-        real_build = M.build
-        monkeypatch.setattr(M, "build", recording_build)
+        real_assemble = M._assemble
+        monkeypatch.setattr(M, "_assemble", recording_assemble)
         path = str(tmp_path / "old.ckpt")
         write_records(path, header, old)
         with pytest.raises(FormatError, match=r"frame4\.conv\.value_"):
@@ -226,7 +243,7 @@ class TestCheckpoint:
         write_records(path, header, [r for r in old if ".value_" not in r[0]])
         with pytest.raises(FormatError, match=r"frame4\.conv\.mix_weight.*shape"):
             M.load_model(path)
-        fresh = real_build(cfg, seed=0)
+        fresh = real_assemble(cfg, None)
         assert len(built) == 2
         for partial in built:
             for pa, pb in zip(partial.params(), fresh.params()):

@@ -211,6 +211,18 @@ class TestWeightedStats:
         analytic = N.softmax_backward(weights, d_weights)
         check_grads(loss, [("logits", logits, analytic)], tol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_values_only_gradient_matches_full_backward(self, rng, dtype):
+        values = rng.normal(size=(3, 7, 4)).astype(dtype)
+        values[1, :, 2] = 0.5   # one channel at the variance floor
+        weights = rng.dirichlet(np.ones(7), size=3)
+        probe_m = rng.normal(size=(3, 4)).astype(dtype)
+        probe_s = rng.normal(size=(3, 4)).astype(dtype)
+        d_values, _ = N.weighted_stats_backward(values, weights, probe_m, probe_s)
+        alone = N.weighted_stats_values_backward(values, weights, probe_m, probe_s)
+        assert alone.dtype == d_values.dtype == dtype
+        assert np.array_equal(alone, d_values)
+
     def test_gradient_zero_at_floor(self):
         values = np.full((3, 2), 1.0)
         weights = np.full(3, 1.0 / 3.0)

@@ -3,6 +3,8 @@ import pytest
 
 from axvector.serialize import FormatError, read_records, write_records
 
+from looped_reference import encode_records
+
 
 def test_round_trip_bit_exact(tmp_path, rng):
     path = str(tmp_path / "records.axvr")
@@ -52,3 +54,42 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, rng):
     write_records(path, {}, [("x", rng.normal(size=4))])
     leftovers = [p.name for p in tmp_path.iterdir() if p.name != "records.axvr"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [("scalar", np.array(-0.0))],
+    [("empty", np.zeros((0, 3)))],
+    [("a", np.arange(12.0).reshape(3, 4)), ("b", np.array(2.5)), ("c", np.zeros(0)),
+     ("strided", np.arange(24.0).reshape(4, 6)[::2, 1::2]), ("ints", np.arange(5)),
+     ("fortran", np.asfortranarray(np.arange(6.0).reshape(2, 3))),
+     ("float32", np.linspace(0, 1, 7, dtype=np.float32)), ("üñí", np.ones((2, 1, 2)))],
+], ids=["no-records", "0-d", "empty", "multi"])
+def test_streamed_file_matches_whole_buffer_encoder(tmp_path, records):
+    path = tmp_path / "records.axvr"
+    header = {"kind": "test", "n": len(records)}
+    write_records(str(path), header, records)
+    assert path.read_bytes() == encode_records(header, records)
+    loaded_header, loaded = read_records(str(path))
+    assert loaded_header == header
+    for (name, original), (loaded_name, copy) in zip(records, loaded):
+        assert loaded_name == name and copy.shape == np.shape(original)
+        assert copy.dtype == np.float64 and copy.flags.writeable and copy.flags.c_contiguous
+        assert np.array_equal(copy, original)
+
+
+def test_long_name_leaves_no_file(tmp_path):
+    path = tmp_path / "records.axvr"
+    with pytest.raises(ValueError, match="too long"):
+        write_records(str(path), {}, [("ok", np.ones(2)), ("x" * 0x10000, np.ones(2))])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "records.axvr"
+    write_records(str(path), {"v": 1}, [("x", np.ones(3))])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_records(str(path), {"v": 2}, [("x", np.ones(3)), ("bad", np.array(["text"]))])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["records.axvr"]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,18 @@ def test_full_model_gradients_match_finite_differences(variant, rng):
     check_grads(loss_fn, checks, tol=1e-4)
 
 
+def _arrays(obj):
+    """Every ndarray in a nest of tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item)
+
+
 class TestTrainLoop:
     def test_progress_and_determinism(self, tmp_path):
         corpus = micro_corpus()
@@ -207,6 +221,37 @@ class TestTrainLoop:
             T.train(M.build(tiny_arch(variant), seed=4), corpus, cfg,
                     checkpoint_path=str(tmp_path / f"{name}.ckpt"))
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_one_step_of_caches_alive(self, tmp_path, monkeypatch, variant):
+        """No array of a step's caches outlives its backward: none is alive
+        when the next step's forward starts or when a checkpoint is written."""
+        model = M.build(tiny_arch(variant), seed=4)
+        watched = []
+        events = []
+
+        def alive():
+            return sum(ref() is not None for ref in watched)
+
+        def forward_train(x):
+            assert not alive(), f"{alive()} cache arrays of the previous step alive at a forward"
+            logits, caches = real_forward(x)
+            watched[:] = [weakref.ref(a) for a in _arrays(caches) if a is not x]
+            events.append("forward")
+            return logits, caches
+
+        def save_model(m, path):
+            assert not alive(), f"{alive()} cache arrays alive at a checkpoint write"
+            events.append("save")
+            real_save(m, path)
+
+        real_forward, real_save = model.forward_train, T.save_model
+        monkeypatch.setattr(model, "forward_train", forward_train)
+        monkeypatch.setattr(T, "save_model", save_model)
+        T.train(model, micro_corpus(), micro_train_config(total_steps=6, checkpoint_every=2),
+                checkpoint_path=str(tmp_path / "m.ckpt"))
+        assert events == ["forward", "forward", "save"] * 2 + ["forward", "forward", "save"]
+        assert len(watched) > 10
 
     def test_checkpoint_round_trip_logits(self, tmp_path, rng):
         corpus = micro_corpus()
