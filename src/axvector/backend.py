@@ -98,24 +98,6 @@ class PreprocessTransform:
     projection: np.ndarray   # (dim, lda_dim)
 
 
-def _scatter_matrices(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    classes = np.unique(labels)
-    dim = x.shape[1]
-    overall = x.mean(axis=0)
-    within = np.zeros((dim, dim))
-    between = np.zeros((dim, dim))
-    for c in classes:
-        rows = x[labels == c]
-        mu = rows.mean(axis=0)
-        centered = rows - mu
-        within += centered.T @ centered
-        offset = mu - overall
-        between += rows.shape[0] * np.outer(offset, offset)
-    within /= x.shape[0]
-    between /= x.shape[0]
-    return within, between
-
-
 def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric-definite problem ``a v = lambda b v``,
     eigenvalues ascending and eigenvectors b-orthonormal, by Cholesky
@@ -139,7 +121,16 @@ def preprocess_fit(vectors, labels, lda_dim: int) -> PreprocessTransform:
             f"lda_dim={lda_dim} must lie in [1, {limit}] for {n_classes} classes "
             f"of dimension {x.shape[1]}")
     mean = x.mean(axis=0)
-    within, between = _scatter_matrices(x - mean, labels)
+    centered = x - mean
+    overall = centered.mean(axis=0)
+    dim = x.shape[1]
+    within, between = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for n, class_mean, scatter in _class_stats(centered, labels):
+        within += scatter
+        offset = class_mean - overall
+        between += n * np.outer(offset, offset)
+    within /= x.shape[0]
+    between /= x.shape[0]
     ridge = LDA_RIDGE * np.trace(within) / within.shape[0]
     within = within + max(ridge, LDA_RIDGE) * np.eye(within.shape[0])
     eigvals, eigvecs = _generalized_eigh(between, within)
@@ -154,18 +145,16 @@ def preprocess_fit(vectors, labels, lda_dim: int) -> PreprocessTransform:
 
 
 def preprocess_apply(transform: PreprocessTransform, vectors) -> np.ndarray:
-    """Center, project, then scale each vector to unit Euclidean norm."""
+    """Center, project, then scale each row of an (n, dim) matrix to unit
+    Euclidean norm."""
     x = as_f64(vectors)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    require(x.shape[1] == transform.mean.shape[0],
-            f"vectors have dim {x.shape[1]}, transform expects {transform.mean.shape[0]}")
+    dim = transform.mean.shape[0]
+    require(x.ndim == 2 and x.shape[1] == dim,
+            f"vectors must be an (n, {dim}) matrix, got shape {x.shape}")
     projected = (x - transform.mean) @ transform.projection
     norms = np.linalg.norm(projected, axis=1, keepdims=True)
     norms = np.where(norms == 0.0, 1.0, norms)
-    out = projected / norms
-    return out[0] if single else out
+    return projected / norms
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +181,13 @@ def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _class_stats(x: np.ndarray, labels: np.ndarray):
-    stats = []
+    """(count, mean, scatter about the mean) of each class, in label order,
+    one class at a time."""
     for c in np.unique(labels):
         rows = x[labels == c]
         mean = rows.mean(axis=0)
         centered = rows - mean
-        stats.append((rows.shape[0], mean, centered.T @ centered))
-    return stats
+        yield rows.shape[0], mean, centered.T @ centered
 
 
 def _total_loglik(stats, mean_all, between, within) -> float:
@@ -237,7 +226,7 @@ def plda_train(vectors, labels, iterations: int = 15) -> PldaModel:
     labels = np.asarray(labels)
     require(x.ndim == 2 and x.shape[0] == labels.shape[0], "need one label per vector")
     mean_all = x.mean(axis=0)
-    stats = _class_stats(x, labels)
+    stats = list(_class_stats(x, labels))
     dim = x.shape[1]
     if len(stats) < 2:
         warnings.warn("single-class input: speaker covariance set to zero", stacklevel=2)

@@ -130,8 +130,8 @@ def cmd_train(args) -> int:
     out = _out_path(args.out)
     log = training.train(net, train_corpus, train_cfg, checkpoint_path=out,
                          progress=progress)
-    log_path = args.log or out + ".log"
-    atomic_write_text(_out_path(log_path), "".join(rec.line() + "\n" for rec in log))
+    log_path = _out_path(args.log) if args.log else out + ".log"
+    atomic_write_text(log_path, "".join(rec.line() + "\n" for rec in log))
 
     per_epoch = max(1, (len(train_corpus) + train_cfg.batch_size - 1) // train_cfg.batch_size)
     first = [r.loss for r in log[:per_epoch]]
@@ -268,7 +268,8 @@ def cmd_sweep_n(args) -> int:
     values = [int(v) for v in args.values.split(",") if v.strip()]
     if not values or any(v < 1 for v in values):
         raise ValueError(f"--values must list positive pool sizes, got {args.values!r}")
-    out_dir = _out_path(args.out_dir)
+    # absolute, so that the stages run below do not resolve their outputs again
+    out_dir = os.path.abspath(_out_path(args.out_dir))
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for n in values:

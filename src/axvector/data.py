@@ -103,9 +103,6 @@ class Corpus:
         feats = {u.utt_id: self._features[u.utt_id] for u in utts}
         return Corpus(utts, feats, dict(self.meta))
 
-    def condition_of(self) -> dict[str, str]:
-        return {u.utt_id: u.condition for u in self.utterances}
-
 
 # ---------------------------------------------------------------------------
 # generation
@@ -266,14 +263,33 @@ def load_corpus(path: str) -> Corpus:
     meta_path = os.path.join(path, "corpus.json")
     meta = {}
     if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
+        meta = _read_meta(meta_path, set(utt2spk.values()), spk_path)
     utterances = []
     features = {}
     for utt_id in sorted(utt2spk):
         utterances.append(Utterance(utt_id, utt2spk[utt_id], utt2cond[utt_id]))
         features[utt_id] = read_feature_file(os.path.join(path, "features", f"{utt_id}.axvf"))
     return Corpus(utterances, features, meta)
+
+
+def _read_meta(path: str, speakers: set, spk_path: str) -> dict:
+    """The JSON object of ``corpus.json``; its ``eval_speaker_ids``, when
+    present, must list speakers of ``spk_path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except ValueError as exc:   # malformed JSON or UTF-8
+        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    eval_ids = meta.get("eval_speaker_ids", [])
+    if not isinstance(eval_ids, list):
+        raise FormatError(f"{path}: eval_speaker_ids must be a list of speaker ids, "
+                          f"got {type(eval_ids).__name__}")
+    for spk in eval_ids:
+        if not (isinstance(spk, str) and spk in speakers):
+            raise FormatError(f"{path}: eval speaker {spk!r} has no utterance in {spk_path}")
+    return meta
 
 
 def read_key_value_file(path: str) -> dict[str, str]:

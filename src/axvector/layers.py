@@ -207,9 +207,9 @@ class AdaptiveConvLayer:
     themselves: ``score_*`` and ``score_proj`` give the per-frame attention
     logits, and the frames' mean and std under that attention (length 2*in)
     are regressed by ``mix_*`` into unconstrained coefficients over the
-    filter pool ``pool_*``.  ``mix_override`` (a fixed coefficient vector)
-    bypasses the context and regression for every utterance; used to reduce
-    the layer to a static convolution in tests.
+    filter pool ``pool_*``.  A fixed mixture is that regression with zero
+    ``mix_weight`` and the coefficients as ``mix_bias``; a one-hot mixture
+    reduces the layer to a static convolution with that pool entry.
     """
 
     def __init__(self, name: str, rng: np.random.Generator | None,
@@ -231,7 +231,6 @@ class AdaptiveConvLayer:
             np.stack([_he_normal(rng, (kernel, in_dim, out_dim), fan_conv) for _ in range(pool_size)]),
             True)
         self.pool_bias = Param(f"{name}.pool_bias", np.zeros((pool_size, out_dim)), False)
-        self.mix_override = None
 
     def params(self):
         return [self.score_weight, self.score_bias, self.score_proj, self.mix_weight,
@@ -274,40 +273,30 @@ class AdaptiveConvLayer:
 
         coeffs = context @ mix_weight + mix_bias (no normalization); the
         weights and bias are the coefficient-weighted sums of the pool
-        entries, in the context's dtype.  Under ``mix_override`` the context
-        is unused and one float64 bank is shared by every utterance.
+        entries, in the context's dtype.
         """
-        n_pool = self.pool_weight.value.shape[0]
-        if self.mix_override is not None:
-            coeffs = as_f64(self.mix_override)
-            require(coeffs.shape == (n_pool,), f"mix override must have {n_pool} coefficients")
-            context, mix_weight = None, None
-        else:
-            context = as_float(context)
-            require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
-                    f"context must be (batch, {self.mix_weight.value.shape[0]}), "
-                    f"got {context.shape}")
-            mix_weight, mix_bias = _cast(context.dtype, self.mix_weight, self.mix_bias)
-            coeffs = context @ mix_weight + mix_bias
-        pool, pool_bias = _cast(coeffs.dtype, self.pool_weight, self.pool_bias)
+        context = as_float(context)
+        require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
+                f"context must be (batch, {self.mix_weight.value.shape[0]}), "
+                f"got {context.shape}")
+        mix_weight, mix_bias, pool, pool_bias = _cast(context.dtype, self.mix_weight,
+                                                      self.mix_bias, self.pool_weight,
+                                                      self.pool_bias)
+        coeffs = context @ mix_weight + mix_bias
         weights = (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
         bias = coeffs @ pool_bias
         return (weights, bias), {"context": context, "coeffs": coeffs,
                                  "params": (mix_weight, pool, pool_bias)}
 
     def filters_backward(self, cache, d_weights, d_bias):
-        """Gradient of filters with respect to the context (None under
-        ``mix_override``)."""
+        """Gradient of filters with respect to the context."""
         mix_weight, pool, pool_bias = cache["params"]
-        coeffs = _rows(cache["coeffs"])
+        context, coeffs = cache["context"], cache["coeffs"]
         d_weights = as_float(d_weights).reshape(coeffs.shape[0], -1)
-        d_bias = _rows(as_float(d_bias))
+        d_bias = as_float(d_bias)
         d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ pool_bias.T
         self.pool_weight.grad += (coeffs.T @ d_weights).reshape(pool.shape)
         self.pool_bias.grad += coeffs.T @ d_bias
-        context = cache["context"]
-        if context is None:
-            return None
         self.mix_weight.grad += context.T @ d_coeffs
         self.mix_bias.grad += d_coeffs.sum(axis=0)
         return d_coeffs @ mix_weight.T
@@ -316,13 +305,8 @@ class AdaptiveConvLayer:
         """Context, filter mixing, then a valid convolution of each utterance
         with its own mixed filters."""
         x = _check_frames(x, "adaptive conv")
-        if self.mix_override is None:
-            context, ctx_cache = self.context(x)
-        else:
-            context, ctx_cache = None, None
+        context, ctx_cache = self.context(x)
         (weights, bias), mix_cache = self.filters(context)
-        # a no-op except for the float64 override bank on a float32 input
-        weights, bias = weights.astype(x.dtype, copy=False), bias.astype(x.dtype, copy=False)
         windows = sliding_windows(x, self.pool_weight.value.shape[1], self.dilation)
         out = conv_forward(windows, weights, bias)
         return out, {"windows": windows, "shape": x.shape, "weights": weights,
@@ -333,8 +317,7 @@ class AdaptiveConvLayer:
                                                    cache["weights"], self.dilation,
                                                    as_float(upstream))
         d_context = self.filters_backward(cache["mix"], d_weights, d_bias)
-        if cache["ctx"] is not None:
-            d_input += self.context_backward(cache["ctx"], d_context)
+        d_input += self.context_backward(cache["ctx"], d_context)
         return d_input
 
 

@@ -106,14 +106,10 @@ def adaptive_conv_layer(lyr, x):
     c = x.shape[2]
     outs, utts = [], []
     for frames in x:
-        if lyr.mix_override is None:
-            scored = np.tanh(frames @ p["score_weight"] + p["score_bias"])
-            attn = softmax(scored @ p["score_proj"])
-            context = np.concatenate(weighted_stats(frames, attn))
-            coeffs = context @ p["mix_weight"] + p["mix_bias"]
-        else:
-            scored = attn = context = None
-            coeffs = np.asarray(lyr.mix_override, dtype=float)
+        scored = np.tanh(frames @ p["score_weight"] + p["score_bias"])
+        attn = softmax(scored @ p["score_proj"])
+        context = np.concatenate(weighted_stats(frames, attn))
+        coeffs = context @ p["mix_weight"] + p["mix_bias"]
         weights = np.tensordot(coeffs, p["pool_weight"], axes=1)
         outs.append(conv1d(frames, weights, coeffs @ p["pool_bias"], dilation))
         utts.append((scored, attn, context, coeffs, weights))
@@ -127,8 +123,6 @@ def adaptive_conv_layer(lyr, x):
                         + p["pool_bias"] @ d_b)
             grads["pool_weight"] += coeffs[:, None, None, None] * d_w[None]
             grads["pool_bias"] += np.outer(coeffs, d_b)
-            if context is None:
-                continue
             grads["mix_weight"] += np.outer(context, d_coeffs)
             grads["mix_bias"] += d_coeffs
             d_context = p["mix_weight"] @ d_coeffs
@@ -139,8 +133,7 @@ def adaptive_conv_layer(lyr, x):
             grads["score_bias"] += d_pre.sum(axis=0)
             grads["score_proj"] += scored.T @ d_logits
             d_x[i] += d_pooled + d_pre @ p["score_weight"].T
-        return d_x, {getattr(lyr, name).name: g for name, g in grads.items()
-                     if not np.isscalar(g)}
+        return d_x, {getattr(lyr, name).name: g for name, g in grads.items()}
     return np.stack(outs), backward
 
 

@@ -216,19 +216,22 @@ class TestCriterion3Reductions:
         assert np.array_equal(out_abn, out_bn)
 
     def test_criterion_3_reduction_acnn_to_static_conv(self, rng):
+        """A one-hot mixture (zero regression weights, one-hot bias) selects
+        its pool entry exactly, in float64 and in the float32 of training."""
         # kernel 2, 3 -> 5 channels, dilation 2, attention hidden 2, pool of 4
         layer = randomize(L.AdaptiveConvLayer("acnn", np.random.default_rng(0), 2, 3, 5, 2, 2, 4),
                            rng)
-        frames = rng.normal(size=(1, 9, 3))
-        for slot in range(4):
-            one_hot = np.zeros(4)
-            one_hot[slot] = 1.0
-            layer.mix_override = one_hot
-            out = layer.forward(frames, "infer")[0][0]
-            static = N.conv1d(frames[0], N.ConvParams(layer.pool_weight.value[slot],
-                                                      layer.pool_bias.value[slot], 2))
-            assert np.max(np.abs(out - static)) <= 1e-12
-            assert np.array_equal(out, static)
+        layer.mix_weight.value[...] = 0.0
+        frames64 = rng.normal(size=(1, 9, 3))
+        for frames in (frames64, frames64.astype(np.float32)):
+            for slot in range(4):
+                layer.mix_bias.value[...] = np.eye(4)[slot]
+                out = layer.forward(frames, "infer")[0][0]
+                static = N.conv1d(frames[0], N.ConvParams(layer.pool_weight.value[slot],
+                                                          layer.pool_bias.value[slot], 2))
+                assert out.dtype == static.dtype == frames.dtype
+                assert np.max(np.abs(out - static)) <= 1e-12
+                assert np.array_equal(out, static)
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,17 @@ class TestPreprocess:
         x = rng.normal(size=(40, 6))
         labels = np.repeat(np.arange(4), 10)
         transform = B.preprocess_fit(x, labels, lda_dim=3)
-        v = rng.normal(size=6)
+        v = rng.normal(size=(1, 6))
         base = B.preprocess_apply(transform, transform.mean + (v - transform.mean))
         scaled = B.preprocess_apply(transform, transform.mean + 7.5 * (v - transform.mean))
         np.testing.assert_allclose(base, scaled, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 1, 6), (2, 5)])
+    def test_apply_refuses_anything_but_an_n_by_dim_matrix(self, rng, shape):
+        x = rng.normal(size=(40, 6))
+        transform = B.preprocess_fit(x, np.repeat(np.arange(4), 10), lda_dim=3)
+        with pytest.raises(ValueError, match=r"vectors must be an \(n, 6\) matrix"):
+            B.preprocess_apply(transform, rng.normal(size=shape))
 
     def test_lda_dim_too_large(self, rng):
         x = rng.normal(size=(30, 5))
@@ -133,7 +140,11 @@ class TestPreprocess:
         labels = np.repeat(np.arange(6), 20)
         x = rng.normal(size=(120, 8)) + 3.0 * rng.normal(size=(6, 8))[labels]
         transform = B.preprocess_fit(x, labels, lda_dim=5)
-        within, between = B._scatter_matrices(x - x.mean(axis=0), labels)
+        means = np.stack([x[labels == c].mean(axis=0) for c in range(6)])
+        centered = x - means[labels]
+        within = centered.T @ centered / 120
+        offsets = means - x.mean(axis=0)
+        between = 20 * offsets.T @ offsets / 120
         within += max(B.LDA_RIDGE * np.trace(within) / 8, B.LDA_RIDGE) * np.eye(8)
         expected = scipy.linalg.eigh(between, within)[1][:, ::-1][:, :5]
         expected *= np.sign(expected[np.argmax(np.abs(expected), axis=0), np.arange(5)])

@@ -1,7 +1,6 @@
 """The batch-first network against the per-utterance reference in
 looped_reference.py: outputs, the input gradient and every parameter
-gradient, for all four variants and the fixed-mixture (mix_override) path,
-on batches of several utterances."""
+gradient, for all four variants, on batches of several utterances."""
 
 import numpy as np
 import pytest
@@ -25,12 +24,10 @@ def config(variant):
 
 
 @pytest.mark.parametrize("frames", [9, 16])
-@pytest.mark.parametrize("variant", M.VARIANTS + ("acnn_override",))
+@pytest.mark.parametrize("variant", M.VARIANTS)
 def test_matches_per_utterance_reference(variant, frames):
     rng = np.random.default_rng(frames)
-    model = M.build(config(variant.replace("_override", "")), seed=frames)
-    if variant == "acnn_override":
-        model.layer("frame2.conv").mix_override = rng.normal(size=3)
+    model = M.build(config(variant), seed=frames)
     x = rng.normal(size=(4, frames, 3))
     labels = np.array([0, 2, 1, 2])
 

@@ -296,6 +296,24 @@ def test_out_root_env_resolves_relative_paths(workdir, monkeypatch, tmp_path):
     assert (tmp_path / "enviro" / "utt2spk").exists()
 
 
+def test_relative_out_root_resolves_each_output_once(pipeline, monkeypatch, tmp_path):
+    """Under a relative AXVECTOR_OUT_ROOT every output lands under the root
+    exactly once, also the training log and the stages that sweep-n runs."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("AXVECTOR_OUT_ROOT", "outroot")
+    config, corpus = pipeline["config"], pipeline["corpus"]
+    assert dispatch(["train", "--config", config, "--corpus", corpus,
+                     "--arch", "baseline", "--out", "b.ckpt"]) == 0
+    assert dispatch(["sweep-n", "--config", config, "--corpus", corpus,
+                     "--out-dir", "sweep", "--values", "2"]) == 0
+    run = ["acnn.ckpt", "acnn.ckpt.log", "acnn.ckpt.train.json", "embeddings.axvr",
+           "backend.axvr", "scores.txt"]
+    expected = ["b.ckpt", "b.ckpt.log", "b.ckpt.train.json", "sweep/sweep.tsv"]
+    expected += [f"sweep/pool2/{name}" for name in run]
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(f"outroot/{name}" for name in expected)
+
+
 def test_pipeline_rerun_is_byte_identical(workdir, pipeline):
     root, config = workdir
     corpus2 = str(root / "corpus_rerun")

@@ -196,6 +196,20 @@ class TestCorpusIo:
                                               r"entry in .*utt2cond"):
             D.load_corpus(str(root))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "expected a JSON object, got list"),
+        ('{"eval_speaker_ids": 5}', "eval_speaker_ids must be a list of speaker ids, got int"),
+        ("", "not valid JSON"),
+        ('{"eval_speaker_ids": ["no-such-speaker"]}',
+         "eval speaker 'no-such-speaker' has no utterance in .*utt2spk"),
+    ], ids=["not-an-object", "ids-not-a-list", "invalid-json", "unknown-speaker"])
+    def test_malformed_corpus_json_rejected(self, tmp_path, text, message):
+        root = tmp_path / "c"
+        D.save_corpus(D.generate_corpus(small_spec()), str(root))
+        (root / "corpus.json").write_text(text)
+        with pytest.raises(FormatError, match=rf"corpus\.json: {message}"):
+            D.load_corpus(str(root))
+
     def test_subset_by_speakers(self):
         corpus = D.generate_corpus(small_spec())
         keep = corpus.speakers()[:2]
@@ -232,7 +246,7 @@ class TestTrials:
     def test_per_condition_subsets_nonempty(self):
         corpus = D.generate_corpus(small_spec(num_speakers=6, utts_per_speaker=8))
         trials = D.generate_trials(corpus, seed=2, n_target=60, n_nontarget=200)
-        condition_of = corpus.condition_of()
+        condition_of = {u.utt_id: u.condition for u in corpus.utterances}
         seen = {condition_of[t.test] for t in trials}
         assert seen == set(small_spec().conditions)
 

@@ -192,11 +192,12 @@ class TestAcnnFilters:
 
     def test_equal_mixture(self, rng):
         lyr = make_acnn_layer(rng, pool=2)
-        lyr.mix_override = np.array([0.5, 0.5])
-        (weights, bias), _ = lyr.filters(None)
+        lyr.mix_weight.value[...] = 0.0
+        lyr.mix_bias.value[...] = [0.5, 0.5]
+        (weights, bias), _ = lyr.filters(rng.normal(size=(1, 8)))
         pool_w, pool_b = lyr.pool_weight.value, lyr.pool_bias.value
-        np.testing.assert_allclose(weights, 0.5 * (pool_w[0] + pool_w[1]), rtol=1e-15)
-        np.testing.assert_allclose(bias, 0.5 * (pool_b[0] + pool_b[1]), rtol=1e-15)
+        np.testing.assert_allclose(weights[0], 0.5 * (pool_w[0] + pool_w[1]), rtol=1e-15)
+        np.testing.assert_allclose(bias[0], 0.5 * (pool_b[0] + pool_b[1]), rtol=1e-15)
 
     def test_zero_regression(self, rng):
         lyr = make_acnn_layer(rng)
@@ -210,7 +211,8 @@ class TestAcnnLayer:
     def test_one_hot_override_reduces_to_static_conv(self, rng):
         lyr = make_acnn_layer(rng)
         frames = rng.normal(size=(1, 7, 4))
-        lyr.mix_override = np.array([0.0, 0.0, 1.0])
+        lyr.mix_weight.value[...] = 0.0
+        lyr.mix_bias.value[...] = [0.0, 0.0, 1.0]
         out, _ = lyr.forward(frames, "train")
         static = N.conv1d(frames[0], N.ConvParams(lyr.pool_weight.value[2],
                                                   lyr.pool_bias.value[2], lyr.dilation))

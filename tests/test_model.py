@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -133,7 +136,8 @@ class TestForward:
         baseline = M.build(base_cfg, seed=1)
         adaptive = M.build(acnn_cfg, seed=2)
         # copy every shared parameter, then plant the baseline filters in
-        # pool slot 0 and force the mixture onto that slot
+        # pool slot 0 and fix the mixture on that slot (zero regression
+        # weights, one-hot bias)
         base_params = {p.name: p.value for p in baseline.params()}
         for p in adaptive.params():
             if p.name in base_params:
@@ -141,7 +145,8 @@ class TestForward:
         layer = adaptive.layer("frame4.conv")
         layer.pool_weight.value[0] = baseline.layer("frame4.conv").weight.value
         layer.pool_bias.value[0] = baseline.layer("frame4.conv").bias.value
-        layer.mix_override = np.array([1.0, 0.0])
+        layer.mix_weight.value[...] = 0.0
+        layer.mix_bias.value[...] = [1.0, 0.0]
         x = rng.normal(size=(2, 9, 3))
         out_base = baseline.forward(x, mode="train")
         out_acnn = adaptive.forward(x, mode="train")
@@ -288,11 +293,28 @@ LAYER_CLASSES = ("ConvLayer", "AdaptiveConvLayer", "BatchNormLayer", "AdaptiveNo
                  "ReluLayer", "StatsPoolLayer", "DenseLayer")
 
 
+def _load_tracing():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_binding_contract(rng):
     """perfbench/tracing.py looks these classes up on ``axvector.model`` and
     wraps the forward/backward each defines in its own body, reads the norm
     layers' (output, cache) results and array gradients, and counts calls of
-    ``numerics.conv1d``/``conv1d_backward`` by name."""
+    ``numerics.conv1d``/``conv1d_backward`` by name.  Installing its tracer
+    and its stage clock binds every name it instruments."""
+    tracing = _load_tracing()
+    uninstall = tracing.install(tracing.Tracer())
+    try:
+        with tracing.stage_clock({}):
+            pass
+    finally:
+        uninstall()
     for name in LAYER_CLASSES:
         assert {"forward", "backward"} <= set(vars(getattr(M, name))), name
     assert callable(N.conv1d) and callable(N.conv1d_backward)
