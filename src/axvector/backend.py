@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model
+from .model import Model, infer_utterances
 from .numerics import as_f64, require
 from .serialize import FormatError, atomic_write_text, read_records, text_lines, write_records
 
@@ -74,17 +74,8 @@ class EmbeddingTable:
 
 def extract_embeddings(model: Model, corpus) -> EmbeddingTable:
     """Inference-mode embeddings over full, uncropped utterances."""
-    ids = []
-    vectors = []
-    for utt in corpus.utterances:
-        feats = corpus.features(utt.utt_id)
-        if feats.shape[0] < model.min_frames:
-            raise ValueError(f"utterance {utt.utt_id!r} has {feats.shape[0]} frames, "
-                             f"below the model minimum of {model.min_frames}")
-        emb = model.forward(feats[None], mode="infer", head="embedding")[0]
-        ids.append(utt.utt_id)
-        vectors.append(emb)
-    return EmbeddingTable(ids, np.stack(vectors))
+    return EmbeddingTable([u.utt_id for u in corpus.utterances],
+                          infer_utterances(model, corpus, head="embedding"))
 
 
 # ---------------------------------------------------------------------------

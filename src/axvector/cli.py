@@ -2,11 +2,13 @@
 
 Every stage of an experiment is a subcommand (gen-data, train, extract,
 backend-fit, score, fuse, evaluate, det-export, sweep-n), so the whole run
-is reproducible from a config file and seeds.  Numeric modules are imported
-lazily inside the handlers so ``--threads`` can cap BLAS threading before
-anything numerical loads; in a process that has already loaded numpy the flag
-cannot act and is refused.  All outputs are written atomically; a failed run
-leaves no partial files behind.
+is reproducible from one config file.  Every setting and seed lives in the
+config; the only flag that overrides one is ``train --pool-size``, which
+``sweep-n`` varies.  Numeric modules are imported lazily inside the
+handlers so ``--threads`` can cap BLAS threading before anything numerical
+loads; in a process that has already loaded numpy the flag cannot act and
+is refused.  All outputs are written atomically, and only once the stage
+has computed them all, so a failed run leaves no partial files behind.
 """
 
 from __future__ import annotations
@@ -43,24 +45,15 @@ def _load_run_config(path: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _split_speakers(corpus):
-    """(train_speakers, eval_speakers) using the split recorded at gen time."""
+def _train_subset(corpus):
+    """The training speakers' utterances, by the split recorded at gen time."""
     eval_ids = set(corpus.meta.get("eval_speaker_ids", []))
-    speakers = corpus.speakers()
-    train = [s for s in speakers if s not in eval_ids]
-    evals = [s for s in speakers if s in eval_ids]
-    return train, evals
+    return corpus.subset_by_speakers(s for s in corpus.speakers() if s not in eval_ids)
 
 
-def _subset(corpus, which: str):
-    train, evals = _split_speakers(corpus)
-    if which == "all":
-        return corpus
-    if which == "train":
-        return corpus.subset_by_speakers(train)
-    if which == "eval":
-        return corpus.subset_by_speakers(evals)
-    raise ValueError(f"unknown subset {which!r}")
+def _score_map(path: str) -> dict:
+    from . import backend
+    return {(e, t): s for e, t, s in backend.read_scores(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +62,11 @@ def _subset(corpus, which: str):
 
 
 def cmd_gen_data(args) -> int:
-    import dataclasses
-
     from . import data
 
     cfg = _load_run_config(args.config)
-    spec = cfg.corpus
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
     out_dir = _out_path(args.out)
-    corpus = data.generate_corpus(spec)
+    corpus = data.generate_corpus(cfg.corpus)
     speakers = corpus.speakers()
     eval_ids = speakers[len(speakers) - cfg.split.eval_speakers:] if cfg.split.eval_speakers else []
     corpus.meta["eval_speaker_ids"] = eval_ids
@@ -107,33 +95,24 @@ def cmd_train(args) -> int:
     from .serialize import atomic_write_text
 
     cfg = _load_run_config(args.config)
-    corpus = data.load_corpus(args.corpus)
-    train_corpus = _subset(corpus, "train")
+    train_corpus = _train_subset(data.load_corpus(args.corpus))
     arch = dataclasses.replace(cfg.arch, variant=ARCH_CHOICES[args.arch])
     arch.num_speakers = len(train_corpus.speakers())
     if args.pool_size is not None:
         arch.pool_size = args.pool_size
-    train_cfg = cfg.train
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    net = M.build(arch, seed=train_cfg.seed)
+    net = M.build(arch, seed=cfg.train.seed)
     _log(f"training {arch.variant}: {M.count_params(net)} parameters, "
          f"{len(train_corpus)} utterances, {arch.num_speakers} speakers")
 
-    every = max(1, train_cfg.total_steps // 10)
+    every = max(1, cfg.train.total_steps // 10)
 
     def progress(rec):
-        if rec.step % every == 0 or rec.step == train_cfg.total_steps - 1:
+        if rec.step % every == 0 or rec.step == cfg.train.total_steps - 1:
             _log(f"  step {rec.step:5d}  lr {rec.lr:.3e}  loss {rec.loss:.4f}  "
                  f"acc {rec.accuracy:.3f}")
 
-    out = _out_path(args.out)
-    log = training.train(net, train_corpus, train_cfg, checkpoint_path=out,
-                         progress=progress)
-    log_path = _out_path(args.log) if args.log else out + ".log"
-    atomic_write_text(log_path, "".join(rec.line() + "\n" for rec in log))
-
-    per_epoch = max(1, (len(train_corpus) + train_cfg.batch_size - 1) // train_cfg.batch_size)
+    log = training.train(net, train_corpus, cfg.train, progress=progress)
+    per_epoch = max(1, (len(train_corpus) + cfg.train.batch_size - 1) // cfg.train.batch_size)
     first = [r.loss for r in log[:per_epoch]]
     last = [r.loss for r in log[-per_epoch:]]
     accuracy = training.classification_accuracy(net, train_corpus)
@@ -144,6 +123,12 @@ def cmd_train(args) -> int:
         "last_epoch_mean_loss": sum(last) / len(last),
         "final_train_accuracy": accuracy,
     }
+    # written only once every step above has passed, so a failed run leaves
+    # no checkpoint, log or summary behind
+    out = _out_path(args.out)
+    M.save_model(net, out)
+    log_path = _out_path(args.log) if args.log else out + ".log"
+    atomic_write_text(log_path, "".join(rec.line() + "\n" for rec in log))
     atomic_write_text(out + ".train.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _log(f"final train accuracy {accuracy:.3f}; checkpoint at {out}")
     return 0
@@ -153,7 +138,7 @@ def cmd_extract(args) -> int:
     from . import backend, data, model as M
 
     net = M.load_model(args.model)
-    corpus = _subset(data.load_corpus(args.corpus), args.subset)
+    corpus = data.load_corpus(args.corpus)
     table = backend.extract_embeddings(net, corpus)
     table.save(_out_path(args.out))
     _log(f"extracted {len(table)} embeddings of dimension {table.dim}")
@@ -166,18 +151,16 @@ def cmd_backend_fit(args) -> int:
     from . import backend, data
 
     cfg = _load_run_config(args.config)
-    corpus = data.load_corpus(args.corpus)
-    train_corpus = _subset(corpus, "train")
+    train_corpus = _train_subset(data.load_corpus(args.corpus))
     table = backend.EmbeddingTable.load(args.embeddings)
     ids = [u.utt_id for u in train_corpus.utterances]
     vectors = table.select(ids)
-    speakers = train_corpus.speakers()
-    label_of = {s: i for i, s in enumerate(speakers)}
+    label_of = train_corpus.speaker_labels()
     labels = np.array([label_of[train_corpus.utterance(u).speaker_id] for u in ids])
-    lda_dim = args.lda_dim if args.lda_dim is not None else cfg.backend.lda_dim
+    lda_dim = cfg.backend.lda_dim
     if lda_dim is None:
-        lda_dim = min(100, len(speakers) - 1, vectors.shape[1])
-    iters = args.plda_iters if args.plda_iters is not None else cfg.backend.plda_iterations
+        lda_dim = min(100, len(label_of) - 1, vectors.shape[1])
+    iters = cfg.backend.plda_iterations
     transform = backend.preprocess_fit(vectors, labels, lda_dim)
     projected = backend.preprocess_apply(transform, vectors)
     plda = backend.plda_train(projected, labels, iterations=iters)
@@ -217,12 +200,12 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import backend, data, metrics
+    from . import data, metrics
     from .serialize import atomic_write_text
 
     cfg = _load_run_config(args.config)
     trials = data.read_trials(args.trials)
-    score_map = {(e, t): s for e, t, s in backend.read_scores(args.scores)}
+    score_map = _score_map(args.scores)
     condition_of = data.read_key_value_file(args.utt2cond) if args.utt2cond else None
     report = metrics.build_report(trials, score_map, cfg.metrics, condition_of)
     text = metrics.format_report(report, title=f"scores: {os.path.basename(args.scores)}")
@@ -235,7 +218,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_det_export(args) -> int:
-    from . import backend, data, metrics
+    from . import data, metrics
     from .serialize import atomic_write_text
 
     trials = data.read_trials(args.trials)
@@ -244,13 +227,10 @@ def cmd_det_export(args) -> int:
     curves = []
     for path in args.scores:
         stem = os.path.splitext(os.path.basename(path))[0]
-        score_map = {(e, t): s for e, t, s in backend.read_scores(path)}
-        target, nontarget = [], []
-        for trial in trials:
-            key = (trial.enroll, trial.test)
-            if key not in score_map:
-                raise ValueError(f"no score for trial {trial.enroll} {trial.test} in {path}")
-            (target if trial.target else nontarget).append(score_map[key])
+        try:
+            target, nontarget = metrics.labeled_scores(trials, _score_map(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         thresholds, p_fa, p_miss = metrics.det_points(target, nontarget)
         rows = ["threshold,p_fa,p_miss"]
         rows += [f"{t},{fa},{miss}" for t, fa, miss in zip(thresholds, p_fa, p_miss)]
@@ -283,8 +263,7 @@ def cmd_sweep_n(args) -> int:
         base = ["--config", args.config] if args.config else []
         steps = [
             ["train", *base, "--corpus", args.corpus, "--arch", "acnn",
-             "--pool-size", str(n), "--out", ckpt]
-            + (["--seed", str(args.seed)] if args.seed is not None else []),
+             "--pool-size", str(n), "--out", ckpt],
             ["extract", "--model", ckpt, "--corpus", args.corpus, "--out", emb],
             ["backend-fit", *base, "--embeddings", emb, "--corpus", args.corpus, "--out", bke],
             ["score", "--backend", bke, "--embeddings", emb,
@@ -294,11 +273,10 @@ def cmd_sweep_n(args) -> int:
             code = dispatch(step)
             if code != 0:
                 return code
-        from . import backend, data, metrics
+        from . import data, metrics
         cfg = _load_run_config(args.config)
         trials = data.read_trials(os.path.join(args.corpus, "trials.txt"))
-        score_map = {(e, t): s for e, t, s in backend.read_scores(scores)}
-        report = metrics.build_report(trials, score_map, cfg.metrics)
+        report = metrics.build_report(trials, _score_map(scores), cfg.metrics)
         rows.append((n, report["overall"]))
     header = ["pool_size", "eer_pct"] + [k for k in rows[0][1] if k.startswith("min_dcf_p")] \
         + ["act_dcf"]
@@ -393,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate the synthetic corpus and eval trials")
     p.add_argument("--config", help="experiment config (JSON)")
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the corpus seed")
     p.set_defaults(handler=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one embedding network variant")
@@ -402,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, choices=sorted(ARCH_CHOICES),
                    help="network variant")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int, default=None, help="override the training seed")
     p.add_argument("--pool-size", type=int, default=None,
                    help="override the adaptive filter pool size")
     p.add_argument("--log", default=None, help="training log path (default: <out>.log)")
@@ -412,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--subset", choices=("all", "train", "eval"), default="all")
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("backend-fit", help="fit centering, projection and the scorer")
@@ -420,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lda-dim", type=int, default=None)
-    p.add_argument("--plda-iters", type=int, default=None)
     p.set_defaults(handler=cmd_backend_fit)
 
     p = sub.add_parser("score", help="score a trial list")
@@ -457,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--values", default="2,4,6,8", help="comma-separated pool sizes")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=cmd_sweep_n)
 
     return parser

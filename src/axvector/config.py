@@ -1,8 +1,10 @@
 """Experiment configuration: one JSON document with one section per stage.
 
 Unknown keys are rejected at every level so a typo fails loudly instead of
-silently falling back to a default.  Flags on the command line cover paths,
-seeds and per-run overrides; everything defining the experiment lives here.
+silently falling back to a default.  Everything defining the experiment,
+seeds included, lives here; the only command-line flag that overrides a
+setting is ``train --pool-size`` (``arch.pool_size``), which ``sweep-n``
+varies.
 """
 
 from __future__ import annotations
@@ -112,6 +114,10 @@ class RunConfig:
             raise ConfigError(f"arch.input_dim={self.arch.input_dim} does not match "
                               f"corpus.feature_dim={self.corpus.feature_dim}")
         self.arch.validate()
+        if self.corpus.frames_min < self.arch.min_frames:
+            raise ConfigError(f"corpus.frames_min={self.corpus.frames_min} is below "
+                              f"arch.min_frames={self.arch.min_frames}, the receptive field "
+                              f"of the configured kernels and dilations")
         self.train.validate()
 
     def resolved(self) -> dict:

@@ -54,8 +54,7 @@ class CorpusSpec:
         require(self.num_speakers >= 1 and self.utts_per_speaker >= 1,
                 "need at least one speaker and one utterance per speaker")
         require(self.feature_dim >= 1, "feature_dim must be >= 1")
-        require(self.frames_min > 14,
-                "frames_min must exceed 14 frames, the receptive field of the default network")
+        require(self.frames_min >= 1, "frames_min must be >= 1")
         require(self.frames_min <= self.frames_max, "frame range is inverted")
         require(min(self.sigma_between, self.sigma_session, self.sigma_frame) >= 0.0,
                 "scale parameters must be nonnegative")
@@ -90,6 +89,10 @@ class Corpus:
 
     def speakers(self) -> list[str]:
         return sorted({u.speaker_id for u in self.utterances})
+
+    def speaker_labels(self) -> dict[str, int]:
+        """Class index of each speaker: its position in ``speakers()``."""
+        return {spk: i for i, spk in enumerate(self.speakers())}
 
     def features(self, utt_id: str) -> np.ndarray:
         return self._features[utt_id]

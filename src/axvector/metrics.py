@@ -46,7 +46,6 @@ class MetricConfig:
     act_p_target: float = 0.01
     c_miss: float = 1.0
     c_fa: float = 1.0
-    act_dcf_ceiling: float = 1.0
 
     def __post_init__(self):
         self.dcf_p_targets = tuple(float(p) for p in self.dcf_p_targets)
@@ -135,8 +134,20 @@ def summarize(target_scores, nontarget_scores, cfg: MetricConfig) -> dict:
         out[f"min_dcf_p{p:g}"] = min_dcf(tgt, non, DcfParams(p, cfg.c_miss, cfg.c_fa))
     act = act_dcf(tgt, non, DcfParams(cfg.act_p_target, cfg.c_miss, cfg.c_fa))
     out["act_dcf"] = act
-    out["act_dcf_capped"] = min(act, cfg.act_dcf_ceiling)
+    out["act_dcf_capped"] = min(act, 1.0)
     return out
+
+
+def labeled_scores(trials, score_map: dict) -> tuple[list, list]:
+    """(target, nontarget) scores of ``trials``, each in trial order, looked
+    up in ``score_map`` by (enroll, test)."""
+    target_scores, nontarget_scores = [], []
+    for trial in trials:
+        key = (trial.enroll, trial.test)
+        if key not in score_map:
+            raise ValueError(f"no score for trial {trial.enroll} {trial.test}")
+        (target_scores if trial.target else nontarget_scores).append(score_map[key])
+    return target_scores, nontarget_scores
 
 
 def build_report(trials, score_map: dict, cfg: MetricConfig,
@@ -146,21 +157,13 @@ def build_report(trials, score_map: dict, cfg: MetricConfig,
     A trial's condition is the condition of its test utterance.  Conditions
     lacking either class are reported as null rather than failing.
     """
-    target_scores, nontarget_scores = [], []
-    by_condition: dict[str, tuple[list, list]] = {}
-    for trial in trials:
-        key = (trial.enroll, trial.test)
-        if key not in score_map:
-            raise ValueError(f"no score for trial {trial.enroll} {trial.test}")
-        score = score_map[key]
-        (target_scores if trial.target else nontarget_scores).append(score)
-        if condition_of is not None:
-            cond = condition_of.get(trial.test, "unknown")
-            bucket = by_condition.setdefault(cond, ([], []))
-            (bucket[0] if trial.target else bucket[1]).append(score)
-    report = {"overall": summarize(target_scores, nontarget_scores, cfg), "conditions": {}}
+    report = {"overall": summarize(*labeled_scores(trials, score_map), cfg), "conditions": {}}
+    by_condition: dict[str, list] = {}
+    if condition_of is not None:
+        for trial in trials:
+            by_condition.setdefault(condition_of.get(trial.test, "unknown"), []).append(trial)
     for cond in sorted(by_condition):
-        tgt, non = by_condition[cond]
+        tgt, non = labeled_scores(by_condition[cond], score_map)
         report["conditions"][cond] = (summarize(tgt, non, cfg) if tgt and non else None)
     return report
 

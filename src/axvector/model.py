@@ -167,6 +167,19 @@ class Model:
         return d
 
 
+def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
+    """Inference-mode ``head`` output of every full, uncropped utterance of
+    ``corpus``, one row each in corpus order, run one utterance at a time."""
+    rows = []
+    for utt in corpus.utterances:
+        feats = corpus.features(utt.utt_id)
+        if feats.shape[0] < model.min_frames:
+            raise ValueError(f"utterance {utt.utt_id!r} has {feats.shape[0]} frames, "
+                             f"below the model minimum of {model.min_frames}")
+        rows.append(model.forward(feats[None], mode="infer", head=head)[0])
+    return np.stack(rows)
+
+
 def build(config: ArchConfig, seed: int = 0) -> Model:
     """Deterministically initialize a model for the configured variant."""
     return _assemble(config, np.random.default_rng(seed))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, Param, save_model
+from .model import Model, Param, infer_utterances
 from .numerics import as_f64, require
 
 
@@ -29,12 +29,7 @@ class TrainConfig:
     lr_end: float = 1e-4
     total_steps: int = 400
     weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    checkpoint_every: int = 0        # 0 disables periodic checkpoints
-    max_wrap_factor: int = 4         # wrap-padding budget for short utterances
 
     def validate(self) -> None:
         require(self.lr_start >= self.lr_end > 0.0, "need lr_start >= lr_end > 0")
@@ -42,8 +37,11 @@ class TrainConfig:
         require(self.crop_frames_min >= 1, "crop length must be positive")
         require(self.batch_size >= 1, "batch size must be >= 1")
         require(self.total_steps >= 1, "total_steps must be >= 1")
-        require(self.max_wrap_factor >= 1, "max_wrap_factor must be >= 1")
 
+
+# Wrap-padding budget: an utterance is tiled to at most this many times its
+# own length to fill a crop.
+MAX_WRAP = 4
 
 # Elements per slice of the Adam update: small enough that a slice of the
 # value, gradient, both moments and the scratch buffer stays in cache.
@@ -128,13 +126,13 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
 # ---------------------------------------------------------------------------
 
 
-def crop_or_wrap(features: np.ndarray, crop: int, offset: int, max_wrap: int, utt_id: str) -> np.ndarray:
+def crop_or_wrap(features: np.ndarray, crop: int, offset: int, utt_id: str) -> np.ndarray:
     frames = features.shape[0]
     if frames >= crop:
         return features[offset:offset + crop]
-    if crop > frames * max_wrap:
+    if crop > frames * MAX_WRAP:
         raise ValueError(f"utterance {utt_id!r} has {frames} frames; wrap-padding to "
-                         f"{crop} exceeds the {max_wrap}x limit")
+                         f"{crop} exceeds the {MAX_WRAP}x limit")
     reps = math.ceil(crop / frames)
     return np.tile(features, (reps, 1))[:crop]
 
@@ -151,7 +149,7 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray,
     cfg.validate()
     utts = corpus.utterances
     require(len(utts) >= 1, "corpus is empty")
-    label_of = {spk: i for i, spk in enumerate(corpus.speakers())}
+    label_of = corpus.speaker_labels()
     rng = np.random.default_rng(epoch_seed)
     order = rng.permutation(len(utts))
     batches = []
@@ -164,7 +162,7 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray,
             utt = utts[int(idx)]
             x = corpus.features(utt.utt_id)
             offset = int(rng.integers(0, max(x.shape[0] - crop, 0) + 1))
-            feats.append(crop_or_wrap(x, crop, offset, cfg.max_wrap_factor, utt.utt_id))
+            feats.append(crop_or_wrap(x, crop, offset, utt.utt_id))
             labels.append(label_of[utt.speaker_id])
         batches.append((np.stack(feats, dtype=np.float32), np.asarray(labels, dtype=np.int64)))
     return batches
@@ -210,14 +208,10 @@ class StepRecord:
         return f"{self.step}\t{self.lr:.8g}\t{self.loss:.10g}\t{self.accuracy:.6f}"
 
 
-def train(model: Model, corpus, cfg: TrainConfig,
-          checkpoint_path: str | None = None,
-          progress=None) -> list[StepRecord]:
-    """Run the full optimization and return the per-step log.
-
-    Emits a checkpoint at the end (and every ``checkpoint_every`` steps when
-    set) if ``checkpoint_path`` is given.  ``progress`` is an optional
-    callable invoked with each StepRecord.
+def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRecord]:
+    """Run the full optimization in place on ``model`` and return the
+    per-step log.  Writes no file; saving the trained model is the caller's
+    job.  ``progress`` is an optional callable invoked with each StepRecord.
     """
     cfg.validate()
     require(cfg.crop_frames_min >= model.min_frames,
@@ -244,30 +238,22 @@ def train(model: Model, corpus, cfg: TrainConfig,
             model.zero_grads()
             model.backward(caches, d_logits.astype(logits.dtype))
             # release this step's activations now, so they are not alive
-            # through the next forward or a checkpoint write
+            # through the optimizer update and the next forward
             del logits, caches, d_logits
-            adam_step(params, state, lr, cfg.weight_decay,
-                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            adam_step(params, state, lr, cfg.weight_decay)
             record = StepRecord(step, lr, loss, accuracy)
             log.append(record)
             if progress is not None:
                 progress(record)
             step += 1
-            if (checkpoint_path and cfg.checkpoint_every
-                    and step % cfg.checkpoint_every == 0 and step < cfg.total_steps):
-                save_model(model, checkpoint_path)
         epoch += 1
-    if checkpoint_path:
-        save_model(model, checkpoint_path)
     return log
 
 
 def classification_accuracy(model: Model, corpus) -> float:
     """Inference-mode speaker classification accuracy over full utterances."""
-    label_of = {spk: i for i, spk in enumerate(corpus.speakers())}
-    correct = 0
-    for utt in corpus.utterances:
-        logits = model.forward(corpus.features(utt.utt_id)[None], mode="infer", head="logits")
-        if int(logits[0].argmax()) == label_of[utt.speaker_id]:
-            correct += 1
+    label_of = corpus.speaker_labels()
+    predicted = infer_utterances(model, corpus, head="logits").argmax(axis=1)
+    correct = sum(int(p) == label_of[utt.speaker_id]
+                  for p, utt in zip(predicted, corpus.utterances))
     return correct / len(corpus.utterances)

@@ -7,6 +7,7 @@ from scipy.stats import multivariate_normal
 from axvector import backend as B
 from axvector import data as D
 from axvector import model as M
+from axvector import training as T
 from axvector.serialize import FormatError, write_records
 
 
@@ -53,8 +54,9 @@ class TestExtraction:
     def test_short_utterance_names_id(self, tiny_model):
         utts = [D.Utterance("tooshort", "spk", "clean")]
         corpus = D.Corpus(utts, {"tooshort": np.zeros((1, 4))})
-        with pytest.raises(ValueError, match="tooshort"):
-            B.extract_embeddings(tiny_model, corpus)
+        for infer in (B.extract_embeddings, T.classification_accuracy):
+            with pytest.raises(ValueError, match="tooshort"):
+                infer(tiny_model, corpus)
 
     def test_save_load_round_trip(self, tiny_model, tiny_corpus, tmp_path):
         table = B.extract_embeddings(tiny_model, tiny_corpus)

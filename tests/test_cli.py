@@ -10,6 +10,7 @@ from axvector import backend as B
 from axvector import data as D
 from axvector import metrics as X
 from axvector.cli import dispatch
+from axvector.config import ConfigError, RunConfig
 from axvector.serialize import read_records, write_records
 
 MINI_CONFIG = {
@@ -76,6 +77,43 @@ def test_invalid_config_is_rejected_without_outputs(tmp_path, capsys):
     assert code != 0
     assert "bogus_key" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_corpus_shorter_than_receptive_field_is_rejected():
+    """corpus.frames_min must reach the network's receptive field,
+    arch.min_frames, and the error names both values."""
+    wide = {"kernel_sizes": [5, 5, 5, 1, 1], "dilations": [1, 2, 3, 1, 1]}
+    for frames_min, arch, min_frames in ((10, {}, 15), (16, wide, 25)):
+        config = {"corpus": {"frames_min": frames_min}, "arch": arch}
+        with pytest.raises(ConfigError, match=f"frames_min={frames_min} .*"
+                                              f"min_frames={min_frames}"):
+            RunConfig.from_dict(config)
+
+
+def _with(config, **sections):
+    return {**config, **{name: {**config[name], **values} for name, values in sections.items()}}
+
+
+def test_failed_train_leaves_no_outputs(tmp_path, capsys):
+    """Utterances shorter than the network's receptive field are wrap-padded
+    to the crop in training but fail the accuracy pass that follows it; the
+    checkpoint, log and summary are written only after that pass."""
+    short = _with(MINI_CONFIG, corpus={"frames_min": 16, "frames_max": 24})
+    wide = _with(short, corpus={"frames_min": 25, "frames_max": 32},
+                 arch={"kernel_sizes": [5, 5, 5, 1, 1], "dilations": [1, 2, 3, 1, 1]},
+                 train={"crop_frames_min": 25, "crop_frames_max": 30, "total_steps": 3})
+    paths = {}
+    for name, config in (("short", short), ("wide", wide)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
+    corpus = str(tmp_path / "corpus")
+    assert dispatch(["gen-data", "--config", str(paths["short"]), "--out", corpus]) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    assert dispatch(["train", "--config", str(paths["wide"]), "--corpus", corpus,
+                     "--arch", "baseline", "--out", str(run / "b.ckpt")]) == 1
+    assert list(run.iterdir()) == []
+    assert "below the model minimum of 25" in capsys.readouterr().err
 
 
 def test_infeasible_trial_counts_leave_no_outputs(tmp_path, capsys):

@@ -67,10 +67,6 @@ class TestGeneration:
         seen = {u.condition for u in corpus.utterances}
         assert seen == set(small_spec().conditions)
 
-    def test_frames_min_guard(self):
-        with pytest.raises(ValueError, match="14"):
-            small_spec(frames_min=10).validate()
-
     # SHA-256 of the feature-file bytes, in corpus order, of corpora written
     # by the per-utterance generator that ran scipy.signal.lfilter on each
     # utterance; the stacked recursion must keep every byte

@@ -122,14 +122,14 @@ class TestBatches:
 
     def test_wrap_padding_order(self):
         feats = np.arange(150, dtype=float)[:, None]
-        out = T.crop_or_wrap(feats, 200, offset=0, max_wrap=4, utt_id="u")
+        out = T.crop_or_wrap(feats, 200, offset=0, utt_id="u")
         expected = np.concatenate([np.arange(150), np.arange(50)])[:, None]
         assert np.array_equal(out, expected)
 
     def test_wrap_limit_error(self):
         feats = np.arange(10, dtype=float)[:, None]
         with pytest.raises(ValueError, match="'u'"):
-            T.crop_or_wrap(feats, 100, offset=0, max_wrap=4, utt_id="u")
+            T.crop_or_wrap(feats, 100, offset=0, utt_id="u")
 
     def test_deterministic_given_seed(self):
         corpus = micro_corpus()
@@ -198,9 +198,11 @@ class TestTrainLoop:
         cfg = micro_train_config(total_steps=24)
 
         model_a = M.build(tiny_arch(), seed=2)
-        log_a = T.train(model_a, corpus, cfg, checkpoint_path=str(tmp_path / "a.ckpt"))
+        log_a = T.train(model_a, corpus, cfg)
+        M.save_model(model_a, str(tmp_path / "a.ckpt"))
         model_b = M.build(tiny_arch(), seed=2)
-        T.train(model_b, corpus, cfg, checkpoint_path=str(tmp_path / "b.ckpt"))
+        T.train(model_b, corpus, cfg)
+        M.save_model(model_b, str(tmp_path / "b.ckpt"))
 
         # first-step cross entropy sits near log(num_classes)
         assert log_a[0].loss == pytest.approx(np.log(3), rel=0.2)
@@ -218,17 +220,18 @@ class TestTrainLoop:
         corpus = micro_corpus()
         cfg = micro_train_config(total_steps=8)
         for name in ("a", "b"):
-            T.train(M.build(tiny_arch(variant), seed=4), corpus, cfg,
-                    checkpoint_path=str(tmp_path / f"{name}.ckpt"))
+            model = M.build(tiny_arch(variant), seed=4)
+            T.train(model, corpus, cfg)
+            M.save_model(model, str(tmp_path / f"{name}.ckpt"))
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
-    def test_one_step_of_caches_alive(self, tmp_path, monkeypatch, variant):
+    def test_one_step_of_caches_alive(self, monkeypatch, variant):
         """No array of a step's caches outlives its backward: none is alive
-        when the next step's forward starts or when a checkpoint is written."""
+        when the next step's forward starts or once ``train`` returns."""
         model = M.build(tiny_arch(variant), seed=4)
         watched = []
-        events = []
+        forwards = []
 
         def alive():
             return sum(ref() is not None for ref in watched)
@@ -237,27 +240,21 @@ class TestTrainLoop:
             assert not alive(), f"{alive()} cache arrays of the previous step alive at a forward"
             logits, caches = real_forward(x)
             watched[:] = [weakref.ref(a) for a in _arrays(caches) if a is not x]
-            events.append("forward")
+            forwards.append(x.shape)
             return logits, caches
 
-        def save_model(m, path):
-            assert not alive(), f"{alive()} cache arrays alive at a checkpoint write"
-            events.append("save")
-            real_save(m, path)
-
-        real_forward, real_save = model.forward_train, T.save_model
+        real_forward = model.forward_train
         monkeypatch.setattr(model, "forward_train", forward_train)
-        monkeypatch.setattr(T, "save_model", save_model)
-        T.train(model, micro_corpus(), micro_train_config(total_steps=6, checkpoint_every=2),
-                checkpoint_path=str(tmp_path / "m.ckpt"))
-        assert events == ["forward", "forward", "save"] * 2 + ["forward", "forward", "save"]
+        T.train(model, micro_corpus(), micro_train_config(total_steps=6))
+        assert not alive(), f"{alive()} cache arrays alive after train returned"
+        assert len(forwards) == 6
         assert len(watched) > 10
 
     def test_checkpoint_round_trip_logits(self, tmp_path, rng):
         corpus = micro_corpus()
         model = M.build(tiny_arch(), seed=2)
-        T.train(model, corpus, micro_train_config(total_steps=6),
-                checkpoint_path=str(tmp_path / "m.ckpt"))
+        T.train(model, corpus, micro_train_config(total_steps=6))
+        M.save_model(model, str(tmp_path / "m.ckpt"))
         loaded = M.load_model(str(tmp_path / "m.ckpt"))
         x = rng.normal(size=(2, 12, 3))
         assert np.array_equal(model.forward(x), loaded.forward(x))
