@@ -3,17 +3,23 @@
 Every stage of an experiment is a subcommand (gen-data, train, extract,
 backend-fit, score, fuse, evaluate, det-export, sweep-n), so the whole run
 is reproducible from one config file.  Every setting and seed lives in the
-config; the only flag that overrides one is ``train --pool-size``, which
-``sweep-n`` varies.  Numeric modules are imported lazily inside the
-handlers so ``--threads`` can cap BLAS threading before anything numerical
-loads; in a process that has already loaded numpy the flag cannot act and
-is refused.  All outputs are written atomically, and only once the stage
-has computed them all, so a failed run leaves no partial files behind.
+config, and no flag overrides one: flags name paths, the network variant
+and the pool sizes ``sweep-n`` covers.  Each ``cmd_*`` handler is a
+function of its subcommand's flags; ``dispatch`` loads ``--config`` once
+and passes the ``RunConfig``.  ``sweep-n`` calls the train, extract,
+backend-fit and score handlers itself, in one process and under one
+config, varying only ``arch.pool_size``.  Numeric modules are imported
+lazily inside the handlers so ``--threads`` can cap BLAS threading before
+anything numerical loads; in a process that has already loaded numpy the
+flag cannot act and is refused.  All outputs are written atomically, and
+only once the stage has computed them all, so a failed run leaves no
+partial files behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,9 +41,9 @@ def _log(message: str) -> None:
 
 def _load_run_config(path: str | None):
     from .config import RunConfig
-    cfg = RunConfig.from_file(path) if path else RunConfig.from_dict({})
-    _log(f"resolved config:\n{cfg.resolved_json()}")
-    return cfg
+    config = RunConfig.from_file(path) if path else RunConfig.from_dict({})
+    _log(f"resolved config:\n{json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -61,63 +67,59 @@ def _score_map(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(config, out: str) -> None:
     from . import data
 
-    cfg = _load_run_config(args.config)
-    out_dir = _out_path(args.out)
-    corpus = data.generate_corpus(cfg.corpus)
+    out_dir = _out_path(out)
+    corpus = data.generate_corpus(config.corpus)
     speakers = corpus.speakers()
-    eval_ids = speakers[len(speakers) - cfg.split.eval_speakers:] if cfg.split.eval_speakers else []
+    split = config.split
+    eval_ids = speakers[len(speakers) - split.eval_speakers:] if split.eval_speakers else []
     corpus.meta["eval_speaker_ids"] = eval_ids
     # build everything in memory first so a failure writes nothing
     trials = None
     if eval_ids:
-        trials = data.generate_trials(corpus.subset_by_speakers(eval_ids),
-                                      [cfg.split.trial_seed],
-                                      cfg.split.n_target, cfg.split.n_nontarget)
+        trials = data.generate_trials(corpus.subset_by_speakers(eval_ids), [split.trial_seed],
+                                      split.n_target, split.n_nontarget)
     data.save_corpus(corpus, out_dir)
     if trials is not None:
         data.write_trials(os.path.join(out_dir, "trials.txt"), trials)
         _log(f"wrote {len(corpus)} utterances and {len(trials)} trials to {out_dir}")
     else:
         _log(f"wrote {len(corpus)} utterances to {out_dir} (no eval split)")
-    return 0
 
 
 ARCH_CHOICES = {"baseline": "baseline", "acnn": "acnn", "abn": "abn", "acnn-abn": "acnn_abn"}
 
 
-def cmd_train(args) -> int:
-    import dataclasses
-
+def cmd_train(config, corpus: str, arch: str, out: str, log_path: str | None = None) -> None:
     from . import data, model as M, training
     from .serialize import atomic_write_text
 
-    cfg = _load_run_config(args.config)
-    train_corpus = _train_subset(data.load_corpus(args.corpus))
-    arch = dataclasses.replace(cfg.arch, variant=ARCH_CHOICES[args.arch])
-    arch.num_speakers = len(train_corpus.speakers())
-    if args.pool_size is not None:
-        arch.pool_size = args.pool_size
-    net = M.build(arch, seed=cfg.train.seed)
-    _log(f"training {arch.variant}: {M.count_params(net)} parameters, "
-         f"{len(train_corpus)} utterances, {arch.num_speakers} speakers")
+    train_corpus = _train_subset(data.load_corpus(corpus))
+    arch_config = dataclasses.replace(config.arch, variant=ARCH_CHOICES[arch],
+                                      num_speakers=len(train_corpus.speakers()))
+    net = M.build(arch_config, seed=config.train.seed)
+    # fail before the first step, not in the accuracy pass after the last
+    M.check_min_frames(net, train_corpus)
+    _log(f"training {arch_config.variant}: {M.count_params(net)} parameters, "
+         f"{len(train_corpus)} utterances, {arch_config.num_speakers} speakers")
 
-    every = max(1, cfg.train.total_steps // 10)
+    every = max(1, config.train.total_steps // 10)
 
     def progress(rec):
-        if rec.step % every == 0 or rec.step == cfg.train.total_steps - 1:
+        if rec.step % every == 0 or rec.step == config.train.total_steps - 1:
             _log(f"  step {rec.step:5d}  lr {rec.lr:.3e}  loss {rec.loss:.4f}  "
                  f"acc {rec.accuracy:.3f}")
 
-    log = training.train(net, train_corpus, cfg.train, progress=progress)
-    per_epoch = max(1, (len(train_corpus) + cfg.train.batch_size - 1) // cfg.train.batch_size)
+    log = training.train(net, train_corpus, config.train, progress=progress)
+    batch = config.train.batch_size
+    per_epoch = max(1, (len(train_corpus) + batch - 1) // batch)
     first = [r.loss for r in log[:per_epoch]]
     last = [r.loss for r in log[-per_epoch:]]
     accuracy = training.classification_accuracy(net, train_corpus)
     summary = {
-        "variant": arch.variant,
+        "variant": arch_config.variant,
         "steps": len(log),
         "first_epoch_mean_loss": sum(first) / len(first),
         "last_epoch_mean_loss": sum(last) / len(last),
@@ -125,110 +127,101 @@ def cmd_train(args) -> int:
     }
     # written only once every step above has passed, so a failed run leaves
     # no checkpoint, log or summary behind
-    out = _out_path(args.out)
+    out = _out_path(out)
     M.save_model(net, out)
-    log_path = _out_path(args.log) if args.log else out + ".log"
-    atomic_write_text(log_path, "".join(rec.line() + "\n" for rec in log))
+    atomic_write_text(_out_path(log_path) if log_path else out + ".log",
+                      "".join(rec.line() + "\n" for rec in log))
     atomic_write_text(out + ".train.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _log(f"final train accuracy {accuracy:.3f}; checkpoint at {out}")
-    return 0
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(model: str, corpus: str, out: str) -> None:
     from . import backend, data, model as M
 
-    net = M.load_model(args.model)
-    corpus = data.load_corpus(args.corpus)
-    table = backend.extract_embeddings(net, corpus)
-    table.save(_out_path(args.out))
+    net = M.load_model(model)
+    table = backend.extract_embeddings(net, data.load_corpus(corpus))
+    table.save(_out_path(out))
     _log(f"extracted {len(table)} embeddings of dimension {table.dim}")
-    return 0
 
 
-def cmd_backend_fit(args) -> int:
+def cmd_backend_fit(config, embeddings: str, corpus: str, out: str) -> None:
     import numpy as np
 
     from . import backend, data
 
-    cfg = _load_run_config(args.config)
-    train_corpus = _train_subset(data.load_corpus(args.corpus))
-    table = backend.EmbeddingTable.load(args.embeddings)
+    train_corpus = _train_subset(data.load_corpus(corpus))
+    table = backend.EmbeddingTable.load(embeddings)
     ids = [u.utt_id for u in train_corpus.utterances]
     vectors = table.select(ids)
     label_of = train_corpus.speaker_labels()
     labels = np.array([label_of[train_corpus.utterance(u).speaker_id] for u in ids])
-    lda_dim = cfg.backend.lda_dim
+    lda_dim = config.backend.lda_dim
     if lda_dim is None:
         lda_dim = min(100, len(label_of) - 1, vectors.shape[1])
-    iters = cfg.backend.plda_iterations
+    iters = config.backend.plda_iterations
     transform = backend.preprocess_fit(vectors, labels, lda_dim)
     projected = backend.preprocess_apply(transform, vectors)
     plda = backend.plda_train(projected, labels, iterations=iters)
-    backend.save_backend(_out_path(args.out), transform, plda)
+    backend.save_backend(_out_path(out), transform, plda)
     _log(f"backend fit on {len(ids)} embeddings: lda_dim={lda_dim}, "
          f"plda iterations={iters}, final loglik={plda.em_loglik[-1]:.2f}")
-    return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(backend_path: str, embeddings: str, trials: str, out: str) -> None:
     import numpy as np
 
     from . import backend, data
 
-    transform, plda = backend.load_backend(args.backend)
-    table = backend.EmbeddingTable.load(args.embeddings)
-    trials = data.read_trials(args.trials)
-    needed = sorted({t.enroll for t in trials} | {t.test for t in trials})
+    transform, plda = backend.load_backend(backend_path)
+    table = backend.EmbeddingTable.load(embeddings)
+    trial_list = data.read_trials(trials)
+    needed = sorted({t.enroll for t in trial_list} | {t.test for t in trial_list})
     projected = dict(zip(needed, backend.preprocess_apply(transform, table.select(needed))))
-    enroll = np.stack([projected[t.enroll] for t in trials])
-    test = np.stack([projected[t.test] for t in trials])
+    enroll = np.stack([projected[t.enroll] for t in trial_list])
+    test = np.stack([projected[t.test] for t in trial_list])
     values = backend.PldaScorer(plda).score_pairs(enroll, test)
-    scores = [(t.enroll, t.test, float(v)) for t, v in zip(trials, values)]
-    backend.write_scores(_out_path(args.out), scores)
+    scores = [(t.enroll, t.test, float(v)) for t, v in zip(trial_list, values)]
+    backend.write_scores(_out_path(out), scores)
     _log(f"scored {len(scores)} trials")
-    return 0
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(out: str, scores: list[str]) -> None:
     from . import backend
 
-    lists = [backend.read_scores(path) for path in args.scores]
+    lists = [backend.read_scores(path) for path in scores]
     fused = backend.fuse_scores(lists)
-    backend.write_scores(_out_path(args.out), fused)
+    backend.write_scores(_out_path(out), fused)
     _log(f"fused {len(lists)} systems over {len(fused)} trials")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
+                 out_prefix: str | None) -> None:
     from . import data, metrics
     from .serialize import atomic_write_text
 
-    cfg = _load_run_config(args.config)
-    trials = data.read_trials(args.trials)
-    score_map = _score_map(args.scores)
-    condition_of = data.read_key_value_file(args.utt2cond) if args.utt2cond else None
-    report = metrics.build_report(trials, score_map, cfg.metrics, condition_of)
-    text = metrics.format_report(report, title=f"scores: {os.path.basename(args.scores)}")
+    condition_of = data.read_key_value_file(utt2cond) if utt2cond else None
+    report = metrics.build_report(data.read_trials(trials), _score_map(scores),
+                                  config.metrics, condition_of)
+    text = metrics.format_report(report, title=f"scores: {os.path.basename(scores)}")
     print(text, end="")
-    if args.out_prefix:
-        prefix = _out_path(args.out_prefix)
+    if out_prefix:
+        prefix = _out_path(out_prefix)
         atomic_write_text(prefix + ".txt", text)
         atomic_write_text(prefix + ".json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
 
 
-def cmd_det_export(args) -> int:
+def cmd_det_export(trials: str, out_dir: str, svg: str, scores: list[str]) -> None:
     from . import data, metrics
     from .serialize import atomic_write_text
 
-    trials = data.read_trials(args.trials)
-    out_dir = _out_path(args.out_dir)
+    trial_list = data.read_trials(trials)
+    out_dir = _out_path(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     curves = []
-    for path in args.scores:
+    for path in scores:
         stem = os.path.splitext(os.path.basename(path))[0]
         try:
-            target, nontarget = metrics.labeled_scores(trials, _score_map(path))
+            target, nontarget = metrics.labeled_scores(trial_list, _score_map(path))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         thresholds, p_fa, p_miss = metrics.det_points(target, nontarget)
@@ -236,23 +229,26 @@ def cmd_det_export(args) -> int:
         rows += [f"{t},{fa},{miss}" for t, fa, miss in zip(thresholds, p_fa, p_miss)]
         atomic_write_text(os.path.join(out_dir, f"det_{stem}.csv"), "\n".join(rows) + "\n")
         curves.append((stem, p_fa, p_miss))
-    svg_path = os.path.join(out_dir, args.svg)
-    atomic_write_text(svg_path, det_curve_svg(curves))
+    atomic_write_text(os.path.join(out_dir, svg), det_curve_svg(curves))
     _log(f"wrote {len(curves)} DET curve(s) to {out_dir}")
-    return 0
 
 
-def cmd_sweep_n(args) -> int:
+def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
+    """Train, extract, fit and score the adaptive-conv variant at each pool
+    size in ``values``, all under the one ``config``, and tabulate the
+    metrics of each."""
+    from . import data, metrics
     from .serialize import atomic_write_text
 
-    values = [int(v) for v in args.values.split(",") if v.strip()]
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"--values must list positive pool sizes, got {args.values!r}")
-    # absolute, so that the stages run below do not resolve their outputs again
-    out_dir = os.path.abspath(_out_path(args.out_dir))
+    sizes = [int(v) for v in values.split(",") if v.strip()]
+    if not sizes or any(n < 1 for n in sizes):
+        raise ValueError(f"--values must list positive pool sizes, got {values!r}")
+    # absolute, so that the stages called below do not resolve their outputs again
+    out_dir = os.path.abspath(_out_path(out_dir))
     os.makedirs(out_dir, exist_ok=True)
+    trials = os.path.join(corpus, "trials.txt")
     rows = []
-    for n in values:
+    for n in sizes:
         run_dir = os.path.join(out_dir, f"pool{n}")
         os.makedirs(run_dir, exist_ok=True)
         ckpt = os.path.join(run_dir, "acnn.ckpt")
@@ -260,23 +256,13 @@ def cmd_sweep_n(args) -> int:
         bke = os.path.join(run_dir, "backend.axvr")
         scores = os.path.join(run_dir, "scores.txt")
         _log(f"=== pool size {n} ===")
-        base = ["--config", args.config] if args.config else []
-        steps = [
-            ["train", *base, "--corpus", args.corpus, "--arch", "acnn",
-             "--pool-size", str(n), "--out", ckpt],
-            ["extract", "--model", ckpt, "--corpus", args.corpus, "--out", emb],
-            ["backend-fit", *base, "--embeddings", emb, "--corpus", args.corpus, "--out", bke],
-            ["score", "--backend", bke, "--embeddings", emb,
-             "--trials", os.path.join(args.corpus, "trials.txt"), "--out", scores],
-        ]
-        for step in steps:
-            code = dispatch(step)
-            if code != 0:
-                return code
-        from . import data, metrics
-        cfg = _load_run_config(args.config)
-        trials = data.read_trials(os.path.join(args.corpus, "trials.txt"))
-        report = metrics.build_report(trials, _score_map(scores), cfg.metrics)
+        pooled = dataclasses.replace(config, arch=dataclasses.replace(config.arch, pool_size=n))
+        cmd_train(pooled, corpus, "acnn", ckpt)
+        cmd_extract(ckpt, corpus, emb)
+        cmd_backend_fit(config, emb, corpus, bke)
+        cmd_score(bke, emb, trials, scores)
+        report = metrics.build_report(data.read_trials(trials), _score_map(scores),
+                                      config.metrics)
         rows.append((n, report["overall"]))
     header = ["pool_size", "eer_pct"] + [k for k in rows[0][1] if k.startswith("min_dcf_p")] \
         + ["act_dcf"]
@@ -289,7 +275,6 @@ def cmd_sweep_n(args) -> int:
     table = "\n".join(lines) + "\n"
     atomic_write_text(os.path.join(out_dir, "sweep.tsv"), table)
     print(table, end="")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", required=True, choices=sorted(ARCH_CHOICES),
                    help="network variant")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--pool-size", type=int, default=None,
-                   help="override the adaptive filter pool size")
-    p.add_argument("--log", default=None, help="training log path (default: <out>.log)")
+    p.add_argument("--log", dest="log_path", default=None,
+                   help="training log path (default: <out>.log)")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("extract", help="extract embeddings for a corpus")
@@ -398,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_backend_fit)
 
     p = sub.add_parser("score", help="score a trial list")
-    p.add_argument("--backend", required=True)
+    p.add_argument("--backend", dest="backend_path", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--out", required=True)
@@ -469,7 +453,10 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None:
+    flags = vars(args)
+    handler, threads = flags.pop("handler"), flags.pop("threads")
+    del flags["command"]
+    if threads is not None:
         # BLAS reads its thread count once, when numpy loads
         if "numpy" in sys.modules:
             print("error: --threads cannot act in a process that has already loaded numpy; "
@@ -477,9 +464,12 @@ def dispatch(argv) -> int:
                   "environment before starting it", file=sys.stderr)
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+            os.environ[var] = str(threads)
     try:
-        return args.handler(args)
+        if "config" in flags:
+            flags["config"] = _load_run_config(flags["config"])
+        handler(**flags)
+        return 0
     except Exception as exc:  # noqa: BLE001 - single diagnostic line, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,8 @@
 
 Unknown keys are rejected at every level so a typo fails loudly instead of
 silently falling back to a default.  Everything defining the experiment,
-seeds included, lives here; the only command-line flag that overrides a
-setting is ``train --pool-size`` (``arch.pool_size``), which ``sweep-n``
-varies.
+seeds included, lives here, and no command-line flag overrides a setting;
+``sweep-n`` runs all its pool sizes in one process from one loaded config.
 """
 
 from __future__ import annotations
@@ -119,15 +118,3 @@ class RunConfig:
                               f"arch.min_frames={self.arch.min_frames}, the receptive field "
                               f"of the configured kernels and dilations")
         self.train.validate()
-
-    def resolved(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["arch"] = self.arch.to_dict()
-        for section in ("corpus", "metrics"):
-            for key, value in out[section].items():
-                if isinstance(value, tuple):
-                    out[section][key] = list(value)
-        return out
-
-    def resolved_json(self) -> str:
-        return json.dumps(self.resolved(), indent=2, sort_keys=True)

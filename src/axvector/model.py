@@ -84,12 +84,6 @@ class ArchConfig:
     def embedding_dim(self) -> int:
         return self.utterance_dims[self.embedding_layer_index - 1]
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("frame_dims", "kernel_sizes", "dilations", "utterance_dims"):
-            out[key] = list(out[key])
-        return out
-
 
 # ---------------------------------------------------------------------------
 # model
@@ -167,16 +161,22 @@ class Model:
         return d
 
 
+def check_min_frames(model: Model, corpus) -> None:
+    """Fail on the first utterance of ``corpus``, in corpus order, that is
+    shorter than the model's receptive field."""
+    for utt in corpus.utterances:
+        frames = corpus.features(utt.utt_id).shape[0]
+        if frames < model.min_frames:
+            raise ValueError(f"utterance {utt.utt_id!r} has {frames} frames, "
+                             f"below the model minimum of {model.min_frames}")
+
+
 def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
     """Inference-mode ``head`` output of every full, uncropped utterance of
     ``corpus``, one row each in corpus order, run one utterance at a time."""
-    rows = []
-    for utt in corpus.utterances:
-        feats = corpus.features(utt.utt_id)
-        if feats.shape[0] < model.min_frames:
-            raise ValueError(f"utterance {utt.utt_id!r} has {feats.shape[0]} frames, "
-                             f"below the model minimum of {model.min_frames}")
-        rows.append(model.forward(feats[None], mode="infer", head=head)[0])
+    check_min_frames(model, corpus)
+    rows = [model.forward(corpus.features(utt.utt_id)[None], mode="infer", head=head)[0]
+            for utt in corpus.utterances]
     return np.stack(rows)
 
 
@@ -280,7 +280,7 @@ def abn_param_overhead(config: ArchConfig) -> int:
 
 
 def save_model(model: Model, path: str) -> None:
-    header = {"kind": "model", "config": model.config.to_dict()}
+    header = {"kind": "model", "config": asdict(model.config)}
     records = [(p.name, p.value) for p in model.params()]
     records.extend(model.state_items())
     write_records(path, header, records)

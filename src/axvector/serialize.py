@@ -91,60 +91,55 @@ def write_records(path: str, header: dict, records: list[tuple[str, np.ndarray]]
             handle.write(memoryview(arr))
 
 
-class _Reader:
-    """Bounds-checked cursor over a file's bytes; ``take`` returns zero-copy
-    memoryview slices."""
-
-    def __init__(self, data: bytes, path: str):
-        self.data = memoryview(data)
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.path}: truncated file")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    """Parse a record file; each record's values are copied once out of the
-    file's bytes into their own writable float64 array."""
+    """Parse a record file straight from its handle; each record's values
+    are read into their own writable float64 array.  Every length is checked
+    against the bytes left in the file before anything of that size is
+    allocated."""
     with open(path, "rb") as handle:
-        reader = _Reader(handle.read(), path)
-    if reader.take(4) != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a record file")
-    version = reader.u32()
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    header_len = reader.u32()
-    try:
-        header = json.loads(str(reader.take(header_len), "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    records = []
-    for index in range(reader.u32()):
+        left = os.fstat(handle.fileno()).st_size
+
+        def reserve(n: int) -> None:
+            nonlocal left
+            if n > left:
+                raise FormatError(f"{path}: truncated file")
+            left -= n
+
+        def take(n: int) -> bytes:
+            reserve(n)
+            chunk = handle.read(n)
+            if len(chunk) != n:
+                raise FormatError(f"{path}: truncated file")
+            return chunk
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        if take(4) != MAGIC:
+            raise FormatError(f"{path}: bad magic, not a record file")
+        (version,) = unpack("<I")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        (header_len,) = unpack("<I")
         try:
-            name = str(reader.take(reader.u16()), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: record {index} name is not UTF-8") from exc
-        ndim = reader.u8()
-        shape = tuple(reader.u32() for _ in range(ndim))
-        payload = reader.take(math.prod(shape) * 8)
-        array = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-        records.append((name, array))
-    if reader.pos != len(reader.data):
-        raise FormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
+            header = json.loads(take(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
+        records = []
+        for index in range(unpack("<I")[0]):
+            try:
+                name = take(unpack("<H")[0]).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: record {index} name is not UTF-8") from exc
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            reserve(math.prod(shape) * 8)
+            array = np.empty(shape, dtype="<f8")
+            if handle.readinto(array) != array.nbytes:
+                raise FormatError(f"{path}: truncated file")
+            records.append((name, array))
+        if left:
+            raise FormatError(f"{path}: {left} trailing bytes")
     return header, records

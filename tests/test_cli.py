@@ -1,5 +1,9 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +13,7 @@ import pytest
 from axvector import backend as B
 from axvector import data as D
 from axvector import metrics as X
-from axvector.cli import dispatch
+from axvector.cli import build_parser, dispatch
 from axvector.config import ConfigError, RunConfig
 from axvector.serialize import read_records, write_records
 
@@ -95,9 +99,9 @@ def _with(config, **sections):
 
 
 def test_failed_train_leaves_no_outputs(tmp_path, capsys):
-    """Utterances shorter than the network's receptive field are wrap-padded
-    to the crop in training but fail the accuracy pass that follows it; the
-    checkpoint, log and summary are written only after that pass."""
+    """A corpus with utterances shorter than the network's receptive field
+    fails train before its first step, though crops would wrap-pad them, and
+    leaves no checkpoint, log or summary behind."""
     short = _with(MINI_CONFIG, corpus={"frames_min": 16, "frames_max": 24})
     wide = _with(short, corpus={"frames_min": 25, "frames_max": 32},
                  arch={"kernel_sizes": [5, 5, 5, 1, 1], "dilations": [1, 2, 3, 1, 1]},
@@ -113,7 +117,24 @@ def test_failed_train_leaves_no_outputs(tmp_path, capsys):
     assert dispatch(["train", "--config", str(paths["wide"]), "--corpus", corpus,
                      "--arch", "baseline", "--out", str(run / "b.ckpt")]) == 1
     assert list(run.iterdir()) == []
-    assert "below the model minimum of 25" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "below the model minimum of 25" in err
+    assert not re.search(r"^\s*step\s+\d", err, re.M)   # no progress line
+
+
+def test_each_handler_takes_exactly_its_flags_and_no_setting():
+    """A subcommand is a function of its flags: every handler's parameters
+    are its subparser's dests, and no dest names a config setting, which
+    only the experiment config holds."""
+    settings = {f.name for section in dataclasses.fields(RunConfig)
+                for f in dataclasses.fields(section.default_factory)}
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert not {a.dest for a in parser._actions} & settings
+    for name, sub in subcommands.choices.items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert not dests & settings, name
+        assert dests == set(inspect.signature(sub.get_default("handler")).parameters), name
 
 
 def test_infeasible_trial_counts_leave_no_outputs(tmp_path, capsys):
@@ -350,6 +371,19 @@ def test_relative_out_root_resolves_each_output_once(pipeline, monkeypatch, tmp_
     expected += [f"sweep/pool2/{name}" for name in run]
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
     assert written == sorted(f"outroot/{name}" for name in expected)
+
+
+def test_sweep_n_loads_the_config_once(pipeline, tmp_path, capsys):
+    """sweep-n runs every stage of every pool size under the one config that
+    dispatch loaded and logged."""
+    out_dir = tmp_path / "sweep"
+    assert dispatch(["sweep-n", "--config", pipeline["config"], "--corpus", pipeline["corpus"],
+                     "--out-dir", str(out_dir), "--values", "2,3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("resolved config") == 1
+    rows = (out_dir / "sweep.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["2", "3"]
+    assert captured.out == (out_dir / "sweep.tsv").read_text()
 
 
 def test_pipeline_rerun_is_byte_identical(workdir, pipeline):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestCheckpoint:
             if name == "frame4.conv.mix_weight":
                 value = np.ones((2 * hidden, cfg.pool_size))
             old.append((name, value))
-        header = {"kind": "model", "config": cfg.to_dict()}
+        header = {"kind": "model", "config": asdict(cfg)}
         built = []
 
         def recording_assemble(config, rng):
@@ -255,12 +256,12 @@ class TestCheckpoint:
                 assert np.array_equal(pa.value, pb.value), pa.name
 
     @pytest.mark.parametrize("config, message", [
-        ({**tiny_config().to_dict(), "bogus": 1}, "bogus"),
+        ({**asdict(tiny_config()), "bogus": 1}, "bogus"),
         (None, "no config"),
-        ({**tiny_config().to_dict(), "variant": "dense"}, "variant"),
-        ({**tiny_config().to_dict(), "kernel_sizes": 3}, "kernel_sizes|iterable"),
-        ({**tiny_config().to_dict(), "bn_momentum": 2.0}, "bn_momentum"),
-        ({**tiny_config().to_dict(), "bn_eps": 0.0}, "bn_eps"),
+        ({**asdict(tiny_config()), "variant": "dense"}, "variant"),
+        ({**asdict(tiny_config()), "kernel_sizes": 3}, "kernel_sizes|iterable"),
+        ({**asdict(tiny_config()), "bn_momentum": 2.0}, "bn_momentum"),
+        ({**asdict(tiny_config()), "bn_eps": 0.0}, "bn_eps"),
     ])
     def test_bad_config_is_format_error(self, tmp_path, config, message):
         header = {"kind": "model"}
@@ -284,7 +285,7 @@ class TestCheckpoint:
         records += [(name, v.copy()) for name, v in model.state_items()]
         dict(records)[record].flat[0] = value
         path = str(tmp_path / "bad.ckpt")
-        write_records(path, {"kind": "model", "config": cfg.to_dict()}, records)
+        write_records(path, {"kind": "model", "config": asdict(cfg)}, records)
         with pytest.raises(FormatError, match=message):
             M.load_model(path)
 
