@@ -9,31 +9,22 @@ function of its subcommand's flags; ``dispatch`` loads ``--config`` once
 and passes the ``RunConfig``.  ``sweep-n`` calls the train, extract,
 backend-fit and score handlers itself, in one process and under one
 config, varying only ``arch.pool_size``.  Numeric modules are imported
-lazily inside the handlers so ``--threads`` can cap BLAS threading before
-anything numerical loads; in a process that has already loaded numpy the
-flag cannot act and is refused.  All outputs are written atomically, and
-only once the stage has computed them all, so a failed run leaves no
+lazily inside the handlers, so a stage loads only what it uses: importing
+``axvector.backend`` alone takes milliseconds after numpy, which every train
+stage would pay before its first step.  All outputs are written atomically,
+and only once the stage has computed them all, so a failed run leaves no
 partial files behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from statistics import NormalDist
-
-OUT_ROOT_ENV = "AXVECTOR_OUT_ROOT"
-
-
-def _out_path(path: str) -> str:
-    root = os.environ.get(OUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
@@ -57,6 +48,15 @@ def _train_subset(corpus):
     return corpus.subset_by_speakers(s for s in corpus.speakers() if s not in eval_ids)
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Name ``path``, the input at fault, in a lookup or value error raised inside."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc.args[0]}") from exc
+
+
 def _score_map(path: str) -> dict:
     from . import backend
     return {(e, t): s for e, t, s in backend.read_scores(path)}
@@ -70,7 +70,6 @@ def _score_map(path: str) -> dict:
 def cmd_gen_data(config, out: str) -> None:
     from . import data
 
-    out_dir = _out_path(out)
     corpus = data.generate_corpus(config.corpus)
     speakers = corpus.speakers()
     split = config.split
@@ -81,12 +80,12 @@ def cmd_gen_data(config, out: str) -> None:
     if eval_ids:
         trials = data.generate_trials(corpus.subset_by_speakers(eval_ids), [split.trial_seed],
                                       split.n_target, split.n_nontarget)
-    data.save_corpus(corpus, out_dir)
+    data.save_corpus(corpus, out)
     if trials is not None:
-        data.write_trials(os.path.join(out_dir, "trials.txt"), trials)
-        _log(f"wrote {len(corpus)} utterances and {len(trials)} trials to {out_dir}")
+        data.write_trials(os.path.join(out, "trials.txt"), trials)
+        _log(f"wrote {len(corpus)} utterances and {len(trials)} trials to {out}")
     else:
-        _log(f"wrote {len(corpus)} utterances to {out_dir} (no eval split)")
+        _log(f"wrote {len(corpus)} utterances to {out} (no eval split)")
 
 
 ARCH_CHOICES = {"baseline": "baseline", "acnn": "acnn", "abn": "abn", "acnn-abn": "acnn_abn"}
@@ -127,9 +126,8 @@ def cmd_train(config, corpus: str, arch: str, out: str, log_path: str | None = N
     }
     # written only once every step above has passed, so a failed run leaves
     # no checkpoint, log or summary behind
-    out = _out_path(out)
     M.save_model(net, out)
-    atomic_write_text(_out_path(log_path) if log_path else out + ".log",
+    atomic_write_text(log_path or out + ".log",
                       "".join(rec.line() + "\n" for rec in log))
     atomic_write_text(out + ".train.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _log(f"final train accuracy {accuracy:.3f}; checkpoint at {out}")
@@ -140,7 +138,7 @@ def cmd_extract(model: str, corpus: str, out: str) -> None:
 
     net = M.load_model(model)
     table = backend.extract_embeddings(net, data.load_corpus(corpus))
-    table.save(_out_path(out))
+    table.save(out)
     _log(f"extracted {len(table)} embeddings of dimension {table.dim}")
 
 
@@ -152,7 +150,8 @@ def cmd_backend_fit(config, embeddings: str, corpus: str, out: str) -> None:
     train_corpus = _train_subset(data.load_corpus(corpus))
     table = backend.EmbeddingTable.load(embeddings)
     ids = [u.utt_id for u in train_corpus.utterances]
-    vectors = table.select(ids)
+    with _naming(embeddings):
+        vectors = table.select(ids)
     label_of = train_corpus.speaker_labels()
     labels = np.array([label_of[train_corpus.utterance(u).speaker_id] for u in ids])
     lda_dim = config.backend.lda_dim
@@ -162,7 +161,7 @@ def cmd_backend_fit(config, embeddings: str, corpus: str, out: str) -> None:
     transform = backend.preprocess_fit(vectors, labels, lda_dim)
     projected = backend.preprocess_apply(transform, vectors)
     plda = backend.plda_train(projected, labels, iterations=iters)
-    backend.save_backend(_out_path(out), transform, plda)
+    backend.save_backend(out, transform, plda)
     _log(f"backend fit on {len(ids)} embeddings: lda_dim={lda_dim}, "
          f"plda iterations={iters}, final loglik={plda.em_loglik[-1]:.2f}")
 
@@ -174,14 +173,19 @@ def cmd_score(backend_path: str, embeddings: str, trials: str, out: str) -> None
 
     transform, plda = backend.load_backend(backend_path)
     table = backend.EmbeddingTable.load(embeddings)
+    if table.dim != transform.mean.shape[0]:
+        raise ValueError(f"{embeddings}: dimension {table.dim} does not match the "
+                         f"dimension {transform.mean.shape[0]} of backend {backend_path}")
     trial_list = data.read_trials(trials)
     needed = sorted({t.enroll for t in trial_list} | {t.test for t in trial_list})
-    projected = dict(zip(needed, backend.preprocess_apply(transform, table.select(needed))))
+    with _naming(embeddings):
+        vectors = table.select(needed)
+    projected = dict(zip(needed, backend.preprocess_apply(transform, vectors)))
     enroll = np.stack([projected[t.enroll] for t in trial_list])
     test = np.stack([projected[t.test] for t in trial_list])
     values = backend.PldaScorer(plda).score_pairs(enroll, test)
     scores = [(t.enroll, t.test, float(v)) for t, v in zip(trial_list, values)]
-    backend.write_scores(_out_path(out), scores)
+    backend.write_scores(out, scores)
     _log(f"scored {len(scores)} trials")
 
 
@@ -190,7 +194,7 @@ def cmd_fuse(out: str, scores: list[str]) -> None:
 
     lists = [backend.read_scores(path) for path in scores]
     fused = backend.fuse_scores(lists)
-    backend.write_scores(_out_path(out), fused)
+    backend.write_scores(out, fused)
     _log(f"fused {len(lists)} systems over {len(fused)} trials")
 
 
@@ -200,14 +204,14 @@ def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
     from .serialize import atomic_write_text
 
     condition_of = data.read_key_value_file(utt2cond) if utt2cond else None
-    report = metrics.build_report(data.read_trials(trials), _score_map(scores),
-                                  config.metrics, condition_of)
+    trial_list, score_map = data.read_trials(trials), _score_map(scores)
+    with _naming(scores):
+        report = metrics.build_report(trial_list, score_map, config.metrics, condition_of)
     text = metrics.format_report(report, title=f"scores: {os.path.basename(scores)}")
     print(text, end="")
     if out_prefix:
-        prefix = _out_path(out_prefix)
-        atomic_write_text(prefix + ".txt", text)
-        atomic_write_text(prefix + ".json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        atomic_write_text(out_prefix + ".txt", text)
+        atomic_write_text(out_prefix + ".json", json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_det_export(trials: str, out_dir: str, svg: str, scores: list[str]) -> None:
@@ -215,21 +219,22 @@ def cmd_det_export(trials: str, out_dir: str, svg: str, scores: list[str]) -> No
     from .serialize import atomic_write_text
 
     trial_list = data.read_trials(trials)
-    out_dir = _out_path(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    curves = []
+    # every file is built in memory first, so a bad score file writes nothing
+    files, curves = {}, []
     for path in scores:
         stem = os.path.splitext(os.path.basename(path))[0]
-        try:
-            target, nontarget = metrics.labeled_scores(trial_list, _score_map(path))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        score_map = _score_map(path)
+        with _naming(path):
+            target, nontarget = metrics.labeled_scores(trial_list, score_map)
         thresholds, p_fa, p_miss = metrics.det_points(target, nontarget)
         rows = ["threshold,p_fa,p_miss"]
         rows += [f"{t},{fa},{miss}" for t, fa, miss in zip(thresholds, p_fa, p_miss)]
-        atomic_write_text(os.path.join(out_dir, f"det_{stem}.csv"), "\n".join(rows) + "\n")
+        files[f"det_{stem}.csv"] = "\n".join(rows) + "\n"
         curves.append((stem, p_fa, p_miss))
-    atomic_write_text(os.path.join(out_dir, svg), det_curve_svg(curves))
+    files[svg] = det_curve_svg(curves)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        atomic_write_text(os.path.join(out_dir, name), text)
     _log(f"wrote {len(curves)} DET curve(s) to {out_dir}")
 
 
@@ -243,8 +248,6 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
     sizes = [int(v) for v in values.split(",") if v.strip()]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"--values must list positive pool sizes, got {values!r}")
-    # absolute, so that the stages called below do not resolve their outputs again
-    out_dir = os.path.abspath(_out_path(out_dir))
     os.makedirs(out_dir, exist_ok=True)
     trials = os.path.join(corpus, "trials.txt")
     rows = []
@@ -348,9 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="axvector",
         description="Speaker verification pipeline: synthetic data, embedding "
                     "network training, scoring backend and evaluation.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS threads; refused in a process that has already "
-                             "loaded numpy")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic corpus and eval trials")
@@ -454,17 +454,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     flags = vars(args)
-    handler, threads = flags.pop("handler"), flags.pop("threads")
+    handler = flags.pop("handler")
     del flags["command"]
-    if threads is not None:
-        # BLAS reads its thread count once, when numpy loads
-        if "numpy" in sys.modules:
-            print("error: --threads cannot act in a process that has already loaded numpy; "
-                  "set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS, MKL_NUM_THREADS) in the "
-                  "environment before starting it", file=sys.stderr)
-            return 1
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
     try:
         if "config" in flags:
             flags["config"] = _load_run_config(flags["config"])

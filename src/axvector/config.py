@@ -4,6 +4,8 @@ Unknown keys are rejected at every level so a typo fails loudly instead of
 silently falling back to a default.  Everything defining the experiment,
 seeds included, lives here, and no command-line flag overrides a setting;
 ``sweep-n`` runs all its pool sizes in one process from one loaded config.
+The two architecture fields that are not settings are refused: the variant
+comes from ``train --arch`` and the speaker count from the corpus split.
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ class RunConfig:
         unknown = sorted(set(data) - set(sections))
         if unknown:
             raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
+        arch = data.get("arch")
+        for key, source in (("variant", "train --arch"), ("num_speakers", "the corpus split")):
+            if isinstance(arch, dict) and key in arch:
+                raise ConfigError(f"arch.{key} is not a config setting; it comes from {source}")
         kwargs = {}
         for name, fld in sections.items():
             if name in data:
@@ -104,11 +110,7 @@ class RunConfig:
         train_speakers = self.corpus.num_speakers - self.split.eval_speakers
         if train_speakers < 2:
             raise ConfigError("corpus must keep at least 2 training speakers after the split")
-        if self.arch.num_speakers is None:
-            self.arch.num_speakers = train_speakers
-        elif self.arch.num_speakers != train_speakers:
-            raise ConfigError(f"arch.num_speakers={self.arch.num_speakers} conflicts with "
-                              f"{train_speakers} training speakers from corpus/split")
+        self.arch.num_speakers = train_speakers
         if self.arch.input_dim != self.corpus.feature_dim:
             raise ConfigError(f"arch.input_dim={self.arch.input_dim} does not match "
                               f"corpus.feature_dim={self.corpus.feature_dim}")
@@ -118,3 +120,6 @@ class RunConfig:
                               f"arch.min_frames={self.arch.min_frames}, the receptive field "
                               f"of the configured kernels and dilations")
         self.train.validate()
+        for p in (*self.metrics.dcf_p_targets, self.metrics.act_p_target):
+            if not 0.0 < p < 1.0:
+                raise ConfigError(f"metrics: p_target {p} does not lie in (0, 1)")

@@ -148,8 +148,8 @@ def _apply_condition(x: np.ndarray, condition: str, spec: CorpusSpec,
     raise ValueError(f"unknown condition {condition!r}")
 
 
-def generate_corpus(spec: CorpusSpec, output_dir: str | None = None) -> Corpus:
-    """Generate the full corpus; optionally write it to disk as well.
+def generate_corpus(spec: CorpusSpec) -> Corpus:
+    """Generate the full corpus in memory; ``save_corpus`` writes it.
 
     Each utterance draws from its own stream, in a fixed order: frame count,
     session offset, AR(1) driving noise, then its condition's draws.  A first
@@ -187,10 +187,7 @@ def generate_corpus(spec: CorpusSpec, output_dir: str | None = None) -> Corpus:
         # features live on disk as float32; quantize in memory too so the
         # in-memory and reloaded corpora are identical
         features[utt.utt_id] = x.astype(np.float32).astype(np.float64)
-    corpus = Corpus(utterances, features, meta={"spec": asdict(spec)})
-    if output_dir is not None:
-        save_corpus(corpus, output_dir)
-    return corpus
+    return Corpus(utterances, features, meta={"spec": asdict(spec)})
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,10 @@ class MetricConfig:
 
     dcf_p_targets: tuple = (0.01, 0.001)
     act_p_target: float = 0.01
-    c_miss: float = 1.0
-    c_fa: float = 1.0
 
     def __post_init__(self):
         self.dcf_p_targets = tuple(float(p) for p in self.dcf_p_targets)
+        self.act_p_target = float(self.act_p_target)
 
 
 def _check_scores(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +130,8 @@ def summarize(target_scores, nontarget_scores, cfg: MetricConfig) -> dict:
         "eer": eer(tgt, non),
     }
     for p in cfg.dcf_p_targets:
-        out[f"min_dcf_p{p:g}"] = min_dcf(tgt, non, DcfParams(p, cfg.c_miss, cfg.c_fa))
-    act = act_dcf(tgt, non, DcfParams(cfg.act_p_target, cfg.c_miss, cfg.c_fa))
+        out[f"min_dcf_p{p:g}"] = min_dcf(tgt, non, DcfParams(p))
+    act = act_dcf(tgt, non, DcfParams(cfg.act_p_target))
     out["act_dcf"] = act
     out["act_dcf_capped"] = min(act, 1.0)
     return out

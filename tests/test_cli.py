@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -92,6 +93,33 @@ def test_corpus_shorter_than_receptive_field_is_rejected():
         with pytest.raises(ConfigError, match=f"frames_min={frames_min} .*"
                                               f"min_frames={min_frames}"):
             RunConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("key, value", [("variant", "acnn"), ("num_speakers", 4)])
+def test_config_refuses_arch_fields_that_are_not_settings(key, value):
+    """The variant comes from train --arch and the speaker count from the
+    corpus split, so a config that sets either fails at load, even with the
+    value those sources would give."""
+    config = {**MINI_CONFIG, "arch": {**MINI_CONFIG["arch"], key: value}}
+    with pytest.raises(ConfigError, match=rf"^arch\.{key} is not a config setting"):
+        RunConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("metrics", [{"dcf_p_targets": [1.5]}, {"act_p_target": 0.0},
+                                     {"act_p_target": "high"}])
+def test_bad_metrics_section_fails_train_before_any_work(pipeline, tmp_path, capsys, metrics):
+    """A p_target that is not a number in (0, 1) fails at config load,
+    naming the metrics section, instead of after training and scoring in
+    evaluate."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINI_CONFIG, "metrics": metrics}))
+    run = tmp_path / "run"
+    run.mkdir()
+    assert dispatch(["train", "--config", str(path), "--corpus", pipeline["corpus"],
+                     "--arch", "baseline", "--out", str(run / "b.ckpt")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "metrics" in errors[0]
+    assert list(run.iterdir()) == []
 
 
 def _with(config, **sections):
@@ -216,19 +244,6 @@ def test_fuse_cli(pipeline, tmp_path):
     assert open(fused).read() == open(pipeline["scores"]).read()
 
 
-def test_threads_refused_once_numpy_is_loaded(tmp_path, capsys):
-    """BLAS reads its thread count when numpy loads, which this process has
-    already done, so --threads fails with one error instead of doing nothing."""
-    before = {var: os.environ.get(var)
-              for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    out = tmp_path / "corpus"
-    assert dispatch(["--threads", "1", "gen-data", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "OPENBLAS_NUM_THREADS" in err
-    assert not out.exists()
-    assert {var: os.environ.get(var) for var in before} == before
-
-
 class _RecordingLibc:
     def __init__(self, calls):
         def mallopt(param, value):
@@ -285,7 +300,8 @@ def _fresh_interpreter_exit_code(code: str) -> int:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """--threads only works because importing the command line loads no numpy."""
+    """Importing the command line loads no numpy: each stage's handler imports
+    only the numerical modules that stage uses."""
     code = "import sys, axvector.cli; sys.exit('numpy' in sys.modules)"
     assert _fresh_interpreter_exit_code(code) == 0
 
@@ -348,18 +364,11 @@ class TestDetExport:
             assert float(fa) * float(miss) == 0.0
 
 
-def test_out_root_env_resolves_relative_paths(workdir, monkeypatch, tmp_path):
-    _, config = workdir
-    monkeypatch.setenv("AXVECTOR_OUT_ROOT", str(tmp_path))
-    assert dispatch(["gen-data", "--config", config, "--out", "enviro"]) == 0
-    assert (tmp_path / "enviro" / "utt2spk").exists()
-
-
 def test_relative_out_root_resolves_each_output_once(pipeline, monkeypatch, tmp_path):
-    """Under a relative AXVECTOR_OUT_ROOT every output lands under the root
-    exactly once, also the training log and the stages that sweep-n runs."""
+    """Relative output paths resolve against the working directory, each
+    exactly once: train and sweep-n write these files and no others, also
+    the training log and the stages that sweep-n runs."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("AXVECTOR_OUT_ROOT", "outroot")
     config, corpus = pipeline["config"], pipeline["corpus"]
     assert dispatch(["train", "--config", config, "--corpus", corpus,
                      "--arch", "baseline", "--out", "b.ckpt"]) == 0
@@ -370,7 +379,7 @@ def test_relative_out_root_resolves_each_output_once(pipeline, monkeypatch, tmp_
     expected = ["b.ckpt", "b.ckpt.log", "b.ckpt.train.json", "sweep/sweep.tsv"]
     expected += [f"sweep/pool2/{name}" for name in run]
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
-    assert written == sorted(f"outroot/{name}" for name in expected)
+    assert written == sorted(expected)
 
 
 def test_sweep_n_loads_the_config_once(pipeline, tmp_path, capsys):
@@ -404,3 +413,76 @@ def test_pipeline_rerun_is_byte_identical(workdir, pipeline):
                      "--out", scores2]) == 0
     assert open(scores2, "rb").read() == open(pipeline["scores"], "rb").read()
     assert open(ckpt2, "rb").read() == open(pipeline["ckpt"], "rb").read()
+
+
+def _bad_inputs(pipeline, tmp_path):
+    """(argv, offending path, output path) for one bad input of each kind.
+    det-export is given a good score file before the bad one, so that only
+    building every file before writing one leaves no CSV and no directory."""
+    trials = os.path.join(pipeline["corpus"], "trials.txt")
+    table = B.EmbeddingTable.load(pipeline["emb"])
+    wide = str(tmp_path / "wide.axvr")
+    B.EmbeddingTable(table.ids, np.hstack([table.vectors, table.vectors[:, :1]])).save(wide)
+    partial = str(tmp_path / "partial.axvr")
+    B.EmbeddingTable(table.ids[1:], table.vectors[1:]).save(partial)
+    ghost_trials = tmp_path / "ghost_trials.txt"
+    ghost_trials.write_text(open(trials).read() + f"ghost {table.ids[0]} nontarget\n")
+    short = tmp_path / "short_scores.txt"
+    short.write_text("".join(open(pipeline["scores"]).readlines()[:-1]))
+    missing = str(tmp_path / "missing.ckpt")
+    out = str(tmp_path / "out")
+    extract = ["extract", "--corpus", pipeline["corpus"], "--out", out, "--model"]
+    score = ["score", "--backend", pipeline["backend"], "--out", out]
+    return {
+        "missing-file": (extract + [missing], missing, out),
+        "backend-as-model": (extract + [pipeline["backend"]], pipeline["backend"], out),
+        "dimension-mismatch": (score + ["--embeddings", wide, "--trials", trials], wide, out),
+        "trial-absent-from-embeddings": (
+            score + ["--embeddings", pipeline["emb"], "--trials", str(ghost_trials)],
+            pipeline["emb"], out),
+        "training-utterance-absent-from-embeddings": (
+            ["backend-fit", "--config", pipeline["config"], "--corpus", pipeline["corpus"],
+             "--embeddings", partial, "--out", out], partial, out),
+        "score-file-lacks-a-trial": (
+            ["evaluate", "--scores", str(short), "--trials", trials, "--out-prefix", out],
+            str(short), out + ".txt"),
+        "second-score-file-lacks-a-trial": (
+            ["det-export", "--trials", trials, "--out-dir", out, pipeline["scores"], str(short)],
+            str(short), out),
+    }
+
+
+@pytest.mark.parametrize("kind", ["missing-file", "backend-as-model", "dimension-mismatch",
+                                  "trial-absent-from-embeddings",
+                                  "training-utterance-absent-from-embeddings",
+                                  "score-file-lacks-a-trial", "second-score-file-lacks-a-trial"])
+def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, capsys, kind):
+    argv, offending, out = _bad_inputs(pipeline, tmp_path)[kind]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and offending in errors[0], captured.err
+    assert not os.path.exists(out)
+    assert captured.out == ""
+
+
+def _readme_commands() -> list[str]:
+    """Every ``axvector`` line of README's bash blocks, continuations joined."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("axvector ")]
+
+
+def test_readme_commands_parse():
+    """Every command line the README shows parses, so a deleted or renamed
+    flag cannot linger in its quick start."""
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

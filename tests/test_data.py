@@ -21,8 +21,8 @@ def small_spec(**overrides):
 class TestGeneration:
     def test_regeneration_is_byte_identical(self, tmp_path):
         spec = small_spec()
-        D.generate_corpus(spec, str(tmp_path / "a"))
-        D.generate_corpus(spec, str(tmp_path / "b"))
+        D.save_corpus(D.generate_corpus(spec), str(tmp_path / "a"))
+        D.save_corpus(D.generate_corpus(spec), str(tmp_path / "b"))
         files_a = sorted((tmp_path / "a" / "features").iterdir())
         files_b = sorted((tmp_path / "b" / "features").iterdir())
         assert [f.name for f in files_a] == [f.name for f in files_b]
