@@ -205,6 +205,10 @@ def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
 
     condition_of = data.read_key_value_file(utt2cond) if utt2cond else None
     trial_list, score_map = data.read_trials(trials), _score_map(scores)
+    if condition_of is not None:
+        for trial in trial_list:
+            if trial.test not in condition_of:
+                raise ValueError(f"{utt2cond}: test utterance {trial.test!r} has no condition")
     with _naming(scores):
         report = metrics.build_report(trial_list, score_map, config.metrics, condition_of)
     text = metrics.format_report(report, title=f"scores: {os.path.basename(scores)}")
@@ -248,8 +252,10 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
     sizes = [int(v) for v in values.split(",") if v.strip()]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"--values must list positive pool sizes, got {values!r}")
-    os.makedirs(out_dir, exist_ok=True)
     trials = os.path.join(corpus, "trials.txt")
+    # a corpus without eval trials fails here, before any directory or training
+    trial_list = data.read_trials(trials)
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for n in sizes:
         run_dir = os.path.join(out_dir, f"pool{n}")
@@ -264,8 +270,7 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
         cmd_extract(ckpt, corpus, emb)
         cmd_backend_fit(config, emb, corpus, bke)
         cmd_score(bke, emb, trials, scores)
-        report = metrics.build_report(data.read_trials(trials), _score_map(scores),
-                                      config.metrics)
+        report = metrics.build_report(trial_list, _score_map(scores), config.metrics)
         rows.append((n, report["overall"]))
     header = ["pool_size", "eer_pct"] + [k for k in rows[0][1] if k.startswith("min_dcf_p")] \
         + ["act_dcf"]

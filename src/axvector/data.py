@@ -251,8 +251,8 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a corpus written by save_corpus; every utterance listed in
-    ``utt2spk`` must have a condition in ``utt2cond``."""
+    """Read a corpus written by save_corpus, ``corpus.json`` included; every
+    utterance listed in ``utt2spk`` must have a condition in ``utt2cond``."""
     spk_path, cond_path = os.path.join(path, "utt2spk"), os.path.join(path, "utt2cond")
     utt2spk = read_key_value_file(spk_path)
     utt2cond = read_key_value_file(cond_path)
@@ -260,10 +260,7 @@ def load_corpus(path: str) -> Corpus:
     if missing:
         raise FormatError(f"{spk_path}:{_line_of(spk_path, missing[0])}: utterance "
                           f"{missing[0]!r} has no entry in {cond_path}")
-    meta_path = os.path.join(path, "corpus.json")
-    meta = {}
-    if os.path.exists(meta_path):
-        meta = _read_meta(meta_path, set(utt2spk.values()), spk_path)
+    meta = _read_meta(os.path.join(path, "corpus.json"), set(utt2spk.values()), spk_path)
     utterances = []
     features = {}
     for utt_id in sorted(utt2spk):

@@ -1,21 +1,21 @@
 """The layers of the embedding networks, one class per layer.
 
-Each layer owns its trainable parameters (a ``Param`` holds a value and its
-gradient accumulator) and, for the normalizations, its running statistics.
-Every layer works batch-first on (batch, frames, channels) arrays, or on
-(batch, channels) rows after pooling.  ``forward(x, mode)`` returns
-``(output, cache)``, where the cache carries exactly the intermediates the
-hand-written ``backward(cache, upstream)`` needs; ``backward`` returns the
-input gradient and adds each parameter gradient into that parameter's
-``grad``.  Parameter values change only between a forward/backward pair (the
-optimizer updates them in place); the running statistics change only in
-train mode.
+Each layer owns its trainable parameters (a ``Param`` holds a value and the
+gradient of the last backward) and, for the normalizations, its running
+statistics.  Every layer works batch-first on (batch, frames, channels)
+arrays, or on (batch, channels) rows after pooling.  ``forward(x, mode)``
+returns ``(output, cache)``, where the cache carries exactly the
+intermediates the hand-written ``backward(cache, upstream)`` needs;
+``backward`` returns the input gradient and sets each parameter's ``grad``
+to that parameter's gradient, once per call, replacing the previous one.
+Parameter values change only between a forward/backward pair (the optimizer
+updates them in place); the running statistics change only in train mode.
 
 A layer computes in the dtype of its input: float32 stays float32, anything
-else runs in float64.  Parameters, their gradients and the running
-statistics are always float64; each forward casts the parameter values it
-uses to the input's dtype once (a no-op in float64) and keeps the cast copies
-in its cache for the backward.
+else runs in float64.  Parameter gradients come out in that compute dtype;
+parameter values and the running statistics are always float64.  Each
+forward casts the parameter values it uses to the input's dtype once (a
+no-op in float64) and keeps the cast copies in its cache for the backward.
 
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
@@ -67,18 +67,16 @@ def _cast(dtype, *params) -> list[np.ndarray]:
 
 
 class Param:
-    """A named trainable tensor with its gradient accumulator."""
+    """A named trainable tensor and the gradient its layer's last backward set
+    (None before the first), in that backward's compute dtype."""
 
     __slots__ = ("name", "value", "grad", "decay")
 
     def __init__(self, name: str, value: np.ndarray, decay: bool):
         self.name = name
         self.value = as_f64(value)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
         self.decay = decay
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 def _he_normal(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
@@ -135,8 +133,8 @@ class ConvLayer:
         windows, shape, weight = cache
         d_input, d_w, d_b = conv_backward(windows, shape, weight, self.dilation,
                                           as_float(upstream))
-        self.weight.grad += d_w
-        self.bias.grad += d_b
+        self.weight.grad = d_w
+        self.bias.grad = d_b
         return d_input
 
 
@@ -160,8 +158,8 @@ class DenseLayer:
 
     def backward(self, cache, upstream):
         x, weight = cache
-        self.weight.grad += x.T @ upstream
-        self.bias.grad += upstream.sum(axis=0)
+        self.weight.grad = x.T @ upstream
+        self.bias.grad = upstream.sum(axis=0)
         return upstream @ weight.T
 
 
@@ -262,9 +260,9 @@ class AdaptiveConvLayer:
                                                    d_context[..., c:], moments=cache["moments"])
         d_logits = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
         d_pre = tanh_backward(scored, np.multiply.outer(d_logits, score_proj))
-        self.score_weight.grad += _rows(frames).T @ _rows(d_pre)
-        self.score_bias.grad += _rows(d_pre).sum(axis=0)
-        self.score_proj.grad += _rows(scored).T @ d_logits.ravel()
+        self.score_weight.grad = _rows(frames).T @ _rows(d_pre)
+        self.score_bias.grad = _rows(d_pre).sum(axis=0)
+        self.score_proj.grad = _rows(scored).T @ d_logits.ravel()
         d_frames += np.matmul(d_pre, score_weight.T)
         return d_frames
 
@@ -295,10 +293,10 @@ class AdaptiveConvLayer:
         d_weights = as_float(d_weights).reshape(coeffs.shape[0], -1)
         d_bias = as_float(d_bias)
         d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ pool_bias.T
-        self.pool_weight.grad += (coeffs.T @ d_weights).reshape(pool.shape)
-        self.pool_bias.grad += coeffs.T @ d_bias
-        self.mix_weight.grad += context.T @ d_coeffs
-        self.mix_bias.grad += d_coeffs.sum(axis=0)
+        self.pool_weight.grad = (coeffs.T @ d_weights).reshape(pool.shape)
+        self.pool_bias.grad = coeffs.T @ d_bias
+        self.mix_weight.grad = context.T @ d_coeffs
+        self.mix_bias.grad = d_coeffs.sum(axis=0)
         return d_coeffs @ mix_weight.T
 
     def forward(self, x, mode):
@@ -423,8 +421,8 @@ class BatchNormLayer(_Normalization):
 
     def backward(self, cache, upstream):
         upstream = as_float(upstream)
-        self.gamma.grad += np.einsum("nc,nc->c", _rows(upstream), _rows(cache["xhat"]))
-        self.beta.grad += _rows(upstream).sum(axis=0)
+        self.gamma.grad = np.einsum("nc,nc->c", _rows(upstream), _rows(cache["xhat"]))
+        self.beta.grad = _rows(upstream).sum(axis=0)
         return self._normalize_backward(cache, upstream * cache["gamma"])
 
 
@@ -475,8 +473,8 @@ class AdaptiveNormLayer(_Normalization):
         d_feats = attn.astype(frames.dtype, copy=False)[..., None] * d_context[..., None, :]
         d_feats += (d_means / feats.shape[-1])[..., None]
         d_pre = tanh_backward(feats, d_feats)
-        self.ctx_weight.grad += _rows(frames).T @ _rows(d_pre)
-        self.ctx_bias.grad += _rows(d_pre).sum(axis=0)
+        self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
+        self.ctx_bias.grad = _rows(d_pre).sum(axis=0)
         return np.matmul(d_pre, cache["ctx_weight"].T)
 
     def forward(self, x, mode):
@@ -497,10 +495,10 @@ class AdaptiveNormLayer(_Normalization):
         upstream = as_float(upstream)
         d_scales = np.einsum("btc,btc->bc", upstream, core["xhat"])
         d_shifts = upstream.sum(axis=1)
-        self.scale_weight.grad += contexts.T @ d_scales
-        self.scale_bias.grad += d_scales.sum(axis=0)
-        self.shift_weight.grad += contexts.T @ d_shifts
-        self.shift_bias.grad += d_shifts.sum(axis=0)
+        self.scale_weight.grad = contexts.T @ d_scales
+        self.scale_bias.grad = d_scales.sum(axis=0)
+        self.shift_weight.grad = contexts.T @ d_shifts
+        self.shift_bias.grad = d_shifts.sum(axis=0)
         d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
         d_input = self._normalize_backward(core, upstream * scales[:, None, :])
         d_input += self.context_backward(cache["ctx"], d_contexts)

@@ -153,14 +153,14 @@ def build_report(trials, score_map: dict, cfg: MetricConfig,
                  condition_of: dict | None = None) -> dict:
     """Join trials with their scores and summarize overall and per condition.
 
-    A trial's condition is the condition of its test utterance.  Conditions
-    lacking either class are reported as null rather than failing.
+    A trial's condition is that of its test utterance in ``condition_of``,
+    which must map it.  Conditions lacking either class are reported as null.
     """
     report = {"overall": summarize(*labeled_scores(trials, score_map), cfg), "conditions": {}}
     by_condition: dict[str, list] = {}
     if condition_of is not None:
         for trial in trials:
-            by_condition.setdefault(condition_of.get(trial.test, "unknown"), []).append(trial)
+            by_condition.setdefault(condition_of[trial.test], []).append(trial)
     for cond in sorted(by_condition):
         tgt, non = labeled_scores(by_condition[cond], score_map)
         report["conditions"][cond] = (summarize(tgt, non, cfg) if tgt and non else None)

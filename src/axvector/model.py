@@ -108,10 +108,6 @@ class Model:
             out.extend(lyr.params())
         return out
 
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
-
     def state_items(self) -> list[tuple[str, np.ndarray]]:
         out = []
         for lyr in self.layers:

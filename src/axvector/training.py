@@ -2,8 +2,8 @@
 exponential learning-rate ramp, and same-duration crop batching.
 
 Mixed precision: batches are float32 (exact, since features are stored as
-float32), so the network's forward and backward run in float32, while the
-loss, the parameters, their gradients and the Adam moments stay float64.
+float32), so the network's forward and backward run in float32 and yield
+float32 gradients; the loss, the parameters and the Adam moments stay float64.
 
 One logical writer mutates the model; batch assembly is deterministic given
 (seed, epoch), so a full run reproduces bit for bit on one machine.
@@ -81,12 +81,15 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
 
     L2 decay is added to the gradient before the moment updates, and only for
     parameters flagged as decaying (weights, not biases or norm affines).
-    Every gradient is checked before anything changes, so a non-finite one
-    leaves the values, the moments and the step count as they were.  The
-    update runs over ADAM_CHUNK-element slices with every intermediate in the
-    state's scratch buffer; ``p.grad`` is left untouched.
+    Every gradient is checked before anything changes, so a missing, mis-shaped
+    or non-finite one leaves the values, moments and step count as they were.
+    The update runs over ADAM_CHUNK-element slices in the float64 scratch
+    buffer, which upcasts a float32 gradient exactly; ``p.grad`` stays as is.
     """
     for p in params:
+        if p.grad is None or p.grad.shape != p.value.shape:
+            raise ValueError(f"parameter {p.name!r} needs a gradient of shape {p.value.shape}, "
+                             f"has {None if p.grad is None else p.grad.shape}")
         if not np.all(np.isfinite(p.grad)):
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
     state.step += 1
@@ -235,7 +238,6 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
             loss, d_logits, accuracy = softmax_cross_entropy(logits, labels)
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step}")
-            model.zero_grads()
             model.backward(caches, d_logits.astype(logits.dtype))
             # release this step's activations now, so they are not alive
             # through the optimizer update and the next forward

@@ -52,7 +52,7 @@ def randomize(layer, rng, offsets=None):
 
 
 def param_grads(layer, names=None):
-    """(name, value, accumulated gradient) of the layer's parameters, all of
-    them or those with the given short names, for check_grads."""
+    """(name, value, gradient) of the layer's parameters, all of them or
+    those with the given short names, for check_grads."""
     return [(p.name, p.value, p.grad) for p in layer.params()
             if names is None or p.name.rsplit(".", 1)[1] in names]

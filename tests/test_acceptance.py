@@ -159,8 +159,6 @@ class TestCriterion2Gradients:
             return float(np.sum(out * probe))
 
         _, cache = layer.forward(x, "train")
-        layer.weight.zero_grad()
-        layer.bias.zero_grad()
         dx = layer.backward(cache, probe)
         check_grads(loss, [("x", x, dx), ("w", layer.weight.value, layer.weight.grad),
                            ("b", layer.bias.value, layer.bias.grad)], self.TOL)
@@ -189,7 +187,6 @@ class TestCriterion2Gradients:
 
         logits, caches = model.forward_train(x)
         _, d_logits, _ = T.softmax_cross_entropy(logits, labels)
-        model.zero_grads()
         model.backward(caches, d_logits)
         check_grads(loss, [(p.name, p.value, p.grad) for p in model.params()], tol=1e-4)
 

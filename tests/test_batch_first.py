@@ -36,7 +36,6 @@ def test_matches_per_utterance_reference(variant, frames):
 
     ref_logits, ref_d_x, ref_grads = R.forward_backward(model, x, loss_grad)
     logits, caches = model.forward_train(x)
-    model.zero_grads()
     d_x = model.backward(caches, loss_grad(logits))
 
     np.testing.assert_allclose(logits, ref_logits, rtol=RTOL, atol=ATOL)

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -430,6 +431,16 @@ def _bad_inputs(pipeline, tmp_path):
     short = tmp_path / "short_scores.txt"
     short.write_text("".join(open(pipeline["scores"]).readlines()[:-1]))
     missing = str(tmp_path / "missing.ckpt")
+    no_meta = str(tmp_path / "no_meta")
+    shutil.copytree(pipeline["corpus"], no_meta, ignore=shutil.ignore_patterns("corpus.json"))
+    no_split_config = tmp_path / "no_split.json"
+    no_split_config.write_text(json.dumps({**MINI_CONFIG, "split": {"eval_speakers": 0}}))
+    no_split = str(tmp_path / "no_split")
+    assert dispatch(["gen-data", "--config", str(no_split_config), "--out", no_split]) == 0
+    first_test = open(trials).readline().split()[1]
+    cond_lines = open(os.path.join(pipeline["corpus"], "utt2cond")).readlines()
+    partial_cond = tmp_path / "partial_utt2cond"
+    partial_cond.write_text("".join(line for line in cond_lines if line.split()[0] != first_test))
     out = str(tmp_path / "out")
     extract = ["extract", "--corpus", pipeline["corpus"], "--out", out, "--model"]
     score = ["score", "--backend", pipeline["backend"], "--out", out]
@@ -449,13 +460,25 @@ def _bad_inputs(pipeline, tmp_path):
         "second-score-file-lacks-a-trial": (
             ["det-export", "--trials", trials, "--out-dir", out, pipeline["scores"], str(short)],
             str(short), out),
+        "corpus-lacks-corpus-json": (
+            ["train", "--config", pipeline["config"], "--corpus", no_meta, "--arch", "baseline",
+             "--out", out], os.path.join(no_meta, "corpus.json"), out),
+        "sweep-corpus-lacks-trials": (
+            ["sweep-n", "--config", str(no_split_config), "--corpus", no_split,
+             "--out-dir", out, "--values", "2"], os.path.join(no_split, "trials.txt"), out),
+        "utt2cond-lacks-a-test-utterance": (
+            ["evaluate", "--scores", pipeline["scores"], "--trials", trials,
+             "--utt2cond", str(partial_cond), "--out-prefix", out], str(partial_cond),
+            out + ".txt"),
     }
 
 
 @pytest.mark.parametrize("kind", ["missing-file", "backend-as-model", "dimension-mismatch",
                                   "trial-absent-from-embeddings",
                                   "training-utterance-absent-from-embeddings",
-                                  "score-file-lacks-a-trial", "second-score-file-lacks-a-trial"])
+                                  "score-file-lacks-a-trial", "second-score-file-lacks-a-trial",
+                                  "corpus-lacks-corpus-json", "sweep-corpus-lacks-trials",
+                                  "utt2cond-lacks-a-test-utterance"])
 def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, capsys, kind):
     argv, offending, out = _bad_inputs(pipeline, tmp_path)[kind]
     assert dispatch(argv) == 1

@@ -209,6 +209,16 @@ class TestCheckpoint:
             assert value.flags.c_contiguous and value.flags.writeable
         assert not any(np.shares_memory(a, b) for i, a in enumerate(values) for b in values[:i])
 
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_built_and_loaded_models_hold_no_gradients(self, tmp_path, variant):
+        """A gradient exists only once a backward has set it, so a model that
+        only runs inference holds no gradient arrays."""
+        model = M.build(tiny_config(variant), seed=4)
+        path = str(tmp_path / "model.ckpt")
+        M.save_model(model, path)
+        for net in (model, M.load_model(path)):
+            assert all(p.grad is None for p in net.params())
+
     def test_corrupted_checkpoint(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"JUNKJUNKJUNK")

@@ -37,13 +37,14 @@ class TestAdam:
 
     def test_zero_gradients_no_decay(self):
         p = self._param([1.0, -2.0])
+        p.grad = np.zeros(2)
         state = T.init_adam([p])
         T.adam_step([p], state, lr=1e-3, weight_decay=0.0)
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_scalar_first_step_closed_form(self):
         p = self._param([2.0])
-        p.grad[:] = 0.3
+        p.grad = np.array([0.3])
         state = T.init_adam([p])
         T.adam_step([p], state, lr=1e-3, weight_decay=0.0)
         expected = 2.0 - 1e-3 * 0.3 / (0.3 + 1e-8)
@@ -51,7 +52,7 @@ class TestAdam:
 
     def test_nonfinite_gradient_names_parameter(self):
         p = self._param([1.0])
-        p.grad[:] = np.nan
+        p.grad = np.array([np.nan])
         state = T.init_adam([p])
         with pytest.raises(ValueError, match="'p'"):
             T.adam_step([p], state, lr=1e-3, weight_decay=0.0)
@@ -59,8 +60,8 @@ class TestAdam:
         # a NaN in the second parameter leaves the first one untouched too
         first = M.Param("first", np.array([1.0]), True)
         second = M.Param("second", np.array([2.0]), True)
-        first.grad[:] = 0.5
-        second.grad[:] = np.nan
+        first.grad = np.array([0.5])
+        second.grad = np.array([np.nan])
         state = T.init_adam([first, second])
         with pytest.raises(ValueError, match="'second'"):
             T.adam_step([first, second], state, lr=1e-3, weight_decay=0.0)
@@ -69,6 +70,39 @@ class TestAdam:
         for moments in (state.m, state.v):
             assert all(np.all(a == 0.0) for a in moments.values())
 
+    @pytest.mark.parametrize("grad, found", [(None, "None"), (np.array([0.5]), r"\(1,\)")],
+                             ids=["missing", "mis-shaped"])
+    def test_missing_or_misshaped_gradient_names_parameter(self, grad, found):
+        """A gradient that is absent, or that would broadcast into its value,
+        fails before anything changes."""
+        first = M.Param("first", np.array([1.0]), True)
+        second = M.Param("second", np.array([2.0, 3.0]), True)
+        first.grad, second.grad = np.array([0.5]), grad
+        state = T.init_adam([first, second])
+        with pytest.raises(ValueError,
+                           match=rf"'second' needs a gradient of shape \(2,\), has {found}"):
+            T.adam_step([first, second], state, lr=1e-3, weight_decay=0.0)
+        assert first.value[0] == 1.0 and list(second.value) == [2.0, 3.0]
+        assert state.step == 0
+        for moments in (state.m, state.v):
+            assert all(np.all(a == 0.0) for a in moments.values())
+
+    def test_float32_gradient_updates_as_its_float64_upcast(self, rng):
+        """Adam upcasts a float32 gradient exactly: the values and moments
+        are bit-identical to those of the same gradient stored as float64."""
+        shape = (2, T.ADAM_CHUNK + 5)
+        start = rng.normal(size=shape)
+        p32, p64 = M.Param("w", start.copy(), True), M.Param("w", start.copy(), True)
+        s32, s64 = T.init_adam([p32]), T.init_adam([p64])
+        for _ in range(3):
+            p32.grad = rng.normal(size=shape).astype(np.float32)
+            p64.grad = p32.grad.astype(np.float64)
+            T.adam_step([p32], s32, lr=1e-3, weight_decay=1e-2)
+            T.adam_step([p64], s64, lr=1e-3, weight_decay=1e-2)
+            assert np.array_equal(p32.value, p64.value)
+            assert np.array_equal(s32.m["w"], s64.m["w"])
+            assert np.array_equal(s32.v["w"], s64.v["w"])
+
     def test_chunked_update_matches_whole_array_formula(self, rng):
         shape = (3, T.ADAM_CHUNK + 123)
         p = M.Param("w", rng.normal(size=shape), True)
@@ -76,7 +110,7 @@ class TestAdam:
         value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
         lr, decay, beta1, beta2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
         for t in range(1, 5):
-            p.grad[...] = rng.normal(size=shape)
+            p.grad = rng.normal(size=shape)
             T.adam_step([p], state, lr, decay, beta1, beta2, eps)
             g = p.grad + decay * value
             m = beta1 * m + (1.0 - beta1) * g
@@ -90,13 +124,14 @@ class TestAdam:
         state = T.init_adam([p])
         norms = [np.linalg.norm(p.value)]
         for _ in range(5):
-            p.zero_grad()
+            p.grad = np.zeros(3)
             T.adam_step([p], state, lr=1e-3, weight_decay=1e-2)
             norms.append(np.linalg.norm(p.value))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_no_decay_flag_respected(self):
         p = self._param([1.0], decay=False)
+        p.grad = np.zeros(1)
         state = T.init_adam([p])
         T.adam_step([p], state, lr=1e-3, weight_decay=1e-2)
         np.testing.assert_array_equal(p.value, [1.0])
@@ -174,10 +209,23 @@ def test_full_model_gradients_match_finite_differences(variant, rng):
 
     logits, caches = model.forward_train(x)
     _, d_logits, _ = T.softmax_cross_entropy(logits, labels)
-    model.zero_grads()
     model.backward(caches, d_logits)
     checks = [(p.name, p.value, p.grad) for p in model.params()]
     check_grads(loss_fn, checks, tol=1e-4)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_backward_sets_gradients_instead_of_adding(variant, rng):
+    """A second backward on the same batch leaves every parameter gradient
+    as the first one set it, not doubled."""
+    model = M.build(tiny_arch(variant), seed=5)
+    logits, caches = model.forward_train(rng.normal(size=(3, 6, 3)))
+    _, d_logits, _ = T.softmax_cross_entropy(logits, np.array([0, 1, 2]))
+    model.backward(caches, d_logits)
+    first = [p.grad.copy() for p in model.params()]
+    model.backward(caches, d_logits)
+    for p, grad in zip(model.params(), first):
+        assert np.array_equal(p.grad, grad), p.name
 
 
 def _arrays(obj):
