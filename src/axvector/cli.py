@@ -147,7 +147,8 @@ def cmd_backend_fit(config, embeddings: str, corpus: str, out: str) -> None:
 
     from . import backend, data
 
-    train_corpus = _train_subset(data.load_corpus(corpus))
+    # the labels alone: the embeddings stand in for the features
+    train_corpus = _train_subset(data.load_labels(corpus))
     table = backend.EmbeddingTable.load(embeddings)
     ids = [u.utt_id for u in train_corpus.utterances]
     with _naming(embeddings):

@@ -28,6 +28,10 @@ FEATURE_MAGIC = b"AXVF"
 FEATURE_VERSION = 1
 KNOWN_CONDITIONS = ("clean", "noise", "codec", "reverb")
 
+# Utterances per padded float64 noise stack in generate_corpus: the stack,
+# not the corpus, bounds the generator's working memory.
+GENERATION_BLOCK = 64
+
 
 @dataclass
 class CorpusSpec:
@@ -74,7 +78,8 @@ class Utterance:
 
 
 class Corpus:
-    """Utterance metadata plus in-memory features."""
+    """Utterance metadata plus in-memory float32 features; ``load_labels``
+    gives one without features."""
 
     def __init__(self, utterances: list[Utterance], features: dict[str, np.ndarray],
                  meta: dict | None = None):
@@ -103,7 +108,8 @@ class Corpus:
     def subset_by_speakers(self, speaker_ids) -> "Corpus":
         keep = set(speaker_ids)
         utts = [u for u in self.utterances if u.speaker_id in keep]
-        feats = {u.utt_id: self._features[u.utt_id] for u in utts}
+        feats = {utt_id: f for utt_id, f in self._features.items()
+                 if self._by_id[utt_id].speaker_id in keep}
         return Corpus(utts, feats, dict(self.meta))
 
 
@@ -149,13 +155,18 @@ def _apply_condition(x: np.ndarray, condition: str, spec: CorpusSpec,
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
-    """Generate the full corpus in memory; ``save_corpus`` writes it.
+    """Generate the full corpus in memory, features as float32 (their on-disk
+    precision); ``save_corpus`` writes it.
 
     Each utterance draws from its own stream, in a fixed order: frame count,
     session offset, AR(1) driving noise, then its condition's draws.  A first
-    pass draws everything up to the driving noise, one filter pass then runs
-    the AR(1) recursion over all utterances at once, and a second pass
-    applies the conditions with each utterance's stream where it left off."""
+    pass draws everything up to the driving noise; then, for each block of
+    GENERATION_BLOCK utterances, the driving noise fills one zero-padded
+    stack (the same buffer for every block), one filter pass runs the AR(1)
+    recursion over the whole block, and the conditions are applied with each
+    utterance's stream where it left off.  Every utterance's draws and float
+    operations are those of a one-utterance pass, so the bytes do not depend
+    on the block size."""
     spec.validate()
     utterances, offsets, rngs, lengths = [], [], [], []
     for s in range(spec.num_speakers):
@@ -174,19 +185,22 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     # scaled by sqrt(1 - rho^2) except on the first frame, which starts the
     # recursion at the stationary variance
     rho = spec.ar_coefficient
-    noise = np.zeros((len(utterances), max(lengths), spec.feature_dim))
-    for padded, rng, frames in zip(noise, rngs, lengths):
-        eps = padded[:frames]
-        rng.standard_normal(out=eps)
-        eps[1:] *= math.sqrt(1.0 - rho * rho)
-    ar1_filter(noise, rho)
+    stack = np.empty((min(GENERATION_BLOCK, len(utterances)), max(lengths), spec.feature_dim))
     features = {}
-    for utt, offset, rng, frames, padded in zip(utterances, offsets, rngs, lengths, noise):
-        x = _apply_condition(offset + spec.sigma_frame * padded[:frames], utt.condition,
-                             spec, rng)
-        # features live on disk as float32; quantize in memory too so the
-        # in-memory and reloaded corpora are identical
-        features[utt.utt_id] = x.astype(np.float32).astype(np.float64)
+    for start in range(0, len(utterances), GENERATION_BLOCK):
+        block = slice(start, start + GENERATION_BLOCK)
+        noise = stack[:len(lengths[block])]
+        noise.fill(0.0)
+        for padded, rng, frames in zip(noise, rngs[block], lengths[block]):
+            eps = padded[:frames]
+            rng.standard_normal(out=eps)
+            eps[1:] *= math.sqrt(1.0 - rho * rho)
+        ar1_filter(noise, rho)
+        for utt, offset, rng, frames, padded in zip(utterances[block], offsets[block],
+                                                    rngs[block], lengths[block], noise):
+            x = _apply_condition(offset + spec.sigma_frame * padded[:frames], utt.condition,
+                                 spec, rng)
+            features[utt.utt_id] = x.astype(np.float32)
     return Corpus(utterances, features, meta={"spec": asdict(spec)})
 
 
@@ -223,7 +237,7 @@ def read_feature_file(path: str) -> np.ndarray:
     expected = 16 + frames * dim * 4
     if len(data) != expected:
         raise FormatError(f"{path}: payload is {len(data) - 16} bytes, expected {expected - 16}")
-    values = np.frombuffer(data[16:], dtype="<f4").astype(np.float64).reshape(frames, dim)
+    values = np.frombuffer(data, dtype="<f4", offset=16).reshape(frames, dim)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise FormatError(f"{path}: frame {bad[0]} holds a NaN or infinite value")
@@ -250,9 +264,10 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
                       json.dumps(corpus.meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_corpus(path: str) -> Corpus:
-    """Read a corpus written by save_corpus, ``corpus.json`` included; every
-    utterance listed in ``utt2spk`` must have a condition in ``utt2cond``."""
+def load_labels(path: str) -> Corpus:
+    """The utterances and ``corpus.json`` of a corpus written by save_corpus,
+    without its features; every utterance listed in ``utt2spk`` must have a
+    condition in ``utt2cond``."""
     spk_path, cond_path = os.path.join(path, "utt2spk"), os.path.join(path, "utt2cond")
     utt2spk = read_key_value_file(spk_path)
     utt2cond = read_key_value_file(cond_path)
@@ -261,12 +276,18 @@ def load_corpus(path: str) -> Corpus:
         raise FormatError(f"{spk_path}:{_line_of(spk_path, missing[0])}: utterance "
                           f"{missing[0]!r} has no entry in {cond_path}")
     meta = _read_meta(os.path.join(path, "corpus.json"), set(utt2spk.values()), spk_path)
-    utterances = []
-    features = {}
-    for utt_id in sorted(utt2spk):
-        utterances.append(Utterance(utt_id, utt2spk[utt_id], utt2cond[utt_id]))
-        features[utt_id] = read_feature_file(os.path.join(path, "features", f"{utt_id}.axvf"))
-    return Corpus(utterances, features, meta)
+    utterances = [Utterance(utt_id, utt2spk[utt_id], utt2cond[utt_id])
+                  for utt_id in sorted(utt2spk)]
+    return Corpus(utterances, {}, meta)
+
+
+def load_corpus(path: str) -> Corpus:
+    """Read a corpus written by save_corpus: ``load_labels`` plus the feature
+    file of every utterance."""
+    labels = load_labels(path)
+    features = {u.utt_id: read_feature_file(os.path.join(path, "features", f"{u.utt_id}.axvf"))
+                for u in labels.utterances}
+    return Corpus(labels.utterances, features, labels.meta)
 
 
 def _read_meta(path: str, speakers: set, spk_path: str) -> dict:

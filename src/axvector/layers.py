@@ -79,12 +79,17 @@ class Param:
         self.decay = decay
 
 
-def _he_normal(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
-    """He-normal draws; zeros without a generator (a layout that a checkpoint
-    fills)."""
+def _he_normal(rng: np.random.Generator | None, shape, fan_in: int,
+               scale: float = 1.0) -> np.ndarray:
+    """He-normal draws times ``scale``; without a generator, a read-only zero
+    placeholder of that shape that allocates nothing (a layout that a
+    checkpoint fills)."""
     if rng is None:
-        return np.zeros(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        return np.broadcast_to(np.float64(0.0), shape)
+    values = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    if scale != 1.0:
+        values *= scale
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +98,10 @@ def _he_normal(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarra
 
 
 class ReluLayer:
+    """The backward needs only the sign of the input, so a train-mode forward
+    caches the bool mask ``x > 0`` (the subgradient at 0 is 0); an
+    infer-mode forward caches nothing and has no backward."""
+
     def __init__(self, name: str):
         self.name = name
 
@@ -101,9 +110,10 @@ class ReluLayer:
 
     def forward(self, x, mode):
         x = as_float(x)
-        return relu(x), x
+        return relu(x), (x > 0.0 if mode == "train" else None)
 
     def backward(self, cache, upstream):
+        require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         return relu_backward(cache, upstream)
 
 
@@ -143,7 +153,7 @@ class DenseLayer:
                  init_scale: float = 1.0):
         self.name = name
         self.weight = Param(f"{name}.weight",
-                            init_scale * _he_normal(rng, (in_dim, out_dim), in_dim), True)
+                            _he_normal(rng, (in_dim, out_dim), in_dim, init_scale), True)
         self.bias = Param(f"{name}.bias", np.zeros(out_dim), False)
 
     def params(self):
@@ -222,12 +232,13 @@ class AdaptiveConvLayer:
         # mixing regression starts small: the generated filters are modest at
         # first and the following normalization keeps the layer well scaled
         self.mix_weight = Param(f"{name}.mix_weight",
-                                0.1 * _he_normal(rng, (2 * in_dim, pool_size), 2 * in_dim), True)
+                                _he_normal(rng, (2 * in_dim, pool_size), 2 * in_dim, 0.1), True)
         self.mix_bias = Param(f"{name}.mix_bias", np.zeros(pool_size), False)
-        self.pool_weight = Param(
-            f"{name}.pool_weight",
-            np.stack([_he_normal(rng, (kernel, in_dim, out_dim), fan_conv) for _ in range(pool_size)]),
-            True)
+        # one draw of the whole pool: the same values as pool_size draws of
+        # one filter bank each, in order
+        self.pool_weight = Param(f"{name}.pool_weight",
+                                 _he_normal(rng, (pool_size, kernel, in_dim, out_dim), fan_conv),
+                                 True)
         self.pool_bias = Param(f"{name}.pool_bias", np.zeros((pool_size, out_dim)), False)
 
     def params(self):
@@ -444,10 +455,10 @@ class AdaptiveNormLayer(_Normalization):
         # generators start near the identity affine: scale bias at one (like a
         # fresh conventional BN) and small generator weights
         self.scale_weight = Param(f"{name}.scale_weight",
-                                  0.1 * _he_normal(rng, (hidden, channels), hidden), True)
+                                  _he_normal(rng, (hidden, channels), hidden, 0.1), True)
         self.scale_bias = Param(f"{name}.scale_bias", np.ones(channels), False)
         self.shift_weight = Param(f"{name}.shift_weight",
-                                  0.1 * _he_normal(rng, (hidden, channels), hidden), True)
+                                  _he_normal(rng, (hidden, channels), hidden, 0.1), True)
         self.shift_bias = Param(f"{name}.shift_bias", np.zeros(channels), False)
 
     def params(self):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .layers import (AdaptiveConvLayer, AdaptiveNormLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      Param, ReluLayer, StatsPoolLayer)
-from .numerics import as_float, require
+from .numerics import as_f64, as_float, require
 from .serialize import FormatError, read_records, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
@@ -169,9 +169,11 @@ def check_min_frames(model: Model, corpus) -> None:
 
 def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
     """Inference-mode ``head`` output of every full, uncropped utterance of
-    ``corpus``, one row each in corpus order, run one utterance at a time."""
+    ``corpus``, one row each in corpus order, run one utterance at a time in
+    float64 (features are float32, and the network computes in the dtype of
+    its input)."""
     check_min_frames(model, corpus)
-    rows = [model.forward(corpus.features(utt.utt_id)[None], mode="infer", head=head)[0]
+    rows = [model.forward(as_f64(corpus.features(utt.utt_id))[None], mode="infer", head=head)[0]
             for utt in corpus.utterances]
     return np.stack(rows)
 
@@ -183,7 +185,8 @@ def build(config: ArchConfig, seed: int = 0) -> Model:
 
 def _assemble(config: ArchConfig, rng: np.random.Generator | None) -> Model:
     """The configured layer sequence, with He-normal weights drawn from
-    ``rng``, or with zero weights when ``rng`` is None."""
+    ``rng``, or, when ``rng`` is None, read-only zero weights that allocate
+    nothing (a layout for ``load_model`` to fill)."""
     config.validate()
     layer_list = []
     in_dim = config.input_dim

@@ -292,9 +292,10 @@ def relu(x) -> np.ndarray:
     return np.maximum(as_float(x), 0.0)
 
 
-def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    # subgradient 0 at x == 0
-    return upstream * (x > 0.0)
+def relu_backward(mask: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gradient through relu given the bool mask ``x > 0`` of its input (the
+    subgradient at 0 is 0)."""
+    return upstream * mask
 
 
 def tanh_backward(tanh_out: np.ndarray, upstream: np.ndarray) -> np.ndarray:

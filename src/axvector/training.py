@@ -1,9 +1,9 @@
 """Cross-entropy training: Adam with decoupled-from-bias L2 decay, an
 exponential learning-rate ramp, and same-duration crop batching.
 
-Mixed precision: batches are float32 (exact, since features are stored as
-float32), so the network's forward and backward run in float32 and yield
-float32 gradients; the loss, the parameters and the Adam moments stay float64.
+Mixed precision: batches are float32, the features' own precision, so the
+network's forward and backward run in float32 and yield float32 gradients;
+the loss, the parameters and the Adam moments stay float64.
 
 One logical writer mutates the model; batch assembly is deterministic given
 (seed, epoch), so a full run reproduces bit for bit on one machine.
@@ -243,6 +243,9 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
             # through the optimizer update and the next forward
             del logits, caches, d_logits
             adam_step(params, state, lr, cfg.weight_decay)
+            # and this step's gradients once they are applied
+            for p in params:
+                p.grad = None
             record = StepRecord(step, lr, loss, accuracy)
             log.append(record)
             if progress is not None:

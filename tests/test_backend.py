@@ -51,6 +51,17 @@ class TestExtraction:
         for utt_id in table.ids:
             assert np.array_equal(table.vector(utt_id), permuted.vector(utt_id))
 
+    def test_float32_features_run_in_float64(self, tiny_model, tiny_corpus):
+        """Extraction runs each float32 utterance in float64: its rows equal
+        those of the same corpus upcast."""
+        upcast = D.Corpus(tiny_corpus.utterances,
+                          {u.utt_id: tiny_corpus.features(u.utt_id).astype(np.float64)
+                           for u in tiny_corpus.utterances})
+        for head in ("embedding", "logits"):
+            rows = M.infer_utterances(tiny_model, tiny_corpus, head)
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, M.infer_utterances(tiny_model, upcast, head))
+
     def test_short_utterance_names_id(self, tiny_model):
         utts = [D.Utterance("tooshort", "spk", "clean")]
         corpus = D.Corpus(utts, {"tooshort": np.zeros((1, 4))})

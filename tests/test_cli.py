@@ -294,6 +294,18 @@ def test_nonfinite_embedding_fails_backend_fit_without_output(pipeline, tmp_path
     assert not out.exists()
 
 
+def test_backend_fit_reads_no_feature_file(pipeline, tmp_path):
+    """backend-fit uses the corpus labels only: without the features it
+    writes the same backend."""
+    corpus = tmp_path / "labels"
+    shutil.copytree(pipeline["corpus"], corpus, ignore=shutil.ignore_patterns("features"))
+    out = tmp_path / "backend.axvr"
+    assert dispatch(["backend-fit", "--config", pipeline["config"], "--embeddings",
+                     pipeline["emb"], "--corpus", str(corpus), "--out", str(out)]) == 0
+    with open(pipeline["backend"], "rb") as handle:
+        assert out.read_bytes() == handle.read()
+
+
 def _fresh_interpreter_exit_code(code: str) -> int:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}

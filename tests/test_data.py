@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,13 +70,18 @@ class TestGeneration:
 
     # SHA-256 of the feature-file bytes, in corpus order, of corpora written
     # by the per-utterance generator that ran scipy.signal.lfilter on each
-    # utterance; the stacked recursion must keep every byte
+    # utterance; the stacked recursion must keep every byte.  The last row
+    # (160 utterances, three generation blocks) was taken from the generator
+    # that filtered the whole corpus in one stack.
     @pytest.mark.parametrize("overrides, digest", [
         ({}, "dc1dd13ae10e8ea25cb07a2e70836f63d4bc38c7f446e7c4e8841460ab99a68f"),
         ({"ar_coefficient": 0.95, "frames_min": 15, "frames_max": 40},
          "da583e5b3ba6fb18cbd9225732c5a2ef4bef35db5a43a18f28f97367ae886908"),
         ({"ar_coefficient": 0.0},
          "a28b54536046e54a93610f9405c6aa99f29ffca54e48294b5854e1940be93f5d"),
+        ({"num_speakers": 20, "utts_per_speaker": 8, "ar_coefficient": 0.8,
+          "frames_min": 10, "frames_max": 60},
+         "3544fa01af63db9e37883e50ca17e9a8ea8b9912a8a9ad339268ffdd8c106b8a"),
     ])
     def test_feature_bytes_are_pinned(self, overrides, digest):
         corpus = D.generate_corpus(small_spec(**overrides))
@@ -83,6 +89,24 @@ class TestGeneration:
         for utt in corpus.utterances:
             sha.update(D.feature_file_bytes(corpus.features(utt.utt_id)))
         assert sha.hexdigest() == digest
+
+    def test_working_memory_is_one_block(self):
+        """The traced peak of generating a corpus of more than four blocks
+        stays below its float32 features plus twice one block's float64
+        noise stack; a stack for the whole corpus would add four."""
+        spec = small_spec(num_speakers=4 * D.GENERATION_BLOCK + 1, utts_per_speaker=1,
+                          feature_dim=30, frames_min=100, frames_max=300)
+        block_noise = D.GENERATION_BLOCK * spec.frames_max * spec.feature_dim * 8
+        tracemalloc.start()
+        try:
+            corpus = D.generate_corpus(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        features = [corpus.features(u.utt_id) for u in corpus.utterances]
+        assert all(f.dtype == np.float32 for f in features)
+        feature_bytes = sum(f.nbytes for f in features)
+        assert peak < feature_bytes + 2 * block_noise, (peak, feature_bytes, block_noise)
 
 
 class TestArFilter:
@@ -164,6 +188,8 @@ class TestCorpusIo:
             assert utt.speaker_id == original.speaker_id
             assert utt.condition == original.condition
             assert np.array_equal(loaded.features(utt.utt_id), corpus.features(utt.utt_id))
+            assert loaded.features(utt.utt_id).dtype == np.float32
+            assert corpus.features(utt.utt_id).dtype == np.float32
 
     def test_utterance_lookup_by_id(self):
         corpus = D.generate_corpus(small_spec())

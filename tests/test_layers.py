@@ -24,6 +24,27 @@ def make_bn_layer(channels, momentum=0.1, eps=1e-5):
     return L.BatchNormLayer("bn", channels, momentum, eps)
 
 
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_caches_the_sign_mask_only(self, rng, dtype):
+        x = rng.normal(size=(3, 7, 4)).astype(dtype)
+        x[0, :2] = 0.0
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        relu = L.ReluLayer("act")
+        out, mask = relu.forward(x, "train")
+        assert np.array_equal(out, np.maximum(x, 0.0)) and out.dtype == dtype
+        assert mask.dtype == np.bool_ and np.array_equal(mask, x > 0)
+        d_x = relu.backward(mask, upstream)
+        assert d_x.dtype == dtype and np.array_equal(d_x, upstream * (x > 0))
+
+    def test_infer_mode_keeps_no_cache(self, rng):
+        relu = L.ReluLayer("act")
+        out, cache = relu.forward(rng.normal(size=(2, 5, 3)), "infer")
+        assert cache is None
+        with pytest.raises(ValueError, match="act: backward needs a train-mode forward"):
+            relu.backward(cache, np.ones_like(out))
+
+
 class TestBatchNorm:
     def test_infer_identity(self, rng):
         bn = make_bn_layer(3, eps=1e-12)

@@ -37,7 +37,8 @@ def _batch(rng, batch, frames, dim):
 def test_float32_train_pass_stays_float32(variant):
     """Outputs, input gradients, parameter gradients and cached
     intermediates are float32; only the (batch, frames) attention and pooling
-    weights are float64, and every parameter value is float64."""
+    weights are float64, a ReLU caches the bool mask of its input, and every
+    parameter value is float64."""
     rng = np.random.default_rng(3)
     model = M.build(M.ArchConfig(**{**TOY_ARCH, "variant": variant}), seed=3)
     h = batch = _batch(rng, 4, 40, 30)
@@ -47,7 +48,10 @@ def test_float32_train_pass_stays_float32(variant):
         h, cache = lyr.forward(x, "train")
         assert h.dtype == np.float32, f"{lyr.name} output is {h.dtype}"
         for a in _arrays(cache):
-            if a.dtype != np.float32:
+            if a.dtype == np.bool_:
+                assert isinstance(lyr, M.ReluLayer) and a.shape == x.shape, \
+                    f"{lyr.name} caches a bool array of shape {a.shape}"
+            elif a.dtype != np.float32:
                 assert a.dtype == np.float64 and x.ndim == 3 and a.shape == x.shape[:-1], \
                     f"{lyr.name} caches a {a.dtype} array of shape {a.shape}"
         caches.append(cache)

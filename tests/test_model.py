@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import os
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -41,6 +43,20 @@ class TestArchConfig:
 
 
 class TestBuild:
+    # SHA-256 of the parameter values, in order, of tiny models drawn by the
+    # initializer that drew each pool entry apart and scaled a copy
+    @pytest.mark.parametrize("variant, digest", [
+        ("baseline", "0928faf452d8a8828460cc40d2b5e83e594ebed467085e0e624515813e92c5be"),
+        ("acnn", "326f0c25344d0b9006f14c07026aef959195fae049606b14ec5993d53a1e7d14"),
+        ("abn", "8c476ed9171177a761c63b1815d63983164910506131ed79db0bdffe155bcf6b"),
+        ("acnn_abn", "f279d2da2cfdb34cf4c2aeb8d7226d8afb728e75f57b50ad45b30ba466395d4e"),
+    ])
+    def test_initial_values_are_pinned(self, variant, digest):
+        sha = hashlib.sha256()
+        for p in M.build(tiny_config(variant), seed=4).params():
+            sha.update(p.value.tobytes())
+        assert sha.hexdigest() == digest
+
     def test_full_size_baseline_dimensions(self):
         model = M.build(M.ArchConfig(**FULL_SIZE), seed=0)
         frame5 = model.layer("frame5.conv")
@@ -208,6 +224,28 @@ class TestCheckpoint:
             assert np.array_equal(pa.value, value) and value.dtype == np.float64
             assert value.flags.c_contiguous and value.flags.writeable
         assert not any(np.shares_memory(a, b) for i, a in enumerate(values) for b in values[:i])
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_load_holds_the_records_and_little_else(self, tmp_path, variant):
+        """The loaded layout takes each record's array as its value and
+        allocates no values of its own: the traced peak of load_model stays
+        within a quarter above the record bytes (a zero layout doubles it)."""
+        cfg = M.ArchConfig(input_dim=30, frame_dims=(64, 64, 64, 64, 192),
+                           utterance_dims=(64, 64), attention_hidden=32, num_speakers=8,
+                           variant=variant)
+        model = M.build(cfg, seed=4)
+        model.forward(np.ones((2, cfg.min_frames, 30)), mode="train")
+        path = str(tmp_path / "model.ckpt")
+        M.save_model(model, path)
+        record_bytes = sum(p.value.nbytes for p in model.params())
+        record_bytes += sum(v.nbytes for _, v in model.state_items())
+        tracemalloc.start()
+        try:
+            M.load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * record_bytes, (peak, record_bytes)
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_built_and_loaded_models_hold_no_gradients(self, tmp_path, variant):

@@ -240,7 +240,7 @@ class TestActivations:
         def loss():
             return float(np.sum(N.relu(x) * probe))
 
-        check_grads(loss, [("input", x, N.relu_backward(x, probe))], tol=1e-6)
+        check_grads(loss, [("input", x, N.relu_backward(x > 0.0, probe))], tol=1e-6)
 
     def test_tanh_gradient(self, rng):
         x = rng.normal(size=(4, 3))

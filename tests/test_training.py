@@ -275,8 +275,9 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_one_step_of_caches_alive(self, monkeypatch, variant):
-        """No array of a step's caches outlives its backward: none is alive
-        when the next step's forward starts or once ``train`` returns."""
+        """No array of a step's caches outlives its backward, and no gradient
+        outlives its update: none is alive when the next step's forward
+        starts or once ``train`` returns."""
         model = M.build(tiny_arch(variant), seed=4)
         watched = []
         forwards = []
@@ -286,6 +287,7 @@ class TestTrainLoop:
 
         def forward_train(x):
             assert not alive(), f"{alive()} cache arrays of the previous step alive at a forward"
+            assert all(p.grad is None for p in model.params())
             logits, caches = real_forward(x)
             watched[:] = [weakref.ref(a) for a in _arrays(caches) if a is not x]
             forwards.append(x.shape)
@@ -295,6 +297,7 @@ class TestTrainLoop:
         monkeypatch.setattr(model, "forward_train", forward_train)
         T.train(model, micro_corpus(), micro_train_config(total_steps=6))
         assert not alive(), f"{alive()} cache arrays alive after train returned"
+        assert all(p.grad is None for p in model.params())
         assert len(forwards) == 6
         assert len(watched) > 10
 
