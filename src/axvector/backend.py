@@ -7,6 +7,10 @@ variable with between-class covariance plus a session variable with
 within-class covariance.  The verification score is the log-likelihood ratio
 between the shared-speaker and independent-speaker hypotheses, computed in
 closed form.
+
+A score file names each trial once: ``read_scores``, its one reader, maps
+(enroll, test) to the score in file order and refuses a repeated trial at
+its line, and ``write_scores`` keeps a map's order.
 """
 
 from __future__ import annotations
@@ -260,17 +264,13 @@ class PldaScorer:
 
         llr = 0.5 e'Qe + 0.5 t'Qt + e'Pt + 0.5 log(|A| / |D|)
         Q = A^-1 - D^-1,  P = D^-1 between A^-1
+
+    A zero speaker covariance (a single-class fit) gives D = A, so Q, P and
+    the offset are exactly zero and every pair scores +0.0.
     """
 
     def __init__(self, model: PldaModel):
         self.mean = model.mean
-        dim = model.dim
-        if not np.any(model.between):
-            # both hypotheses coincide: every pair scores zero
-            self.quad = np.zeros((dim, dim))
-            self.cross = np.zeros((dim, dim))
-            self.offset = 0.0
-            return
         total = model.between + model.within
         tot_inv_b = np.linalg.solve(total, model.between)          # A^-1 B
         diff = total - model.between @ tot_inv_b                   # A - B A^-1 B
@@ -309,38 +309,33 @@ class PldaScorer:
 # ---------------------------------------------------------------------------
 
 
-def fuse_scores(score_lists: list[list[tuple[str, str, float]]]) -> list[tuple[str, str, float]]:
-    """Per-trial arithmetic mean of the input score lists.
-
-    All lists must cover exactly the same trial keys; the fused output keeps
-    the first list's order.
-    """
-    require(len(score_lists) >= 1, "need at least one score list")
-    base = score_lists[0]
-    base_keys = [(e, t) for e, t, _ in base]
-    key_set = set(base_keys)
-    require(len(key_set) == len(base_keys), "duplicate trials in the first score list")
-    maps = []
-    for i, scores in enumerate(score_lists):
-        table = {(e, t): s for e, t, s in scores}
-        require(len(table) == len(scores), f"duplicate trials in score list {i}")
-        missing = key_set - set(table)
-        extra = set(table) - key_set
-        if missing or extra:
-            offender = sorted(missing or extra)[0]
-            kind = "missing" if missing else "extra"
-            raise ValueError(f"score list {i} has {kind} trial {offender[0]} {offender[1]}")
-        maps.append(table)
-    return [(e, t, sum(m[(e, t)] for m in maps) / len(maps)) for e, t in base_keys]
+def fuse_scores(score_maps: list[dict], names: list[str]) -> dict:
+    """Per-trial arithmetic mean of the ``read_scores`` maps of the files
+    ``names``, in the first map's order.  A map that lacks one of the first
+    map's trials, or scores one it lacks, fails naming its file."""
+    require(1 <= len(score_maps) == len(names), "need one name per score map, at least one")
+    base = score_maps[0]
+    for name, table in zip(names[1:], score_maps[1:]):
+        missing = base.keys() - table.keys()
+        if missing:
+            raise ValueError(f"{name}: no score for trial {' '.join(min(missing))}")
+        if len(table) != len(base):
+            extra = min(table.keys() - base.keys())
+            raise ValueError(f"{name}: scores trial {' '.join(extra)}, which {names[0]} "
+                             f"does not")
+    return {key: sum(m[key] for m in score_maps) / len(score_maps) for key in base}
 
 
-def write_scores(path: str, scores: list[tuple[str, str, float]]) -> None:
-    atomic_write_text(path, "".join(f"{e} {t} {s:.6f}\n" for e, t, s in scores))
+def write_scores(path: str, scores: dict) -> None:
+    """One ``enroll test score`` line per trial of ``scores``, in its order."""
+    atomic_write_text(path, "".join(f"{e} {t} {s:.6f}\n" for (e, t), s in scores.items()))
 
 
-def read_scores(path: str) -> list[tuple[str, str, float]]:
-    """``enroll test score`` lines; every score must be a finite number."""
-    out = []
+def read_scores(path: str) -> dict:
+    """``enroll test score`` lines as a map from (enroll, test) to the score,
+    in file order.  Every score must be a finite number, and a trial may be
+    scored only once."""
+    out = {}
     for line_no, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3:
@@ -351,7 +346,10 @@ def read_scores(path: str) -> list[tuple[str, str, float]]:
             score = math.nan
         if not math.isfinite(score):
             raise FormatError(f"{path}:{line_no}: score {parts[2]!r} is not a finite number")
-        out.append((parts[0], parts[1], score))
+        key = (parts[0], parts[1])
+        if key in out:
+            raise FormatError(f"{path}:{line_no}: trial {parts[0]} {parts[1]} is scored twice")
+        out[key] = score
     return out
 
 

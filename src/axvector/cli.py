@@ -14,6 +14,10 @@ lazily inside the handlers, so a stage loads only what it uses: importing
 stage would pay before its first step.  All outputs are written atomically,
 and only once the stage has computed them all, so a failed run leaves no
 partial files behind.
+
+A trial list and a score file each name a trial once.  ``score`` writes in
+trial-list order; ``evaluate``, ``det-export``, ``fuse`` and ``sweep-n`` read
+scores only through ``backend.read_scores``, which refuses a repeated trial.
 """
 
 from __future__ import annotations
@@ -55,11 +59,6 @@ def _naming(path: str):
         yield
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: {exc.args[0]}") from exc
-
-
-def _score_map(path: str) -> dict:
-    from . import backend
-    return {(e, t): s for e, t, s in backend.read_scores(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def cmd_score(backend_path: str, embeddings: str, trials: str, out: str) -> None
     enroll = np.stack([projected[t.enroll] for t in trial_list])
     test = np.stack([projected[t.test] for t in trial_list])
     values = backend.PldaScorer(plda).score_pairs(enroll, test)
-    scores = [(t.enroll, t.test, float(v)) for t, v in zip(trial_list, values)]
+    scores = {(t.enroll, t.test): float(v) for t, v in zip(trial_list, values)}
     backend.write_scores(out, scores)
     _log(f"scored {len(scores)} trials")
 
@@ -193,19 +192,18 @@ def cmd_score(backend_path: str, embeddings: str, trials: str, out: str) -> None
 def cmd_fuse(out: str, scores: list[str]) -> None:
     from . import backend
 
-    lists = [backend.read_scores(path) for path in scores]
-    fused = backend.fuse_scores(lists)
+    fused = backend.fuse_scores([backend.read_scores(path) for path in scores], scores)
     backend.write_scores(out, fused)
-    _log(f"fused {len(lists)} systems over {len(fused)} trials")
+    _log(f"fused {len(scores)} systems over {len(fused)} trials")
 
 
 def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
                  out_prefix: str | None) -> None:
-    from . import data, metrics
+    from . import backend, data, metrics
     from .serialize import atomic_write_text
 
     condition_of = data.read_key_value_file(utt2cond) if utt2cond else None
-    trial_list, score_map = data.read_trials(trials), _score_map(scores)
+    trial_list, score_map = data.read_trials(trials), backend.read_scores(scores)
     if condition_of is not None:
         for trial in trial_list:
             if trial.test not in condition_of:
@@ -220,15 +218,23 @@ def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
 
 
 def cmd_det_export(trials: str, out_dir: str, svg: str, scores: list[str]) -> None:
-    from . import data, metrics
+    from . import backend, data, metrics
     from .serialize import atomic_write_text
 
+    # each score file's CSV is named by its stem, and no output is written twice
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in scores]
+    writer = {os.path.normpath(svg): f"--svg {svg}"}
+    for path, stem in zip(scores, stems):
+        name = f"det_{stem}.csv"
+        if name in writer:
+            raise ValueError(f"{path} and {writer[name]} would both write "
+                             f"{os.path.join(out_dir, name)}")
+        writer[name] = path
     trial_list = data.read_trials(trials)
     # every file is built in memory first, so a bad score file writes nothing
     files, curves = {}, []
-    for path in scores:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        score_map = _score_map(path)
+    for path, stem in zip(scores, stems):
+        score_map = backend.read_scores(path)
         with _naming(path):
             target, nontarget = metrics.labeled_scores(trial_list, score_map)
         thresholds, p_fa, p_miss = metrics.det_points(target, nontarget)
@@ -247,7 +253,7 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
     """Train, extract, fit and score the adaptive-conv variant at each pool
     size in ``values``, all under the one ``config``, and tabulate the
     metrics of each."""
-    from . import data, metrics
+    from . import backend, data, metrics
     from .serialize import atomic_write_text
 
     sizes = [int(v) for v in values.split(",") if v.strip()]
@@ -271,7 +277,7 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
         cmd_extract(ckpt, corpus, emb)
         cmd_backend_fit(config, emb, corpus, bke)
         cmd_score(bke, emb, trials, scores)
-        report = metrics.build_report(trial_list, _score_map(scores), config.metrics)
+        report = metrics.build_report(trial_list, backend.read_scores(scores), config.metrics)
         rows.append((n, report["overall"]))
     header = ["pool_size", "eer_pct"] + [k for k in rows[0][1] if k.startswith("min_dcf_p")] \
         + ["act_dcf"]

@@ -1,9 +1,10 @@
 """Experiment configuration: one JSON document with one section per stage.
 
 Unknown keys are rejected at every level so a typo fails loudly instead of
-silently falling back to a default.  Everything defining the experiment,
-seeds included, lives here, and no command-line flag overrides a setting;
-``sweep-n`` runs all its pool sizes in one process from one loaded config.
+silently falling back to a default, and an error in a config file names
+that file.  Everything defining the experiment, seeds included, lives here,
+and no command-line flag overrides a setting; ``sweep-n`` runs all its pool
+sizes in one process from one loaded config.
 The two architecture fields that are not settings are refused: the variant
 comes from ``train --arch`` and the speaker count from the corpus split.
 """
@@ -101,7 +102,10 @@ class RunConfig:
                 data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def validate(self) -> None:
         self.corpus.validate()

@@ -408,11 +408,16 @@ def write_trials(path: str, trials: list[Trial]) -> None:
 
 
 def read_trials(path: str) -> list[Trial]:
-    trials = []
+    """``enroll test target|nontarget`` lines; a trial list names each
+    (enroll, test) pair once."""
+    trials, seen = [], set()
     for line_no, line in text_lines(path):
         parts = line.split()
         if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
             raise FormatError(f"{path}:{line_no}: expected 'enroll test target|nontarget', "
                               f"got {line!r}")
+        if (parts[0], parts[1]) in seen:
+            raise FormatError(f"{path}:{line_no}: trial {parts[0]} {parts[1]} is listed twice")
+        seen.add((parts[0], parts[1]))
         trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
     return trials

@@ -230,30 +230,11 @@ def weighted_moments(values, weights) -> tuple[np.ndarray, np.ndarray]:
     return mean, second - mean * mean
 
 
-def weighted_stats(values, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted per-channel mean and standard deviation over frames.
-
-    mean = sum_t w_t v_t
-    std  = sqrt(max(sum_t w_t v_t*v_t - mean*mean, VARIANCE_FLOOR))
-
-    ``values`` is (frames, channels) or a (batch, frames, channels) stack with
-    one weight vector per utterance.  Weights must be nonnegative and sum to
-    one.
-    """
-    values = as_float(values)
-    require(values.ndim in (2, 3) and values.shape[-2] >= 1,
-            f"values must be (frames, channels) with frames >= 1, got {values.shape}")
-    mean, raw_var = weighted_moments(values, _check_weights(values, weights))
-    return mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
-
-
 def weighted_stats_backward(values, weights, d_mean, d_std,
-                            moments=None) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of weighted_stats w.r.t. values and weights.
-
-    ``moments`` is the forward's (mean, raw variance) from weighted_moments;
-    it is recomputed when omitted.  The variance floor contributes zero
-    gradient while active.
+                            moments) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients w.r.t. values and weights of mean = sum_t w_t v_t and
+    std = sqrt(max(raw variance, VARIANCE_FLOOR)), given the forward's
+    weighted_moments ``moments``.  The floor gives zero gradient while active.
     """
     values = as_float(values)
     weights = _check_weights(values, weights)
@@ -263,7 +244,7 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
     return d_values, d_weights
 
 
-def weighted_stats_values_backward(values, weights, d_mean, d_std, moments=None) -> np.ndarray:
+def weighted_stats_values_backward(values, weights, d_mean, d_std, moments) -> np.ndarray:
     """The values gradient of weighted_stats_backward alone, for weights that
     are constants (plain statistics pooling)."""
     values = as_float(values)
@@ -271,9 +252,9 @@ def weighted_stats_values_backward(values, weights, d_mean, d_std, moments=None)
 
 
 def _stats_backward(values, weights, d_mean, d_std, moments):
-    """(d_values, effective mean gradient, variance gradient) of
-    weighted_stats for checked weights in the values' dtype."""
-    mean, raw_var = weighted_moments(values, weights) if moments is None else moments
+    """(d_values, effective mean gradient, variance gradient) of the
+    weighted statistics for checked weights in the values' dtype."""
+    mean, raw_var = moments
     std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
     d_var = np.where(raw_var > VARIANCE_FLOOR, as_float(d_std) / (2.0 * std), 0.0)
     d_mean_eff = as_float(d_mean) - 2.0 * mean * d_var

@@ -406,7 +406,7 @@ def test_toy_scores_separate_target_from_nontarget(toy_run_a):
     stochastically above nontarget trials (median separation > 0)."""
     trials = D.read_trials(os.path.join(toy_run_a["corpus"], "trials.txt"))
     for tag in ("baseline", "acnn", "abn", "acnn_abn"):
-        score_map = {(e, t): s for e, t, s in B.read_scores(toy_run_a["scores"][tag])}
+        score_map = B.read_scores(toy_run_a["scores"][tag])
         target = [score_map[(t.enroll, t.test)] for t in trials if t.target]
         nontarget = [score_map[(t.enroll, t.test)] for t in trials if not t.target]
         assert np.median(target) > np.median(nontarget), tag

@@ -286,34 +286,43 @@ class TestPldaScoring:
 
 class TestFusionAndScores:
     def test_self_fusion_identity(self):
-        scores = [("a", "b", 1.5), ("a", "c", -0.5)]
-        assert B.fuse_scores([scores, scores]) == scores
+        scores = {("a", "b"): 1.5, ("a", "c"): -0.5}
+        assert B.fuse_scores([scores, scores], ["s", "s"]) == scores
 
     def test_equal_weight_mean(self):
-        one = [("a", "b", 1.0)]
-        two = [("a", "b", 3.0)]
-        assert B.fuse_scores([one, two]) == [("a", "b", 2.0)]
+        one = {("a", "b"): 1.0}
+        two = {("a", "b"): 3.0}
+        assert B.fuse_scores([one, two], ["one", "two"]) == {("a", "b"): 2.0}
 
     def test_missing_trial_named(self):
-        one = [("a", "b", 1.0), ("a", "c", 2.0)]
-        two = [("a", "b", 1.0)]
-        with pytest.raises(ValueError, match="a c"):
-            B.fuse_scores([one, two])
+        one = {("a", "b"): 1.0, ("a", "c"): 2.0}
+        two = {("a", "b"): 1.0}
+        with pytest.raises(ValueError, match="^two: .*a c"):
+            B.fuse_scores([one, two], ["one", "two"])
+        with pytest.raises(ValueError, match="^one: .*a c.*which two"):
+            B.fuse_scores([two, one], ["two", "one"])
 
     def test_order_preserved(self):
-        one = [("x", "y", 1.0), ("a", "b", 2.0)]
-        two = [("a", "b", 4.0), ("x", "y", 3.0)]
-        fused = B.fuse_scores([one, two])
-        assert [(e, t) for e, t, _ in fused] == [("x", "y"), ("a", "b")]
+        one = {("x", "y"): 1.0, ("a", "b"): 2.0}
+        two = {("a", "b"): 4.0, ("x", "y"): 3.0}
+        fused = B.fuse_scores([one, two], ["one", "two"])
+        assert list(fused) == [("x", "y"), ("a", "b")]
 
     def test_score_file_round_trip(self, tmp_path):
-        scores = [("a", "b", 1.23456789), ("c", "d", -0.000001)]
+        scores = {("c", "d"): -0.000001, ("a", "b"): 1.23456789}
         path = str(tmp_path / "scores.txt")
         B.write_scores(path, scores)
         text = open(path).read()
-        assert "a b 1.234568\n" in text
+        assert text == "c d -0.000001\na b 1.234568\n"
         loaded = B.read_scores(path)
-        assert loaded[0][2] == pytest.approx(1.234568, abs=1e-9)
+        assert list(loaded) == list(scores)
+        assert loaded[("a", "b")] == pytest.approx(1.234568, abs=1e-9)
+
+    def test_repeated_trial_refused(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        path.write_text("a b 1.0\na c 2.0\na b 1.0\n")
+        with pytest.raises(FormatError, match=r"scores\.txt:3: trial a b is scored twice"):
+            B.read_scores(str(path))
 
 
 def test_backend_save_load_round_trip(tmp_path, rng):

@@ -216,7 +216,7 @@ def test_evaluate_matches_direct_metric_calls(pipeline, capsys, tmp_path):
     report = json.loads(open(prefix + ".json").read())
 
     trials = D.read_trials(trials_path)
-    scores = {(e, t): s for e, t, s in B.read_scores(pipeline["scores"])}
+    scores = B.read_scores(pipeline["scores"])
     target = [scores[(t.enroll, t.test)] for t in trials if t.target]
     nontarget = [scores[(t.enroll, t.test)] for t in trials if not t.target]
     assert report["overall"]["eer"] == X.eer(target, nontarget)
@@ -340,7 +340,7 @@ class TestDetExport:
         assert rows[0] == "threshold,p_fa,p_miss"
 
         trials = D.read_trials(trials_path)
-        score_map = {(e, t): s for e, t, s in B.read_scores(pipeline["scores"])}
+        score_map = B.read_scores(pipeline["scores"])
         target = [score_map[(t.enroll, t.test)] for t in trials if t.target]
         nontarget = [score_map[(t.enroll, t.test)] for t in trials if not t.target]
         th, p_fa, p_miss = X.det_points(target, nontarget)
@@ -356,12 +356,29 @@ class TestDetExport:
         corpus = pipeline["corpus"]
         other = str(tmp_path / "other.txt")
         scores = B.read_scores(pipeline["scores"])
-        B.write_scores(other, [(e, t, s + 0.5) for e, t, s in scores])
+        B.write_scores(other, {key: s + 0.5 for key, s in scores.items()})
         assert dispatch(["det-export", "--trials", os.path.join(corpus, "trials.txt"),
                          "--out-dir", str(out_dir), pipeline["scores"], other]) == 0
         svg = (out_dir / "det.svg").read_text()
         assert svg.count("<polyline") == 2
         assert "scores" in svg and "other" in svg
+
+    def test_repeated_output_name_refused(self, pipeline, tmp_path, capsys):
+        """Two score files of one stem, or an --svg named like a CSV, would
+        write one file twice: refused, naming both sources, before any write."""
+        trials = os.path.join(pipeline["corpus"], "trials.txt")
+        other = str(tmp_path / "other" / "scores.txt")
+        os.makedirs(os.path.dirname(other))
+        shutil.copyfile(pipeline["scores"], other)
+        out_dir = tmp_path / "det"
+        for argv, sources in (([pipeline["scores"], other], [pipeline["scores"], other]),
+                              (["--svg", "det_scores.csv", other], ["--svg", other])):
+            assert dispatch(["det-export", "--trials", trials, "--out-dir", str(out_dir),
+                             *argv]) == 1
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == 1 and all(src in errors[0] for src in sources), errors
+            assert not out_dir.exists()
 
     def test_separable_curve_hugs_axes(self, tmp_path):
         trials = tmp_path / "t.txt"
@@ -440,8 +457,20 @@ def _bad_inputs(pipeline, tmp_path):
     B.EmbeddingTable(table.ids[1:], table.vectors[1:]).save(partial)
     ghost_trials = tmp_path / "ghost_trials.txt"
     ghost_trials.write_text(open(trials).read() + f"ghost {table.ids[0]} nontarget\n")
+    score_lines = open(pipeline["scores"]).readlines()
     short = tmp_path / "short_scores.txt"
-    short.write_text("".join(open(pipeline["scores"]).readlines()[:-1]))
+    short.write_text("".join(score_lines[:-1]))
+    enroll, test, _ = score_lines[0].split()
+    repeated_score = tmp_path / "repeated.scores"
+    repeated_score.write_text("".join(score_lines) + f"{enroll} {test} 0.5\n")
+    repeated_trial = tmp_path / "repeated_trials.txt"
+    repeated_trial.write_text(open(trials).read() + open(trials).readline())
+    same_stem = [str(tmp_path / side / "s.scores") for side in ("x", "y")]
+    for path in same_stem:
+        os.makedirs(os.path.dirname(path))
+        shutil.copyfile(pipeline["scores"], path)
+    bad_key_config = tmp_path / "bad_key.json"
+    bad_key_config.write_text(json.dumps({"corpus": {"bogus": 1}}))
     missing = str(tmp_path / "missing.ckpt")
     no_meta = str(tmp_path / "no_meta")
     shutil.copytree(pipeline["corpus"], no_meta, ignore=shutil.ignore_patterns("corpus.json"))
@@ -478,6 +507,19 @@ def _bad_inputs(pipeline, tmp_path):
         "sweep-corpus-lacks-trials": (
             ["sweep-n", "--config", str(no_split_config), "--corpus", no_split,
              "--out-dir", out, "--values", "2"], os.path.join(no_split, "trials.txt"), out),
+        "score-file-repeats-a-trial": (
+            ["evaluate", "--scores", str(repeated_score), "--trials", trials,
+             "--out-prefix", out], str(repeated_score), out + ".txt"),
+        "trial-list-repeats-a-pair": (
+            score + ["--embeddings", pipeline["emb"], "--trials", str(repeated_trial)],
+            str(repeated_trial), out),
+        "fused-score-file-lacks-a-trial": (
+            ["fuse", "--out", out, pipeline["scores"], str(short)], str(short), out),
+        "score-files-share-a-stem": (
+            ["det-export", "--trials", trials, "--out-dir", out, *same_stem], same_stem[1], out),
+        "config-has-an-unknown-key": (
+            ["gen-data", "--config", str(bad_key_config), "--out", out], str(bad_key_config),
+            out),
         "utt2cond-lacks-a-test-utterance": (
             ["evaluate", "--scores", pipeline["scores"], "--trials", trials,
              "--utt2cond", str(partial_cond), "--out-prefix", out], str(partial_cond),
@@ -490,7 +532,10 @@ def _bad_inputs(pipeline, tmp_path):
                                   "training-utterance-absent-from-embeddings",
                                   "score-file-lacks-a-trial", "second-score-file-lacks-a-trial",
                                   "corpus-lacks-corpus-json", "sweep-corpus-lacks-trials",
-                                  "utt2cond-lacks-a-test-utterance"])
+                                  "utt2cond-lacks-a-test-utterance",
+                                  "score-file-repeats-a-trial", "trial-list-repeats-a-pair",
+                                  "fused-score-file-lacks-a-trial", "score-files-share-a-stem",
+                                  "config-has-an-unknown-key"])
 def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, capsys, kind):
     argv, offending, out = _bad_inputs(pipeline, tmp_path)[kind]
     assert dispatch(argv) == 1

@@ -281,6 +281,12 @@ class TestTrials:
         first_line = open(path).readline().split()
         assert len(first_line) == 3 and first_line[2] in ("target", "nontarget")
 
+    def test_repeated_pair_refused(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_text("a b target\nb a nontarget\na b nontarget\n")
+        with pytest.raises(FormatError, match=r"trials\.txt:3: trial a b is listed twice"):
+            D.read_trials(str(path))
+
 
 def metadata_corpus(speaker_of: dict[str, str]) -> D.Corpus:
     """A corpus of utterance ids and speakers only; trials need no features."""

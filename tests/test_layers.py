@@ -24,6 +24,12 @@ def make_bn_layer(channels, momentum=0.1, eps=1e-5):
     return L.BatchNormLayer("bn", channels, momentum, eps)
 
 
+def floored_stats(values, weights):
+    """Weighted mean and floored standard deviation from weighted_moments."""
+    mean, raw_var = N.weighted_moments(values, weights)
+    return mean, np.sqrt(np.maximum(raw_var, N.VARIANCE_FLOOR))
+
+
 class TestRelu:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_caches_the_sign_mask_only(self, rng, dtype):
@@ -120,7 +126,7 @@ class TestStatsPooling:
     def test_matches_uniform_weighted_stats(self, rng):
         frames = rng.normal(size=(1, 7, 3))
         out, _ = self.pool.forward(frames, "train")
-        mean, std = N.weighted_stats(frames, np.full((1, 7), 1 / 7))
+        mean, std = floored_stats(frames, np.full((1, 7), 1 / 7))
         np.testing.assert_allclose(out, np.concatenate([mean, std], axis=-1), rtol=1e-15)
 
     @given(st.integers(0, 2 ** 30))
@@ -169,7 +175,7 @@ class TestAcnnContext:
         frames = rng.normal(size=(1, 6, 4))
         context, cache = lyr.context(frames)
         np.testing.assert_allclose(cache["attn"], 1 / 6, rtol=1e-15)
-        mean, std = N.weighted_stats(frames, np.full((1, 6), 1 / 6))
+        mean, std = floored_stats(frames, np.full((1, 6), 1 / 6))
         np.testing.assert_allclose(context, np.concatenate([mean, std], axis=-1), rtol=1e-12)
 
     def test_single_frame(self, rng):

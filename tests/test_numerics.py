@@ -146,15 +146,22 @@ class TestSoftmax:
         check_grads(loss, [("logits", v, analytic)], tol=1e-6)
 
 
+def floored_stats(values, weights):
+    """The forward of the weighted statistics, as the pooling layers compute
+    it: weighted_moments plus the floored square root of the variance."""
+    mean, raw_var = N.weighted_moments(values, weights)
+    return mean, np.sqrt(np.maximum(raw_var, N.VARIANCE_FLOOR))
+
+
 class TestWeightedStats:
     def test_constant_values_floor(self):
         values = np.full((4, 3), 2.5)
-        mean, std = N.weighted_stats(values, np.full(4, 0.25))
+        mean, std = floored_stats(values, np.full(4, 0.25))
         np.testing.assert_allclose(mean, 2.5, rtol=1e-15)
         np.testing.assert_allclose(std, np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
 
     def test_hand_computation(self):
-        mean, std = N.weighted_stats(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
+        mean, std = floored_stats(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(mean, [1.0], rtol=1e-15)
         np.testing.assert_allclose(std, [1.0], rtol=1e-12)
 
@@ -162,23 +169,24 @@ class TestWeightedStats:
         values = rng.normal(size=(5, 4))
         weights = np.zeros(5)
         weights[2] = 1.0
-        mean, std = N.weighted_stats(values, weights)
+        mean, std = floored_stats(values, weights)
         np.testing.assert_allclose(mean, values[2], rtol=1e-15)
         np.testing.assert_allclose(std, np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
 
     def test_rejects_bad_weights(self, rng):
         values = rng.normal(size=(3, 2))
-        with pytest.raises(ValueError, match="sum to 1"):
-            N.weighted_stats(values, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError, match="nonnegative"):
-            N.weighted_stats(values, np.array([1.5, -0.5, 0.0]))
+        for weights, message in (([0.5, 0.5, 0.5], "sum to 1"), ([1.5, -0.5, 0.0], "nonnegative")):
+            weights = np.array(weights)
+            moments = N.weighted_moments(values, weights)
+            with pytest.raises(ValueError, match=message):
+                N.weighted_stats_backward(values, weights, np.ones(2), np.ones(2), moments)
 
     @given(st.integers(2, 8), st.integers(1, 4))
     def test_variance_never_negative(self, frames, dim):
         rng = np.random.default_rng(frames * 10 + dim)
         values = rng.normal(size=(frames, dim)) * 1e-6
         weights = rng.dirichlet(np.ones(frames))
-        _, std = N.weighted_stats(values, weights)
+        _, std = floored_stats(values, weights)
         assert np.all(std >= 0.0)
 
     def test_values_gradient(self, rng):
@@ -188,10 +196,11 @@ class TestWeightedStats:
         probe_s = rng.normal(size=3)
 
         def loss():
-            mean, std = N.weighted_stats(values, weights)
+            mean, std = floored_stats(values, weights)
             return float(mean @ probe_m + std @ probe_s)
 
-        d_values, _ = N.weighted_stats_backward(values, weights, probe_m, probe_s)
+        d_values, _ = N.weighted_stats_backward(values, weights, probe_m, probe_s,
+                                                N.weighted_moments(values, weights))
         check_grads(loss, [("values", values, d_values)], tol=1e-6)
 
     def test_weights_gradient_via_softmax(self, rng):
@@ -203,11 +212,12 @@ class TestWeightedStats:
         probe_s = rng.normal(size=3)
 
         def loss():
-            mean, std = N.weighted_stats(values, N.softmax(logits))
+            mean, std = floored_stats(values, N.softmax(logits))
             return float(mean @ probe_m + std @ probe_s)
 
         weights = N.softmax(logits)
-        _, d_weights = N.weighted_stats_backward(values, weights, probe_m, probe_s)
+        _, d_weights = N.weighted_stats_backward(values, weights, probe_m, probe_s,
+                                                 N.weighted_moments(values, weights))
         analytic = N.softmax_backward(weights, d_weights)
         check_grads(loss, [("logits", logits, analytic)], tol=1e-6)
 
@@ -218,16 +228,18 @@ class TestWeightedStats:
         weights = rng.dirichlet(np.ones(7), size=3)
         probe_m = rng.normal(size=(3, 4)).astype(dtype)
         probe_s = rng.normal(size=(3, 4)).astype(dtype)
-        d_values, _ = N.weighted_stats_backward(values, weights, probe_m, probe_s)
-        alone = N.weighted_stats_values_backward(values, weights, probe_m, probe_s)
+        moments = N.weighted_moments(values, weights.astype(dtype))
+        d_values, _ = N.weighted_stats_backward(values, weights, probe_m, probe_s, moments)
+        alone = N.weighted_stats_values_backward(values, weights, probe_m, probe_s, moments)
         assert alone.dtype == d_values.dtype == dtype
         assert np.array_equal(alone, d_values)
 
     def test_gradient_zero_at_floor(self):
         values = np.full((3, 2), 1.0)
         weights = np.full(3, 1.0 / 3.0)
-        d_values, d_weights = N.weighted_stats_backward(values, weights,
-                                                        np.zeros(2), np.ones(2))
+        d_values, d_weights = N.weighted_stats_backward(values, weights, np.zeros(2),
+                                                        np.ones(2),
+                                                        N.weighted_moments(values, weights))
         assert not d_values.any()
         assert not d_weights.any()
 

@@ -38,7 +38,7 @@ def _valid_trials(path) -> bytes:
 
 
 def _valid_scores(path) -> bytes:
-    B.write_scores(str(path), [("a", "b", 1.25), ("a", "c", -3.5)])
+    B.write_scores(str(path), {("a", "b"): 1.25, ("a", "c"): -3.5})
     return path.read_bytes()
 
 
