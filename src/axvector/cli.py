@@ -18,6 +18,9 @@ partial files behind.
 A trial list and a score file each name a trial once.  ``score`` writes in
 trial-list order; ``evaluate``, ``det-export``, ``fuse`` and ``sweep-n`` read
 scores only through ``backend.read_scores``, which refuses a repeated trial.
+``evaluate`` and ``det-export`` join a score file to the full trial list in
+``metrics.labeled_scores``, which refuses a trial without a score and a
+score for a trial the list does not name.
 """
 
 from __future__ import annotations

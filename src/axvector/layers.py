@@ -4,10 +4,17 @@ Each layer owns its trainable parameters (a ``Param`` holds a value and the
 gradient of the last backward) and, for the normalizations, its running
 statistics.  Every layer works batch-first on (batch, frames, channels)
 arrays, or on (batch, channels) rows after pooling.  ``forward(x, mode)``
-returns ``(output, cache)``, where the cache carries exactly the
-intermediates the hand-written ``backward(cache, upstream)`` needs;
-``backward`` returns the input gradient and sets each parameter's ``grad``
-to that parameter's gradient, once per call, replacing the previous one.
+returns ``(output, cache)``, where the cache holds what the hand-written
+``backward(cache, upstream)`` cannot rebuild in one pass from the layer's
+input: a convolution keeps its input, not the wider window matrix; the
+adaptive convolution keeps its mixing coefficients, not the mixed filter
+banks; the adaptive normalization keeps its input and batch mean, not the
+normalized input.  A backward rebuilds those with the forward's own
+operations on the cached arrays, so its gradients are the same bit for bit,
+and it writes only into arrays it made itself, so a cache stays valid
+through later forwards and backwards.  ``backward`` returns the input
+gradient and sets each parameter's ``grad`` to that parameter's gradient,
+once per call, replacing the previous one.
 Parameter values change only between a forward/backward pair (the optimizer
 updates them in place); the running statistics change only in train mode.
 
@@ -35,7 +42,6 @@ from .numerics import (
     relu,
     relu_backward,
     require,
-    sliding_windows,
     softmax,
     softmax_backward,
     tanh_backward,
@@ -136,13 +142,11 @@ class ConvLayer:
         require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
                 f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
         weight, bias = _cast(x.dtype, self.weight, self.bias)
-        windows = sliding_windows(x, weight.shape[0], self.dilation)
-        return conv_forward(windows, weight, bias), (windows, x.shape, weight)
+        return conv_forward(x, weight, bias, self.dilation), (x, weight)
 
     def backward(self, cache, upstream):
-        windows, shape, weight = cache
-        d_input, d_w, d_b = conv_backward(windows, shape, weight, self.dilation,
-                                          as_float(upstream))
+        x, weight = cache
+        d_input, d_w, d_b = conv_backward(x, weight, self.dilation, as_float(upstream))
         self.weight.grad = d_w
         self.bias.grad = d_b
         return d_input
@@ -206,6 +210,12 @@ class StatsPoolLayer:
 # ---------------------------------------------------------------------------
 # input-conditioned convolution (filters mixed from a pool)
 # ---------------------------------------------------------------------------
+
+
+def _mixed_banks(coeffs: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """One (kernel, in, out) filter bank per row of ``coeffs``: the
+    coefficient-weighted sum of the ``pool`` entries."""
+    return (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
 
 
 class AdaptiveConvLayer:
@@ -292,7 +302,7 @@ class AdaptiveConvLayer:
                                                       self.mix_bias, self.pool_weight,
                                                       self.pool_bias)
         coeffs = context @ mix_weight + mix_bias
-        weights = (coeffs @ pool.reshape(pool.shape[0], -1)).reshape(coeffs.shape[:-1] + pool.shape[1:])
+        weights = _mixed_banks(coeffs, pool)
         bias = coeffs @ pool_bias
         return (weights, bias), {"context": context, "coeffs": coeffs,
                                  "params": (mix_weight, pool, pool_bias)}
@@ -316,15 +326,15 @@ class AdaptiveConvLayer:
         x = _check_frames(x, "adaptive conv")
         context, ctx_cache = self.context(x)
         (weights, bias), mix_cache = self.filters(context)
-        windows = sliding_windows(x, self.pool_weight.value.shape[1], self.dilation)
-        out = conv_forward(windows, weights, bias)
-        return out, {"windows": windows, "shape": x.shape, "weights": weights,
-                     "ctx": ctx_cache, "mix": mix_cache}
+        return conv_forward(x, weights, bias, self.dilation), {"ctx": ctx_cache, "mix": mix_cache}
 
     def backward(self, cache, upstream):
-        d_input, d_weights, d_bias = conv_backward(cache["windows"], cache["shape"],
-                                                   cache["weights"], self.dilation,
-                                                   as_float(upstream))
+        """The banks are remixed from the cached coefficients and pool; the
+        input is the context's frames."""
+        mix = cache["mix"]
+        weights = _mixed_banks(mix["coeffs"], mix["params"][1])
+        d_input, d_weights, d_bias = conv_backward(cache["ctx"]["frames"], weights,
+                                                   self.dilation, as_float(upstream))
         d_context = self.filters_backward(cache["mix"], d_weights, d_bias)
         d_input += self.context_backward(cache["ctx"], d_context)
         return d_input
@@ -354,7 +364,9 @@ class _Normalization:
         self.initialized = False
 
     def _normalize(self, x, mode: str):
-        """(x - mean) / sqrt(var + eps); the statistics take one centring pass."""
+        """(x - mean) / sqrt(var + eps); the statistics take one centring pass.
+        Returns xhat and the statistics its backward needs, including the
+        mean it subtracted, so that ``x`` rebuilds xhat as this did."""
         require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
         x = as_float(x)
         require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
@@ -375,22 +387,26 @@ class _Normalization:
             if not self.initialized:
                 raise RuntimeError("inference-mode normalization before any training update; "
                                    "initialize the running statistics first")
-            xhat = x - self.running_mean.astype(x.dtype, copy=False)
+            mean = self.running_mean.astype(x.dtype, copy=False)
+            xhat = x - mean
             var = self.running_var.astype(x.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
-        return xhat, {"xhat": xhat, "inv_std": inv_std, "mode": mode, "count": count}
+        return xhat, {"mean": mean, "inv_std": inv_std, "mode": mode, "count": count}
 
     @staticmethod
-    def _normalize_backward(cache, d_xhat: np.ndarray) -> np.ndarray:
-        """Gradient through _normalize, computed in place in ``d_xhat`` (a
-        fresh array the caller hands over)."""
-        xhat, inv_std = cache["xhat"], cache["inv_std"]
-        if cache["mode"] == "train":
-            n = float(cache["count"])
+    def _normalize_backward(stats, xhat, d_xhat: np.ndarray, scratch=None) -> np.ndarray:
+        """Gradient through _normalize given its ``stats`` and output
+        ``xhat``, computed in place in ``d_xhat`` (a fresh array the caller
+        hands over).  ``scratch``, when given, receives the product
+        xhat * mean_dx: an array of d_xhat's shape and dtype that the caller
+        owns and no longer needs, xhat itself included."""
+        inv_std = stats["inv_std"]
+        if stats["mode"] == "train":
+            n = float(stats["count"])
             mean_d = _rows(d_xhat).sum(axis=0) / n
             mean_dx = np.einsum("nc,nc->c", _rows(d_xhat), _rows(xhat)) / n
-            d_xhat -= xhat * mean_dx
+            d_xhat -= np.multiply(xhat, mean_dx, out=scratch)
             d_xhat -= mean_d
         d_xhat *= inv_std
         return d_xhat
@@ -427,14 +443,14 @@ class BatchNormLayer(_Normalization):
         gamma, beta = _cast(xhat.dtype, self.gamma, self.beta)
         y = xhat * gamma
         y += beta
-        core["gamma"] = gamma
-        return y, core
+        return y, {**core, "xhat": xhat, "gamma": gamma}
 
     def backward(self, cache, upstream):
         upstream = as_float(upstream)
-        self.gamma.grad = np.einsum("nc,nc->c", _rows(upstream), _rows(cache["xhat"]))
+        xhat = cache["xhat"]
+        self.gamma.grad = np.einsum("nc,nc->c", _rows(upstream), _rows(xhat))
         self.beta.grad = _rows(upstream).sum(axis=0)
-        return self._normalize_backward(cache, upstream * cache["gamma"])
+        return self._normalize_backward(cache, xhat, upstream * cache["gamma"])
 
 
 class AdaptiveNormLayer(_Normalization):
@@ -475,8 +491,9 @@ class AdaptiveNormLayer(_Normalization):
         context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
         return context, {"frames": frames, "feats": feats, "attn": attn, "ctx_weight": ctx_weight}
 
-    def context_backward(self, cache, d_context):
-        """Gradient of context with respect to the frames."""
+    def context_backward(self, cache, d_context, out=None):
+        """Gradient of context with respect to the frames, written into
+        ``out`` when given."""
         frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
         d_context = as_float(d_context)
         d_attn = np.matmul(feats, d_context[..., None])[..., 0]
@@ -486,31 +503,39 @@ class AdaptiveNormLayer(_Normalization):
         d_pre = tanh_backward(feats, d_feats)
         self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.ctx_bias.grad = _rows(d_pre).sum(axis=0)
-        return np.matmul(d_pre, cache["ctx_weight"].T)
+        return np.matmul(d_pre, cache["ctx_weight"].T, out=out)
 
     def forward(self, x, mode):
+        """The input is cached once, as the context's frames; the normalized
+        input becomes the output in place."""
         contexts, ctx_cache = self.context(x)
-        xhat, core = self._normalize(x, mode)
+        y, core = self._normalize(x, mode)
         scale_weight, scale_bias, shift_weight, shift_bias = _cast(
-            xhat.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
+            y.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
         scales = contexts @ scale_weight + scale_bias
         shifts = contexts @ shift_weight + shift_bias
-        y = xhat * scales[:, None, :]
+        y *= scales[:, None, :]
         y += shifts[:, None, :]
         return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales,
                    "params": (scale_weight, shift_weight)}
 
     def backward(self, cache, upstream):
+        """xhat is rebuilt from the cached input, mean and inv_std, in a
+        buffer that then takes xhat * mean_dx and the context's input
+        gradient (when the upstream shares its dtype)."""
         core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
         scale_weight, shift_weight = cache["params"]
         upstream = as_float(upstream)
-        d_scales = np.einsum("btc,btc->bc", upstream, core["xhat"])
+        xhat = cache["ctx"]["frames"] - core["mean"]
+        xhat *= core["inv_std"]
+        d_scales = np.einsum("btc,btc->bc", upstream, xhat)
         d_shifts = upstream.sum(axis=1)
         self.scale_weight.grad = contexts.T @ d_scales
         self.scale_bias.grad = d_scales.sum(axis=0)
         self.shift_weight.grad = contexts.T @ d_shifts
         self.shift_bias.grad = d_shifts.sum(axis=0)
         d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
-        d_input = self._normalize_backward(core, upstream * scales[:, None, :])
-        d_input += self.context_backward(cache["ctx"], d_contexts)
+        scratch = xhat if xhat.dtype == upstream.dtype else None
+        d_input = self._normalize_backward(core, xhat, upstream * scales[:, None, :], scratch)
+        d_input += self.context_backward(cache["ctx"], d_contexts, out=scratch)
         return d_input

@@ -139,13 +139,20 @@ def summarize(target_scores, nontarget_scores, cfg: MetricConfig) -> dict:
 
 def labeled_scores(trials, score_map: dict) -> tuple[list, list]:
     """(target, nontarget) scores of ``trials``, each in trial order, looked
-    up in ``score_map`` by (enroll, test)."""
+    up in ``score_map`` by (enroll, test).  This is where a score file meets
+    the full trial list, so ``score_map`` must score every trial and no
+    other."""
     target_scores, nontarget_scores = [], []
+    listed = set()
     for trial in trials:
         key = (trial.enroll, trial.test)
         if key not in score_map:
             raise ValueError(f"no score for trial {trial.enroll} {trial.test}")
+        listed.add(key)
         (target_scores if trial.target else nontarget_scores).append(score_map[key])
+    if len(listed) < len(score_map):
+        enroll, test = next(key for key in score_map if key not in listed)
+        raise ValueError(f"score for trial {enroll} {test}, which is not in the trial list")
     return target_scores, nontarget_scores
 
 
@@ -153,16 +160,18 @@ def build_report(trials, score_map: dict, cfg: MetricConfig,
                  condition_of: dict | None = None) -> dict:
     """Join trials with their scores and summarize overall and per condition.
 
-    A trial's condition is that of its test utterance in ``condition_of``,
-    which must map it.  Conditions lacking either class are reported as null.
+    ``score_map`` must score every trial and no other.  A trial's condition
+    is that of its test utterance in ``condition_of``, which must map it.
+    Conditions lacking either class are reported as null.
     """
     report = {"overall": summarize(*labeled_scores(trials, score_map), cfg), "conditions": {}}
-    by_condition: dict[str, list] = {}
+    by_condition: dict[str, tuple[list, list]] = {}
     if condition_of is not None:
         for trial in trials:
-            by_condition.setdefault(condition_of[trial.test], []).append(trial)
+            target, nontarget = by_condition.setdefault(condition_of[trial.test], ([], []))
+            (target if trial.target else nontarget).append(score_map[(trial.enroll, trial.test)])
     for cond in sorted(by_condition):
-        tgt, non = labeled_scores(by_condition[cond], score_map)
+        tgt, non = by_condition[cond]
         report["conditions"][cond] = (summarize(tgt, non, cfg) if tgt and non else None)
     return report
 

@@ -150,10 +150,23 @@ class Model:
         """Training forward pass with logits head; returns (logits, caches)."""
         return self._run(x, "train", "logits", keep_caches=True)
 
-    def backward(self, caches, d_logits) -> np.ndarray:
+    def backward(self, caches: list, d_logits) -> np.ndarray:
+        """Backpropagate ``d_logits`` through every layer, last to first:
+        sets each parameter's ``grad`` and returns the input gradient.
+
+        Consumes ``caches``, the list ``forward_train`` returned: each
+        layer's cache is popped before its backward runs, so it is freed as
+        soon as that backward returns, and the list is empty afterwards.  A
+        second backward therefore needs a fresh ``forward_train``; given
+        anything but one cache per layer it raises ValueError.
+        """
+        require(len(caches) == len(self.layers),
+                f"backward needs the {len(self.layers)} layer caches of a fresh forward_train, "
+                f"got {len(caches)}: a backward consumes its caches, so run forward_train "
+                f"again before another backward")
         d = as_float(d_logits)
-        for lyr, cache in zip(reversed(self.layers), reversed(caches)):
-            d = lyr.backward(cache, d)
+        for lyr in reversed(self.layers):
+            d = lyr.backward(caches.pop(), d)
         return d
 
 

@@ -109,41 +109,53 @@ def sliding_windows(x: np.ndarray, kernel: int, dilation: int) -> np.ndarray:
     return win
 
 
-def conv_forward(windows: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The convolution kernel shared by static and per-utterance filters.
+def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                 dilation: int) -> np.ndarray:
+    """The valid dilated convolution over the frames of ``x``, shared by
+    static and per-utterance filters.
 
-    ``windows`` come from sliding_windows; ``weights`` is one (kernel, in, out)
-    bank for every utterance, or a (batch, kernel, in, out) stack with a
-    (batch, out) bias, one bank per utterance.  Either way each utterance's
-    output is the same matrix product ``windows[b] @ bank``, so the two forms
-    agree bit for bit when the banks do.
+    ``weights`` is one (kernel, in, out) bank for every utterance, or a
+    (batch, kernel, in, out) stack with a (batch, out) bias, one bank per
+    utterance.  Either way each utterance's output is the same matrix
+    product of its sliding_windows and its bank, so the two forms agree bit
+    for bit when the banks do.  A shared bank is one GEMM over the frames of
+    every utterance, not one per utterance.
     """
     k, c, o = weights.shape[-3:]
-    out = np.matmul(windows, weights.reshape(weights.shape[:-3] + (k * c, o)))
+    windows = sliding_windows(x, k, dilation)
+    if weights.ndim == 3:
+        out = (windows.reshape(-1, k * c) @ weights.reshape(k * c, o)).reshape(
+            windows.shape[:-1] + (o,))
+    else:
+        out = np.matmul(windows, weights.reshape(weights.shape[:-3] + (k * c, o)))
     out += np.expand_dims(bias, -2)
     return out
 
 
-def conv_backward(windows: np.ndarray, in_shape: tuple, weights: np.ndarray, dilation: int,
+def conv_backward(x: np.ndarray, weights: np.ndarray, dilation: int,
                   upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of conv_forward: (d_input, d_weights, d_bias).
 
-    A shared bank's gradients are summed over the utterances; a stack of
-    banks gets one gradient per utterance.
+    The windows are rebuilt from ``x`` as the forward built them.  A shared
+    bank's gradients are summed over the utterances; a stack of banks gets
+    one gradient per utterance.
     """
     k, c, o = weights.shape[-3:]
+    windows = sliding_windows(x, k, dilation)
     flat_w = weights.reshape(weights.shape[:-3] + (k * c, o))
     if weights.ndim == 4:
         d_weights = np.matmul(windows.swapaxes(-1, -2), upstream)
         d_bias = upstream.sum(axis=-2)
+        d_windows = np.matmul(upstream, flat_w.swapaxes(-1, -2))
     else:
-        d_weights = windows.reshape(-1, k * c).T @ upstream.reshape(-1, o)
-        d_bias = upstream.reshape(-1, o).sum(axis=0)
-    d_windows = np.matmul(upstream, flat_w.swapaxes(-1, -2))
+        rows = upstream.reshape(-1, o)
+        d_weights = windows.reshape(-1, k * c).T @ rows
+        d_bias = rows.sum(axis=0)
+        d_windows = (rows @ flat_w.T).reshape(upstream.shape[:-1] + (k * c,))
     if k == 1:
         return d_windows, d_weights.reshape(weights.shape), d_bias
     t_out = upstream.shape[-2]
-    d_input = np.zeros(in_shape, dtype=d_windows.dtype)
+    d_input = np.zeros(x.shape, dtype=d_windows.dtype)
     for j in range(k):
         d_input[..., j * dilation:j * dilation + t_out, :] += d_windows[..., j * c:(j + 1) * c]
     return d_input, d_weights.reshape(weights.shape), d_bias
@@ -163,9 +175,8 @@ def conv1d(x, params: ConvParams) -> np.ndarray:
     out[t, o] = sum_k sum_i x[t + k*dilation, i] * weights[k, i, o] + bias[o]
     """
     x = _check_conv_input(x, params)
-    win = sliding_windows(x, params.kernel_width, params.dilation)
-    return conv_forward(win, params.weights.astype(x.dtype, copy=False),
-                        params.bias.astype(x.dtype, copy=False))
+    return conv_forward(x, params.weights.astype(x.dtype, copy=False),
+                        params.bias.astype(x.dtype, copy=False), params.dilation)
 
 
 def conv1d_backward(x, params: ConvParams, upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,9 +187,8 @@ def conv1d_backward(x, params: ConvParams, upstream) -> tuple[np.ndarray, np.nda
     require(upstream.shape == (t_out, params.out_channels),
             f"upstream shape {upstream.shape} does not match conv output "
             f"({t_out}, {params.out_channels})")
-    win = sliding_windows(x, params.kernel_width, params.dilation)
-    return conv_backward(win, x.shape, params.weights.astype(x.dtype, copy=False),
-                         params.dilation, upstream)
+    return conv_backward(x, params.weights.astype(x.dtype, copy=False), params.dilation,
+                         upstream)
 
 
 # ---------------------------------------------------------------------------

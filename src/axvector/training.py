@@ -12,6 +12,7 @@ One logical writer mutates the model; batch assembly is deterministic given
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,9 +141,10 @@ def crop_or_wrap(features: np.ndarray, crop: int, offset: int, utt_id: str) -> n
     return np.tile(features, (reps, 1))[:crop]
 
 
-def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray, np.ndarray]]:
+def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One epoch of (float32 batch, labels) pairs, deterministic given
-    epoch_seed.
+    epoch_seed, yielded one batch at a time, so only the batch in use is
+    held.
 
     Every utterance appears once per epoch.  Each batch shares a single crop
     length drawn uniformly from [crop_frames_min, crop_frames_max]; utterances
@@ -155,7 +157,6 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray,
     label_of = corpus.speaker_labels()
     rng = np.random.default_rng(epoch_seed)
     order = rng.permutation(len(utts))
-    batches = []
     for start in range(0, len(order), cfg.batch_size):
         chunk = order[start:start + cfg.batch_size]
         crop = int(rng.integers(cfg.crop_frames_min, cfg.crop_frames_max + 1))
@@ -167,8 +168,7 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> list[tuple[np.ndarray,
             offset = int(rng.integers(0, max(x.shape[0] - crop, 0) + 1))
             feats.append(crop_or_wrap(x, crop, offset, utt.utt_id))
             labels.append(label_of[utt.speaker_id])
-        batches.append((np.stack(feats, dtype=np.float32), np.asarray(labels, dtype=np.int64)))
-    return batches
+        yield np.stack(feats, dtype=np.float32), np.asarray(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +238,8 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
             loss, d_logits, accuracy = softmax_cross_entropy(logits, labels)
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step}")
+            # the backward frees each layer's cache once it has used it
             model.backward(caches, d_logits.astype(logits.dtype))
-            # release this step's activations now, so they are not alive
-            # through the optimizer update and the next forward
-            del logits, caches, d_logits
             adam_step(params, state, lr, cfg.weight_decay)
             # and this step's gradients once they are applied
             for p in params:

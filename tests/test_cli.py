@@ -460,6 +460,8 @@ def _bad_inputs(pipeline, tmp_path):
     score_lines = open(pipeline["scores"]).readlines()
     short = tmp_path / "short_scores.txt"
     short.write_text("".join(score_lines[:-1]))
+    extra = tmp_path / "extra_scores.txt"
+    extra.write_text("".join(score_lines) + "ghost ghost 0.5\n")
     enroll, test, _ = score_lines[0].split()
     repeated_score = tmp_path / "repeated.scores"
     repeated_score.write_text("".join(score_lines) + f"{enroll} {test} 0.5\n")
@@ -498,6 +500,12 @@ def _bad_inputs(pipeline, tmp_path):
         "score-file-lacks-a-trial": (
             ["evaluate", "--scores", str(short), "--trials", trials, "--out-prefix", out],
             str(short), out + ".txt"),
+        "score-file-adds-a-trial": (
+            ["evaluate", "--scores", str(extra), "--trials", trials, "--out-prefix", out],
+            str(extra), out + ".txt"),
+        "second-score-file-adds-a-trial": (
+            ["det-export", "--trials", trials, "--out-dir", out, pipeline["scores"], str(extra)],
+            str(extra), out),
         "second-score-file-lacks-a-trial": (
             ["det-export", "--trials", trials, "--out-dir", out, pipeline["scores"], str(short)],
             str(short), out),
@@ -531,6 +539,7 @@ def _bad_inputs(pipeline, tmp_path):
                                   "trial-absent-from-embeddings",
                                   "training-utterance-absent-from-embeddings",
                                   "score-file-lacks-a-trial", "second-score-file-lacks-a-trial",
+                                  "score-file-adds-a-trial", "second-score-file-adds-a-trial",
                                   "corpus-lacks-corpus-json", "sweep-corpus-lacks-trials",
                                   "utt2cond-lacks-a-test-utterance",
                                   "score-file-repeats-a-trial", "trial-list-repeats-a-pair",
@@ -542,6 +551,8 @@ def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, caps
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and offending in errors[0], captured.err
+    if kind.endswith("adds-a-trial"):
+        assert "ghost ghost" in errors[0], captured.err
     assert not os.path.exists(out)
     assert captured.out == ""
 

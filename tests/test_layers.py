@@ -359,3 +359,49 @@ class TestAbnApply:
         attn = cache["attn"]
         assert np.all(attn >= 0)
         assert abs(attn.sum() - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the cache contract: a cache stays valid through later forwards
+# ---------------------------------------------------------------------------
+
+# one train-mode instance of every layer class, and the input shape it takes
+LAYER_CASES = {
+    "ReluLayer": (lambda rng: L.ReluLayer("act"), (3, 7, 4)),
+    "ConvLayer": (lambda rng: randomize(L.ConvLayer("conv", rng, 3, 4, 5, 2), rng), (3, 9, 4)),
+    "DenseLayer": (lambda rng: randomize(L.DenseLayer("dense", rng, 4, 5), rng), (3, 4)),
+    "StatsPoolLayer": (lambda rng: L.StatsPoolLayer("pool"), (3, 7, 4)),
+    "AdaptiveConvLayer": (lambda rng: make_acnn_layer(rng, kernel=3, dilation=2), (3, 9, 4)),
+    "BatchNormLayer": (lambda rng: randomize(make_bn_layer(4), rng, {"gamma": 1.0}), (3, 7, 4)),
+    "AdaptiveNormLayer": (make_abn_layer, (3, 7, 4)),
+}
+
+
+def test_layer_cases_cover_every_layer_class():
+    classes = {name for name, cls in vars(L).items()
+               if isinstance(cls, type) and "backward" in vars(cls)}
+    assert classes == set(LAYER_CASES)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_later_forward_leaves_a_cache_intact(name, dtype):
+    """forward(x1), forward(x2), then backward(cache of x1), twice, gives the
+    input and parameter gradients of a single forward(x1) and backward, bit
+    for bit: the backward's recomputes read a cache that neither a later
+    forward nor a backward overwrites."""
+    rng = np.random.default_rng(17)
+    make, shape = LAYER_CASES[name]
+    layer = make(rng)
+    x1, x2 = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    out, cache = layer.forward(x1, "train")
+    upstream = rng.normal(size=out.shape).astype(dtype)
+    expected_dx = layer.backward(cache, upstream)
+    expected = [p.grad.copy() for p in layer.params()]
+
+    _, cache1 = layer.forward(x1, "train")
+    layer.forward(x2, "train")
+    for _ in range(2):
+        assert np.array_equal(layer.backward(cache1, upstream), expected_dx)
+        for p, grad in zip(layer.params(), expected):
+            assert np.array_equal(p.grad, grad), p.name

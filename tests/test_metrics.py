@@ -224,6 +224,12 @@ class TestReport:
         with pytest.raises(ValueError, match="e2 t3"):
             X.build_report(trials, scores, X.MetricConfig())
 
+    def test_score_for_unlisted_trial_errors(self):
+        trials, scores, conditions = self._trials_and_scores()
+        scores[("e3", "t1")] = 0.0
+        with pytest.raises(ValueError, match="e3 t1"):
+            X.build_report(trials, scores, X.MetricConfig(), conditions)
+
     def test_single_class_condition_reported_null(self):
         trials = [Trial("e1", "t1", True), Trial("e1", "t2", False),
                   Trial("e2", "t2", False)]

@@ -169,8 +169,8 @@ class TestBatches:
     def test_deterministic_given_seed(self):
         corpus = micro_corpus()
         cfg = micro_train_config()
-        a = T.make_batches(corpus, cfg, epoch_seed=[1, 2])
-        b = T.make_batches(corpus, cfg, epoch_seed=[1, 2])
+        a = list(T.make_batches(corpus, cfg, epoch_seed=[1, 2]))
+        b = list(T.make_batches(corpus, cfg, epoch_seed=[1, 2]))
         assert len(a) == len(b)
         for (xa, la), (xb, lb) in zip(a, b):
             assert np.array_equal(xa, xb) and np.array_equal(la, lb)
@@ -216,16 +216,68 @@ def test_full_model_gradients_match_finite_differences(variant, rng):
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_backward_sets_gradients_instead_of_adding(variant, rng):
-    """A second backward on the same batch leaves every parameter gradient
-    as the first one set it, not doubled."""
+    """A second forward and backward on the same batch leaves every
+    parameter gradient as the first one set it, not doubled."""
     model = M.build(tiny_arch(variant), seed=5)
-    logits, caches = model.forward_train(rng.normal(size=(3, 6, 3)))
+    x = rng.normal(size=(3, 6, 3))
+    logits, caches = model.forward_train(x)
     _, d_logits, _ = T.softmax_cross_entropy(logits, np.array([0, 1, 2]))
     model.backward(caches, d_logits)
     first = [p.grad.copy() for p in model.params()]
+    _, caches = model.forward_train(x)
     model.backward(caches, d_logits)
     for p, grad in zip(model.params(), first):
         assert np.array_equal(p.grad, grad), p.name
+
+
+def test_backward_on_consumed_caches_is_refused(rng):
+    """A backward empties the caches list it is given; a second backward on
+    that list, with no fresh forward, raises one ValueError saying so."""
+    model = M.build(tiny_arch("acnn_abn"), seed=5)
+    logits, caches = model.forward_train(rng.normal(size=(3, 6, 3)))
+    _, d_logits, _ = T.softmax_cross_entropy(logits, np.array([0, 1, 2]))
+    model.backward(caches, d_logits)
+    assert caches == []
+    with pytest.raises(ValueError, match="consumes its caches"):
+        model.backward(caches, d_logits)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_backward_frees_each_cache_once_used(variant, rng, monkeypatch):
+    """When a layer's backward starts, no array that only later layers
+    cached is alive: each layer's cache is freed as soon as its backward
+    has returned, and none is left once the model's backward returns."""
+    model = M.build(tiny_arch(variant), seed=5)
+    x = rng.normal(size=(3, 6, 3)).astype(np.float32)
+    logits, caches = model.forward_train(x)
+    _, d_logits, _ = T.softmax_cross_entropy(logits, np.array([0, 1, 2]))
+    watched = _first_holders(caches, x)
+    started = []
+
+    def watching(i, backward):
+        def wrapped(cache, upstream):
+            alive = sorted({j for j, ref in watched if j > i and ref() is not None})
+            assert not alive, f"{model.layers[i].name}: caches of layers {alive} still alive"
+            started.append(i)
+            return backward(cache, upstream)
+        return wrapped
+
+    for i, lyr in enumerate(model.layers):
+        monkeypatch.setattr(lyr, "backward", watching(i, lyr.backward))
+    model.backward(caches, d_logits.astype(np.float32))
+    assert started == list(reversed(range(len(model.layers))))
+    assert len(watched) > 10 and all(ref() is None for _, ref in watched)
+
+
+def _first_holders(caches, x) -> list:
+    """(index of the first layer that caches it, weakref) of every array in
+    ``caches`` other than the input ``x``; it holds no array alive itself."""
+    first = {}
+    for i, cache in enumerate(caches):
+        for a in _arrays(cache):
+            if a is not x:
+                first.setdefault(id(a), (i, weakref.ref(a)))
+    return list(first.values())
 
 
 def _arrays(obj):
