@@ -400,7 +400,8 @@ class _Normalization:
         ``xhat``, computed in place in ``d_xhat`` (a fresh array the caller
         hands over).  ``scratch``, when given, receives the product
         xhat * mean_dx: an array of d_xhat's shape and dtype that the caller
-        owns and no longer needs, xhat itself included."""
+        owns and no longer needs, xhat itself included.  Batch normalization
+        gives none, as its xhat is its cache."""
         inv_std = stats["inv_std"]
         if stats["mode"] == "train":
             n = float(stats["count"])
@@ -491,9 +492,10 @@ class AdaptiveNormLayer(_Normalization):
         context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
         return context, {"frames": frames, "feats": feats, "attn": attn, "ctx_weight": ctx_weight}
 
-    def context_backward(self, cache, d_context, out=None):
+    def context_backward(self, cache, d_context, out):
         """Gradient of context with respect to the frames, written into
-        ``out`` when given."""
+        ``out``: an array of the frames' shape and dtype that the caller owns
+        and no longer needs."""
         frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
         d_context = as_float(d_context)
         d_attn = np.matmul(feats, d_context[..., None])[..., 0]
@@ -522,11 +524,15 @@ class AdaptiveNormLayer(_Normalization):
     def backward(self, cache, upstream):
         """xhat is rebuilt from the cached input, mean and inv_std, in a
         buffer that then takes xhat * mean_dx and the context's input
-        gradient (when the upstream shares its dtype)."""
+        gradient, so the upstream must share the input's dtype."""
         core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
         scale_weight, shift_weight = cache["params"]
+        frames = cache["ctx"]["frames"]
         upstream = as_float(upstream)
-        xhat = cache["ctx"]["frames"] - core["mean"]
+        require(upstream.dtype == frames.dtype,
+                f"{self.name} upstream gradient must be {frames.dtype} like its input, "
+                f"got {upstream.dtype}")
+        xhat = frames - core["mean"]
         xhat *= core["inv_std"]
         d_scales = np.einsum("btc,btc->bc", upstream, xhat)
         d_shifts = upstream.sum(axis=1)
@@ -535,7 +541,6 @@ class AdaptiveNormLayer(_Normalization):
         self.shift_weight.grad = contexts.T @ d_shifts
         self.shift_bias.grad = d_shifts.sum(axis=0)
         d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
-        scratch = xhat if xhat.dtype == upstream.dtype else None
-        d_input = self._normalize_backward(core, xhat, upstream * scales[:, None, :], scratch)
-        d_input += self.context_backward(cache["ctx"], d_contexts, out=scratch)
+        d_input = self._normalize_backward(core, xhat, upstream * scales[:, None, :], xhat)
+        d_input += self.context_backward(cache["ctx"], d_contexts, out=xhat)
         return d_input

@@ -130,13 +130,17 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
 # ---------------------------------------------------------------------------
 
 
+def check_wrap(frames: int, crop: int, utt_id: str) -> None:
+    require(crop <= frames * MAX_WRAP,
+            f"utterance {utt_id!r} has {frames} frames; wrap-padding to "
+            f"{crop} exceeds the {MAX_WRAP}x limit")
+
+
 def crop_or_wrap(features: np.ndarray, crop: int, offset: int, utt_id: str) -> np.ndarray:
     frames = features.shape[0]
     if frames >= crop:
         return features[offset:offset + crop]
-    if crop > frames * MAX_WRAP:
-        raise ValueError(f"utterance {utt_id!r} has {frames} frames; wrap-padding to "
-                         f"{crop} exceeds the {MAX_WRAP}x limit")
+    check_wrap(frames, crop, utt_id)
     reps = math.ceil(crop / frames)
     return np.tile(features, (reps, 1))[:crop]
 
@@ -224,6 +228,10 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
     require(len(corpus.speakers()) <= n_classes,
             f"corpus has {len(corpus.speakers())} speakers but the model was built "
             f"for {n_classes} classes")
+    # batches are built as the loop reaches them, so every utterance is
+    # checked against the longest crop here, before the first step
+    for utt in corpus.utterances:
+        check_wrap(corpus.features(utt.utt_id).shape[0], cfg.crop_frames_max, utt.utt_id)
     params = model.params()
     state = init_adam(params)
     log: list[StepRecord] = []

@@ -353,6 +353,14 @@ class TestAbnApply:
         assert len(abn.params()) == 6
         check_grads(loss, [("input", x, d_input)] + param_grads(abn), tol=1e-5)
 
+    def test_upstream_of_another_dtype_rejected(self, rng):
+        """The backward writes into a buffer of the input's dtype, so an
+        upstream of another dtype is refused rather than narrowed."""
+        abn = make_abn_layer(rng, channels=3, hidden=2)
+        _, cache = abn.forward(rng.normal(size=(2, 4, 3)), "train")
+        with pytest.raises(ValueError, match="float64 like its input, got float32"):
+            abn.backward(cache, rng.normal(size=(2, 4, 3)).astype(np.float32))
+
     def test_abn_attention_is_probability_vector(self, rng):
         lyr = make_abn_layer(rng)
         _, cache = lyr.context(rng.normal(size=(1, 10, 4)))

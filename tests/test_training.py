@@ -368,6 +368,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="minimum"):
             T.train(model, corpus, micro_train_config(crop_frames_min=1, crop_frames_max=5))
 
+    def test_utterance_too_short_to_wrap_rejected_before_any_step(self):
+        """Every utterance is checked against the longest crop before the
+        first step, not only those in the batches a run builds."""
+        full = micro_corpus()
+        feats = {u.utt_id: full.features(u.utt_id) for u in full.utterances}
+        last = full.utterances[-1]
+        feats[last.utt_id] = feats[last.utt_id][:3]
+        corpus = D.Corpus(full.utterances, feats)
+        model = M.build(tiny_arch(), seed=0)
+        steps = []
+        with pytest.raises(ValueError, match=f"{last.utt_id!r} has 3 frames"):
+            T.train(model, corpus, micro_train_config(total_steps=1), progress=steps.append)
+        assert steps == []
+
     def test_log_line_format(self):
         record = T.StepRecord(3, 1e-3, 1.25, 0.5)
         fields = record.line().split("\t")
