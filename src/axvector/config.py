@@ -104,7 +104,7 @@ class RunConfig:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         try:
             return cls.from_dict(data)
-        except ConfigError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     def validate(self) -> None:

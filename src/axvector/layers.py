@@ -8,7 +8,7 @@ returns ``(output, cache)``, where the cache holds what the hand-written
 ``backward(cache, upstream)`` cannot rebuild in one pass from the layer's
 input: a convolution keeps its input, not the wider window matrix; the
 adaptive convolution keeps its mixing coefficients, not the mixed filter
-banks; the adaptive normalization keeps its input and batch mean, not the
+banks; a normalization keeps its input, mean and inverse std, not the
 normalized input.  A backward rebuilds those with the forward's own
 operations on the cached arrays, so its gradients are the same bit for bit,
 and it writes only into arrays it made itself, so a cache stays valid
@@ -363,12 +363,11 @@ class _Normalization:
         self.running_var = np.zeros(channels)
         self.initialized = False
 
-    def _normalize(self, x, mode: str):
-        """(x - mean) / sqrt(var + eps); the statistics take one centring pass.
-        Returns xhat and the statistics its backward needs, including the
-        mean it subtracted, so that ``x`` rebuilds xhat as this did."""
+    def _normalize(self, x: np.ndarray, mode: str, scale, shift):
+        """scale * (x - mean) * inv_std + shift for a float ``x``, in the one
+        fresh array x - mean makes; the statistics take one centring pass.
+        The cache holds x, mean and inv_std, for ``_rebuild`` to remake xhat."""
         require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
-        x = as_float(x)
         require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
         channels = self.running_mean.shape[0]
         require(x.shape[-1] == channels,
@@ -377,8 +376,8 @@ class _Normalization:
         require(count >= 1, "normalization batch must be nonempty")
         if mode == "train":
             mean = _rows(x).mean(axis=0)
-            xhat = x - mean
-            var = np.einsum("nc,nc->c", _rows(xhat), _rows(xhat)) / count
+            y = x - mean
+            var = np.einsum("nc,nc->c", _rows(y), _rows(y)) / count
             m = self.momentum
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
@@ -388,26 +387,38 @@ class _Normalization:
                 raise RuntimeError("inference-mode normalization before any training update; "
                                    "initialize the running statistics first")
             mean = self.running_mean.astype(x.dtype, copy=False)
-            xhat = x - mean
+            y = x - mean
             var = self.running_var.astype(x.dtype, copy=False)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv_std
-        return xhat, {"mean": mean, "inv_std": inv_std, "mode": mode, "count": count}
+        y *= inv_std
+        y *= scale
+        y += shift
+        return y, {"x": x, "mean": mean, "inv_std": inv_std, "mode": mode, "count": count}
+
+    def _rebuild(self, stats, upstream) -> tuple[np.ndarray, np.ndarray]:
+        """The upstream gradient, refused unless it has the input's dtype,
+        and xhat rebuilt as ``_normalize`` made it, in a fresh buffer."""
+        x = stats["x"]
+        upstream = as_float(upstream)
+        require(upstream.dtype == x.dtype,
+                f"{self.name} upstream gradient must be {x.dtype} like its input, "
+                f"got {upstream.dtype}")
+        xhat = x - stats["mean"]
+        xhat *= stats["inv_std"]
+        return upstream, xhat
 
     @staticmethod
-    def _normalize_backward(stats, xhat, d_xhat: np.ndarray, scratch=None) -> np.ndarray:
-        """Gradient through _normalize given its ``stats`` and output
-        ``xhat``, computed in place in ``d_xhat`` (a fresh array the caller
-        hands over).  ``scratch``, when given, receives the product
-        xhat * mean_dx: an array of d_xhat's shape and dtype that the caller
-        owns and no longer needs, xhat itself included.  Batch normalization
-        gives none, as its xhat is its cache."""
+    def _normalize_backward(stats, xhat: np.ndarray, d_xhat: np.ndarray) -> np.ndarray:
+        """Gradient through the standardization, computed in place in
+        ``d_xhat`` (a fresh array the caller hands over).  In train mode the
+        ``_rebuild`` buffer ``xhat`` then takes xhat * mean_dx."""
         inv_std = stats["inv_std"]
         if stats["mode"] == "train":
             n = float(stats["count"])
             mean_d = _rows(d_xhat).sum(axis=0) / n
             mean_dx = np.einsum("nc,nc->c", _rows(d_xhat), _rows(xhat)) / n
-            d_xhat -= np.multiply(xhat, mean_dx, out=scratch)
+            xhat *= mean_dx
+            d_xhat -= xhat
             d_xhat -= mean_d
         d_xhat *= inv_std
         return d_xhat
@@ -417,15 +428,11 @@ class _Normalization:
                 (f"{self.name}.running_var", self.running_var),
                 (f"{self.name}.initialized", np.array([1.0 if self.initialized else 0.0]))]
 
-    def load_state_item(self, key: str, value: np.ndarray):
-        if key.endswith(".running_mean"):
-            self.running_mean = as_f64(value)
-        elif key.endswith(".running_var"):
-            self.running_var = as_f64(value)
-        elif key.endswith(".initialized"):
-            self.initialized = bool(value.ravel()[0] != 0.0)
-        else:
-            raise KeyError(key)
+    def load_state(self, records: dict):
+        """Take the running statistics from the records ``state_items`` names."""
+        self.running_mean = as_f64(records[f"{self.name}.running_mean"])
+        self.running_var = as_f64(records[f"{self.name}.running_var"])
+        self.initialized = bool(records[f"{self.name}.initialized"][0] == 1.0)
 
 
 class BatchNormLayer(_Normalization):
@@ -440,15 +447,13 @@ class BatchNormLayer(_Normalization):
         return [self.gamma, self.beta]
 
     def forward(self, x, mode):
-        xhat, core = self._normalize(x, mode)
-        gamma, beta = _cast(xhat.dtype, self.gamma, self.beta)
-        y = xhat * gamma
-        y += beta
-        return y, {**core, "xhat": xhat, "gamma": gamma}
+        x = as_float(x)
+        gamma, beta = _cast(x.dtype, self.gamma, self.beta)
+        y, cache = self._normalize(x, mode, gamma, beta)
+        return y, {**cache, "gamma": gamma}
 
     def backward(self, cache, upstream):
-        upstream = as_float(upstream)
-        xhat = cache["xhat"]
+        upstream, xhat = self._rebuild(cache, upstream)
         self.gamma.grad = np.einsum("nc,nc->c", _rows(upstream), _rows(xhat))
         self.beta.grad = _rows(upstream).sum(axis=0)
         return self._normalize_backward(cache, xhat, upstream * cache["gamma"])
@@ -508,32 +513,22 @@ class AdaptiveNormLayer(_Normalization):
         return np.matmul(d_pre, cache["ctx_weight"].T, out=out)
 
     def forward(self, x, mode):
-        """The input is cached once, as the context's frames; the normalized
-        input becomes the output in place."""
+        """The context's frames are the normalization's input, cached once."""
         contexts, ctx_cache = self.context(x)
-        y, core = self._normalize(x, mode)
+        frames = ctx_cache["frames"]
         scale_weight, scale_bias, shift_weight, shift_bias = _cast(
-            y.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
+            frames.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
         scales = contexts @ scale_weight + scale_bias
         shifts = contexts @ shift_weight + shift_bias
-        y *= scales[:, None, :]
-        y += shifts[:, None, :]
+        y, core = self._normalize(frames, mode, scales[:, None, :], shifts[:, None, :])
         return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales,
                    "params": (scale_weight, shift_weight)}
 
     def backward(self, cache, upstream):
-        """xhat is rebuilt from the cached input, mean and inv_std, in a
-        buffer that then takes xhat * mean_dx and the context's input
-        gradient, so the upstream must share the input's dtype."""
+        """The rebuilt xhat's buffer then takes the context's input gradient."""
         core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
         scale_weight, shift_weight = cache["params"]
-        frames = cache["ctx"]["frames"]
-        upstream = as_float(upstream)
-        require(upstream.dtype == frames.dtype,
-                f"{self.name} upstream gradient must be {frames.dtype} like its input, "
-                f"got {upstream.dtype}")
-        xhat = frames - core["mean"]
-        xhat *= core["inv_std"]
+        upstream, xhat = self._rebuild(core, upstream)
         d_scales = np.einsum("btc,btc->bc", upstream, xhat)
         d_shifts = upstream.sum(axis=1)
         self.scale_weight.grad = contexts.T @ d_scales
@@ -541,6 +536,6 @@ class AdaptiveNormLayer(_Normalization):
         self.shift_weight.grad = contexts.T @ d_shifts
         self.shift_bias.grad = d_shifts.sum(axis=0)
         d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
-        d_input = self._normalize_backward(core, xhat, upstream * scales[:, None, :], xhat)
+        d_input = self._normalize_backward(core, xhat, upstream * scales[:, None, :])
         d_input += self.context_backward(cache["ctx"], d_contexts, out=xhat)
         return d_input

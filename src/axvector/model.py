@@ -68,6 +68,7 @@ class ArchConfig:
         require(1 <= self.acnn_layer_index <= 5, "acnn_layer_index must lie in [1, 5]")
         require(1 <= self.embedding_layer_index <= len(self.utterance_dims),
                 "embedding_layer_index must point at an utterance layer")
+        require(min(self.frame_dims + self.utterance_dims) >= 1, "frame/utterance dims must be >= 1")
         require(all(k >= 1 for k in self.kernel_sizes), "kernel sizes must be >= 1")
         require(all(d >= 1 for d in self.dilations), "dilations must be >= 1")
         require(self.attention_hidden >= 1 and self.pool_size >= 1,
@@ -303,11 +304,11 @@ def load_model(path: str) -> Model:
 
     The stored config must build a valid model, and every record is checked
     against the layout it builds (names and shapes, nothing missing, nothing
-    extra) and for finite values and nonnegative running variances before
-    any value is set, so a checkpoint with a bad config, in another
-    layout or with impossible values fails with one FormatError.  The layout
-    is built without random draws, and each parameter takes its record's
-    array as its value.
+    extra) and for finite values, nonnegative running variances and
+    ``initialized`` flags of exactly 0 or 1 before any value is set, so a
+    checkpoint with a bad config, in another layout or with impossible
+    values fails with one FormatError.  The layout is built without random
+    draws, and each parameter takes its record's array as its value.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
@@ -336,10 +337,11 @@ def load_model(path: str) -> Model:
             raise FormatError(f"{path}: record {name!r} holds a NaN or infinite value")
         if name.endswith(".running_var") and np.any(by_name[name] < 0.0):
             raise FormatError(f"{path}: record {name!r} holds a negative variance")
+        if name.endswith(".initialized") and by_name[name][0] not in (0.0, 1.0):
+            raise FormatError(f"{path}: record {name!r} is neither 0 nor 1")
     for p in model.params():
         p.value = by_name[p.name]
     for lyr in model.layers:
-        if hasattr(lyr, "load_state_item"):
-            for key, _ in lyr.state_items():
-                lyr.load_state_item(key, by_name[key])
+        if hasattr(lyr, "load_state"):
+            lyr.load_state(by_name)
     return model

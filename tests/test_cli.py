@@ -473,6 +473,14 @@ def _bad_inputs(pipeline, tmp_path):
         shutil.copyfile(pipeline["scores"], path)
     bad_key_config = tmp_path / "bad_key.json"
     bad_key_config.write_text(json.dumps({"corpus": {"bogus": 1}}))
+    bad_value_configs = {}
+    for kind, section, key, value in (("zero-steps", "train", "total_steps", 0),
+                                      ("zero-kernel", "arch", "kernel_sizes", [0, 3, 1, 1, 1]),
+                                      ("zero-width", "arch", "frame_dims", [8, 0, 8, 8, 12])):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(
+            {**MINI_CONFIG, section: {**MINI_CONFIG[section], key: value}}))
+        bad_value_configs[kind] = str(path)
     missing = str(tmp_path / "missing.ckpt")
     no_meta = str(tmp_path / "no_meta")
     shutil.copytree(pipeline["corpus"], no_meta, ignore=shutil.ignore_patterns("corpus.json"))
@@ -528,6 +536,16 @@ def _bad_inputs(pipeline, tmp_path):
         "config-has-an-unknown-key": (
             ["gen-data", "--config", str(bad_key_config), "--out", out], str(bad_key_config),
             out),
+        "config-has-zero-steps": (
+            ["train", "--config", bad_value_configs["zero-steps"], "--corpus",
+             pipeline["corpus"], "--arch", "baseline", "--out", out],
+            bad_value_configs["zero-steps"], out),
+        "config-has-a-zero-kernel": (
+            ["gen-data", "--config", bad_value_configs["zero-kernel"], "--out", out],
+            bad_value_configs["zero-kernel"], out),
+        "config-has-a-zero-width": (
+            ["gen-data", "--config", bad_value_configs["zero-width"], "--out", out],
+            bad_value_configs["zero-width"], out),
         "utt2cond-lacks-a-test-utterance": (
             ["evaluate", "--scores", pipeline["scores"], "--trials", trials,
              "--utt2cond", str(partial_cond), "--out-prefix", out], str(partial_cond),
@@ -544,7 +562,8 @@ def _bad_inputs(pipeline, tmp_path):
                                   "utt2cond-lacks-a-test-utterance",
                                   "score-file-repeats-a-trial", "trial-list-repeats-a-pair",
                                   "fused-score-file-lacks-a-trial", "score-files-share-a-stem",
-                                  "config-has-an-unknown-key"])
+                                  "config-has-an-unknown-key", "config-has-zero-steps",
+                                  "config-has-a-zero-kernel", "config-has-a-zero-width"])
 def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, capsys, kind):
     argv, offending, out = _bad_inputs(pipeline, tmp_path)[kind]
     assert dispatch(argv) == 1

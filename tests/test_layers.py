@@ -353,14 +353,6 @@ class TestAbnApply:
         assert len(abn.params()) == 6
         check_grads(loss, [("input", x, d_input)] + param_grads(abn), tol=1e-5)
 
-    def test_upstream_of_another_dtype_rejected(self, rng):
-        """The backward writes into a buffer of the input's dtype, so an
-        upstream of another dtype is refused rather than narrowed."""
-        abn = make_abn_layer(rng, channels=3, hidden=2)
-        _, cache = abn.forward(rng.normal(size=(2, 4, 3)), "train")
-        with pytest.raises(ValueError, match="float64 like its input, got float32"):
-            abn.backward(cache, rng.normal(size=(2, 4, 3)).astype(np.float32))
-
     def test_abn_attention_is_probability_vector(self, rng):
         lyr = make_abn_layer(rng)
         _, cache = lyr.context(rng.normal(size=(1, 10, 4)))
@@ -383,6 +375,50 @@ LAYER_CASES = {
     "BatchNormLayer": (lambda rng: randomize(make_bn_layer(4), rng, {"gamma": 1.0}), (3, 7, 4)),
     "AdaptiveNormLayer": (make_abn_layer, (3, 7, 4)),
 }
+
+
+NORM_CASES = {
+    "bn-rows": (lambda rng: make_bn_layer(3), (5, 3)),
+    "bn-frames": (lambda rng: make_bn_layer(3), (2, 4, 3)),
+    "abn": (lambda rng: make_abn_layer(rng, channels=3, hidden=2), (2, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_upstream_of_another_dtype_rejected(name):
+    """A normalization's backward writes into a buffer of the input's dtype,
+    so an upstream of another dtype is refused rather than narrowed."""
+    rng = np.random.default_rng(5)
+    make, shape = NORM_CASES[name]
+    layer = make(rng)
+    _, cache = layer.forward(rng.normal(size=shape), "train")
+    with pytest.raises(ValueError, match="float64 like its input, got float32"):
+        layer.backward(cache, rng.normal(size=shape).astype(np.float32))
+
+
+def _arrays(cache):
+    """Every array in a cache of nested dicts, tuples and lists."""
+    if isinstance(cache, np.ndarray):
+        return [cache]
+    if isinstance(cache, dict):
+        cache = list(cache.values())
+    if isinstance(cache, (tuple, list)):
+        return [a for item in cache for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_norm_cache_holds_no_full_size_array_but_its_input(name, dtype):
+    """A train-mode normalization caches its input once and rebuilds the
+    normalized input in its backward: no other array of the input's shape
+    is kept."""
+    rng = np.random.default_rng(6)
+    make, shape = NORM_CASES[name]
+    x = rng.normal(size=shape).astype(dtype)
+    _, cache = make(rng).forward(x, "train")
+    full = [a for a in _arrays(cache) if a.shape == x.shape]
+    assert full and all(a is x for a in full)
 
 
 def test_layer_cases_cover_every_layer_class():

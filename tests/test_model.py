@@ -310,6 +310,8 @@ class TestCheckpoint:
         ({**asdict(tiny_config()), "kernel_sizes": 3}, "kernel_sizes|iterable"),
         ({**asdict(tiny_config()), "bn_momentum": 2.0}, "bn_momentum"),
         ({**asdict(tiny_config()), "bn_eps": 0.0}, "bn_eps"),
+        ({**asdict(tiny_config()), "frame_dims": (4, -3, 4, 4, 6)}, "dims must be >= 1"),
+        ({**asdict(tiny_config()), "utterance_dims": (5, 0)}, "dims must be >= 1"),
     ])
     def test_bad_config_is_format_error(self, tmp_path, config, message):
         header = {"kind": "model"}
@@ -324,6 +326,8 @@ class TestCheckpoint:
         ("frame2.conv.weight", np.nan, r"frame2\.conv\.weight.*NaN or infinite"),
         ("utt1.norm.running_mean", np.inf, r"utt1\.norm\.running_mean.*NaN or infinite"),
         ("frame3.norm.running_var", -1e-3, r"frame3\.norm\.running_var.*negative variance"),
+        ("frame1.norm.initialized", 0.5, r"frame1\.norm\.initialized.*neither 0 nor 1"),
+        ("utt2.norm.initialized", -7.0, r"utt2\.norm\.initialized.*neither 0 nor 1"),
     ])
     def test_impossible_values_refused(self, tmp_path, rng, record, value, message):
         cfg = tiny_config("abn")
