@@ -77,9 +77,10 @@ class EmbeddingTable:
 
 
 def extract_embeddings(model: Model, corpus) -> EmbeddingTable:
-    """Inference-mode embeddings over full, uncropped utterances."""
+    """Inference-mode embeddings over full, uncropped utterances, computed
+    in float64 like the rest of the back end."""
     return EmbeddingTable([u.utt_id for u in corpus.utterances],
-                          infer_utterances(model, corpus, head="embedding"))
+                          infer_utterances(model, corpus, "embedding", np.float64))
 
 
 # ---------------------------------------------------------------------------

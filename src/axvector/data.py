@@ -283,10 +283,22 @@ def load_labels(path: str) -> Corpus:
 
 def load_corpus(path: str) -> Corpus:
     """Read a corpus written by save_corpus: ``load_labels`` plus the feature
-    file of every utterance."""
+    file of every utterance, each of which must have the ``spec.feature_dim``
+    that ``corpus.json`` declares."""
     labels = load_labels(path)
-    features = {u.utt_id: read_feature_file(os.path.join(path, "features", f"{u.utt_id}.axvf"))
-                for u in labels.utterances}
+    meta_path = os.path.join(path, "corpus.json")
+    spec = labels.meta.get("spec")
+    dim = spec.get("feature_dim") if isinstance(spec, dict) else None
+    if type(dim) is not int or dim < 1:
+        raise FormatError(f"{meta_path}: spec.feature_dim must be a positive integer, "
+                          f"got {dim!r}")
+    features = {}
+    for u in labels.utterances:
+        feature_path = os.path.join(path, "features", f"{u.utt_id}.axvf")
+        x = features[u.utt_id] = read_feature_file(feature_path)
+        if x.shape[1] != dim:
+            raise FormatError(f"{feature_path}: {x.shape[1]} features per frame, but "
+                              f"{meta_path} declares {dim}")
     return Corpus(labels.utterances, features, labels.meta)
 
 

@@ -6,23 +6,25 @@ statistics.  Every layer works batch-first on (batch, frames, channels)
 arrays, or on (batch, channels) rows after pooling.  ``forward(x, mode)``
 returns ``(output, cache)``, where the cache holds what the hand-written
 ``backward(cache, upstream)`` cannot rebuild in one pass from the layer's
-input: a convolution keeps its input, not the wider window matrix; the
-adaptive convolution keeps its mixing coefficients, not the mixed filter
-banks; a normalization keeps its input, mean and inverse std, not the
-normalized input.  A backward rebuilds those with the forward's own
-operations on the cached arrays, so its gradients are the same bit for bit,
-and it writes only into arrays it made itself, so a cache stays valid
-through later forwards and backwards.  ``backward`` returns the input
-gradient and sets each parameter's ``grad`` to that parameter's gradient,
-once per call, replacing the previous one.
+input and parameters: a convolution keeps its input, not the wider window
+matrix; the adaptive convolution keeps its mixing coefficients, not the
+mixed filter banks; a normalization keeps its input, mean and inverse std,
+and its backward works from per-channel sums instead of the normalized
+input.  No cache holds a parameter value or a cast of one.  A backward
+rebuilds what it needs with the forward's own operations on the cached
+arrays and the parameter values, and it writes only into arrays it made
+itself, so a cache stays valid through later forwards and backwards.
+``backward`` returns the input gradient and sets each parameter's ``grad``
+to that parameter's gradient, once per call, replacing the previous one.
 Parameter values change only between a forward/backward pair (the optimizer
 updates them in place); the running statistics change only in train mode.
 
 A layer computes in the dtype of its input: float32 stays float32, anything
 else runs in float64.  Parameter gradients come out in that compute dtype;
-parameter values and the running statistics are always float64.  Each
-forward casts the parameter values it uses to the input's dtype once (a
-no-op in float64) and keeps the cast copies in its cache for the backward.
+parameter values and the running statistics are always float64.  A forward
+and its backward each cast the parameter values they use to the input's
+dtype (a no-op in float64), from the same unchanged values, so both see the
+same weights.
 
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
@@ -47,7 +49,6 @@ from .numerics import (
     tanh_backward,
     weighted_moments,
     weighted_stats_backward,
-    weighted_stats_values_backward,
 )
 
 MODES = ("train", "infer")
@@ -64,6 +65,12 @@ def _check_frames(frames, what: str) -> np.ndarray:
 def _rows(a: np.ndarray) -> np.ndarray:
     """All leading axes folded into one: (n, last)."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _per_frame(a: np.ndarray) -> np.ndarray:
+    """A per-utterance (batch, channels) array as (batch, 1, channels), to
+    broadcast over frames; a per-channel one as it is."""
+    return a[:, None, :] if a.ndim == 2 else a
 
 
 def _cast(dtype, *params) -> list[np.ndarray]:
@@ -142,10 +149,11 @@ class ConvLayer:
         require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
                 f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
         weight, bias = _cast(x.dtype, self.weight, self.bias)
-        return conv_forward(x, weight, bias, self.dilation), (x, weight)
+        return conv_forward(x, weight, bias, self.dilation), x
 
     def backward(self, cache, upstream):
-        x, weight = cache
+        x = cache
+        [weight] = _cast(x.dtype, self.weight)
         d_input, d_w, d_b = conv_backward(x, weight, self.dilation, as_float(upstream))
         self.weight.grad = d_w
         self.bias.grad = d_b
@@ -168,10 +176,11 @@ class DenseLayer:
         require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
                 f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
         weight, bias = _cast(x.dtype, self.weight, self.bias)
-        return x @ weight + bias, (x, weight)
+        return x @ weight + bias, x
 
     def backward(self, cache, upstream):
-        x, weight = cache
+        x = cache
+        [weight] = _cast(x.dtype, self.weight)
         self.weight.grad = x.T @ upstream
         self.bias.grad = upstream.sum(axis=0)
         return upstream @ weight.T
@@ -184,7 +193,8 @@ class DenseLayer:
 
 class StatsPoolLayer:
     """Per-channel mean and standard deviation over each utterance's frames,
-    concatenated as [mean, std]: weighted statistics with uniform weights."""
+    concatenated as [mean, std].  The variance is sum(x^2)/T - mean^2,
+    floored at VARIANCE_FLOOR before the square root."""
 
     def __init__(self, name: str):
         self.name = name
@@ -194,17 +204,22 @@ class StatsPoolLayer:
 
     def forward(self, x, mode):
         x = _check_frames(x, "pooling")
-        weights = np.full(x.shape[:-1], 1.0 / x.shape[-2])
-        mean, raw_var = weighted_moments(x, weights.astype(x.dtype, copy=False))
+        mean = x.mean(axis=1)
+        raw_var = np.einsum("btc,btc->bc", x, x) / x.shape[1] - mean * mean
         std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
-        return np.concatenate([mean, std], axis=-1), (x, weights, (mean, raw_var))
+        return np.concatenate([mean, std], axis=-1), (x, mean, raw_var)
 
     def backward(self, cache, upstream):
-        x, weights, moments = cache
-        c = x.shape[-1]
+        """d_x = x * (2 d_var / T) + (d_mean - 2 mean d_var) / T, where d_var
+        is zero while the floor is active."""
+        x, mean, raw_var = cache
+        c, frames = x.shape[-1], x.shape[1]
         upstream = as_float(upstream)
-        return weighted_stats_values_backward(x, weights, upstream[..., :c], upstream[..., c:],
-                                              moments=moments)
+        std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
+        d_var = np.where(raw_var > VARIANCE_FLOOR, upstream[:, c:] / (2.0 * std), 0.0)
+        d_x = x * (2.0 / frames * d_var)[:, None, :]
+        d_x += ((upstream[:, :c] - 2.0 * mean * d_var) / frames)[:, None, :]
+        return d_x
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +284,12 @@ class AdaptiveConvLayer:
         mean, raw_var = weighted_moments(frames, attn.astype(frames.dtype, copy=False))
         context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
         return context, {"frames": frames, "scored": scored, "attn": attn,
-                         "moments": (mean, raw_var), "params": (score_weight, score_proj)}
+                         "moments": (mean, raw_var)}
 
     def context_backward(self, cache, d_context):
         """Gradient of context with respect to the frames."""
         frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
-        score_weight, score_proj = cache["params"]
+        score_weight, score_proj = _cast(frames.dtype, self.score_weight, self.score_proj)
         c = frames.shape[-1]
         d_context = as_float(d_context)
         d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
@@ -304,13 +319,18 @@ class AdaptiveConvLayer:
         coeffs = context @ mix_weight + mix_bias
         weights = _mixed_banks(coeffs, pool)
         bias = coeffs @ pool_bias
-        return (weights, bias), {"context": context, "coeffs": coeffs,
-                                 "params": (mix_weight, pool, pool_bias)}
+        return (weights, bias), {"context": context, "coeffs": coeffs}
 
     def filters_backward(self, cache, d_weights, d_bias):
         """Gradient of filters with respect to the context."""
-        mix_weight, pool, pool_bias = cache["params"]
+        [pool] = _cast(cache["coeffs"].dtype, self.pool_weight)
+        return self._filters_backward(cache, d_weights, d_bias, pool)
+
+    def _filters_backward(self, cache, d_weights, d_bias, pool):
+        """``filters_backward`` given the pool already cast to the compute
+        dtype."""
         context, coeffs = cache["context"], cache["coeffs"]
+        mix_weight, pool_bias = _cast(coeffs.dtype, self.mix_weight, self.pool_bias)
         d_weights = as_float(d_weights).reshape(coeffs.shape[0], -1)
         d_bias = as_float(d_bias)
         d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ pool_bias.T
@@ -329,13 +349,17 @@ class AdaptiveConvLayer:
         return conv_forward(x, weights, bias, self.dilation), {"ctx": ctx_cache, "mix": mix_cache}
 
     def backward(self, cache, upstream):
-        """The banks are remixed from the cached coefficients and pool; the
-        input is the context's frames."""
+        """The banks are remixed from the cached coefficients and the pool,
+        cast again once for both the remix and the filters' backward, and
+        freed once the convolution's backward has used them; the input is
+        the context's frames."""
         mix = cache["mix"]
-        weights = _mixed_banks(mix["coeffs"], mix["params"][1])
+        [pool] = _cast(mix["coeffs"].dtype, self.pool_weight)
+        weights = _mixed_banks(mix["coeffs"], pool)
         d_input, d_weights, d_bias = conv_backward(cache["ctx"]["frames"], weights,
                                                    self.dilation, as_float(upstream))
-        d_context = self.filters_backward(cache["mix"], d_weights, d_bias)
+        del weights
+        d_context = self._filters_backward(mix, d_weights, d_bias, pool)
         d_input += self.context_backward(cache["ctx"], d_context)
         return d_input
 
@@ -364,9 +388,13 @@ class _Normalization:
         self.initialized = False
 
     def _normalize(self, x: np.ndarray, mode: str, scale, shift):
-        """scale * (x - mean) * inv_std + shift for a float ``x``, in the one
-        fresh array x - mean makes; the statistics take one centring pass.
-        The cache holds x, mean and inv_std, for ``_rebuild`` to remake xhat."""
+        """scale * (x - mean) * inv_std + shift for a float ``x``, with a
+        ``scale`` and ``shift`` per channel, or per utterance and channel
+        (two-dimensional, for frames).  Train mode takes the batch mean,
+        then the one fresh array x - mean gives the variance and becomes the
+        output; infer mode is the one affine x * a + (shift - mean * a) with
+        a = scale * inv_std from the running statistics.  The cache holds x,
+        mean and inv_std."""
         require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
         require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
         channels = self.running_mean.shape[0]
@@ -382,46 +410,51 @@ class _Normalization:
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
             self.initialized = True
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            y *= _per_frame(scale * inv_std)
+            y += _per_frame(shift)
         else:
             if not self.initialized:
                 raise RuntimeError("inference-mode normalization before any training update; "
                                    "initialize the running statistics first")
             mean = self.running_mean.astype(x.dtype, copy=False)
-            y = x - mean
-            var = self.running_var.astype(x.dtype, copy=False)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        y *= inv_std
-        y *= scale
-        y += shift
+            inv_std = (1.0 / np.sqrt(self.running_var + self.eps)).astype(x.dtype, copy=False)
+            a = scale * inv_std
+            y = x * _per_frame(a)
+            y += _per_frame(shift - mean * a)
         return y, {"x": x, "mean": mean, "inv_std": inv_std, "mode": mode, "count": count}
 
-    def _rebuild(self, stats, upstream) -> tuple[np.ndarray, np.ndarray]:
-        """The upstream gradient, refused unless it has the input's dtype,
-        and xhat rebuilt as ``_normalize`` made it, in a fresh buffer."""
-        x = stats["x"]
+    def _gradients(self, stats, upstream, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(d_x, d_scale, d_shift) of ``_normalize``'s output, from the sums
+        su of the upstream gradient and sux of its product with x over each
+        scale's frames: d_shift = su and d_scale = (sux - mean su) inv_std.
+        d_x = upstream * scale * inv_std, plus in train mode x * k + j with k
+        and j per channel: the gradient through the batch statistics, which
+        needs only the means of d_xhat = upstream * scale and of d_xhat *
+        xhat.  The normalized input is never rebuilt.  An upstream of
+        another dtype than the input is refused."""
+        x, mean, inv_std = stats["x"], stats["mean"], stats["inv_std"]
         upstream = as_float(upstream)
         require(upstream.dtype == x.dtype,
                 f"{self.name} upstream gradient must be {x.dtype} like its input, "
                 f"got {upstream.dtype}")
-        xhat = x - stats["mean"]
-        xhat *= stats["inv_std"]
-        return upstream, xhat
-
-    @staticmethod
-    def _normalize_backward(stats, xhat: np.ndarray, d_xhat: np.ndarray) -> np.ndarray:
-        """Gradient through the standardization, computed in place in
-        ``d_xhat`` (a fresh array the caller hands over).  In train mode the
-        ``_rebuild`` buffer ``xhat`` then takes xhat * mean_dx."""
-        inv_std = stats["inv_std"]
+        if scale.ndim == 1:
+            d_shift = _rows(upstream).sum(axis=0)
+            d_scale = np.einsum("nc,nc->c", _rows(upstream), _rows(x))
+        else:
+            d_shift = upstream.sum(axis=1)
+            d_scale = np.einsum("btc,btc->bc", upstream, x)
+        d_scale -= mean * d_shift
+        d_scale *= inv_std
+        d_x = upstream * _per_frame(scale * inv_std)
         if stats["mode"] == "train":
-            n = float(stats["count"])
-            mean_d = _rows(d_xhat).sum(axis=0) / n
-            mean_dx = np.einsum("nc,nc->c", _rows(d_xhat), _rows(xhat)) / n
-            xhat *= mean_dx
-            d_xhat -= xhat
-            d_xhat -= mean_d
-        d_xhat *= inv_std
-        return d_xhat
+            n = stats["count"]
+            mean_d = _rows(scale * d_shift).sum(axis=0) / n
+            mean_dx = _rows(scale * d_scale).sum(axis=0) / n
+            k = -inv_std * inv_std * mean_dx
+            d_x += x * k
+            d_x -= inv_std * mean_d + mean * k
+        return d_x, d_scale, d_shift
 
     def state_items(self):
         return [(f"{self.name}.running_mean", self.running_mean),
@@ -449,14 +482,12 @@ class BatchNormLayer(_Normalization):
     def forward(self, x, mode):
         x = as_float(x)
         gamma, beta = _cast(x.dtype, self.gamma, self.beta)
-        y, cache = self._normalize(x, mode, gamma, beta)
-        return y, {**cache, "gamma": gamma}
+        return self._normalize(x, mode, gamma, beta)
 
     def backward(self, cache, upstream):
-        upstream, xhat = self._rebuild(cache, upstream)
-        self.gamma.grad = np.einsum("nc,nc->c", _rows(upstream), _rows(xhat))
-        self.beta.grad = _rows(upstream).sum(axis=0)
-        return self._normalize_backward(cache, xhat, upstream * cache["gamma"])
+        [gamma] = _cast(cache["x"].dtype, self.gamma)
+        d_x, self.gamma.grad, self.beta.grad = self._gradients(cache, upstream, gamma)
+        return d_x
 
 
 class AdaptiveNormLayer(_Normalization):
@@ -495,13 +526,12 @@ class AdaptiveNormLayer(_Normalization):
         feats = np.tanh(frames @ ctx_weight + ctx_bias)
         attn = softmax(feats.mean(axis=-1))
         context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
-        return context, {"frames": frames, "feats": feats, "attn": attn, "ctx_weight": ctx_weight}
+        return context, {"frames": frames, "feats": feats, "attn": attn}
 
-    def context_backward(self, cache, d_context, out):
-        """Gradient of context with respect to the frames, written into
-        ``out``: an array of the frames' shape and dtype that the caller owns
-        and no longer needs."""
+    def context_backward(self, cache, d_context):
+        """Gradient of context with respect to the frames."""
         frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
+        [ctx_weight] = _cast(frames.dtype, self.ctx_weight)
         d_context = as_float(d_context)
         d_attn = np.matmul(feats, d_context[..., None])[..., 0]
         d_means = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
@@ -510,7 +540,7 @@ class AdaptiveNormLayer(_Normalization):
         d_pre = tanh_backward(feats, d_feats)
         self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.ctx_bias.grad = _rows(d_pre).sum(axis=0)
-        return np.matmul(d_pre, cache["ctx_weight"].T, out=out)
+        return np.matmul(d_pre, ctx_weight.T)
 
     def forward(self, x, mode):
         """The context's frames are the normalization's input, cached once."""
@@ -520,22 +550,20 @@ class AdaptiveNormLayer(_Normalization):
             frames.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
         scales = contexts @ scale_weight + scale_bias
         shifts = contexts @ shift_weight + shift_bias
-        y, core = self._normalize(frames, mode, scales[:, None, :], shifts[:, None, :])
-        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales,
-                   "params": (scale_weight, shift_weight)}
+        y, core = self._normalize(frames, mode, scales, shifts)
+        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales}
 
     def backward(self, cache, upstream):
-        """The rebuilt xhat's buffer then takes the context's input gradient."""
-        core, contexts, scales = cache["core"], cache["contexts"], cache["scales"]
-        scale_weight, shift_weight = cache["params"]
-        upstream, xhat = self._rebuild(core, upstream)
-        d_scales = np.einsum("btc,btc->bc", upstream, xhat)
-        d_shifts = upstream.sum(axis=1)
+        """The generator weights are cast again, and freed before the
+        context's backward."""
+        core, contexts = cache["core"], cache["contexts"]
+        d_input, d_scales, d_shifts = self._gradients(core, upstream, cache["scales"])
         self.scale_weight.grad = contexts.T @ d_scales
         self.scale_bias.grad = d_scales.sum(axis=0)
         self.shift_weight.grad = contexts.T @ d_shifts
         self.shift_bias.grad = d_shifts.sum(axis=0)
+        scale_weight, shift_weight = _cast(contexts.dtype, self.scale_weight, self.shift_weight)
         d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
-        d_input = self._normalize_backward(core, xhat, upstream * scales[:, None, :])
-        d_input += self.context_backward(cache["ctx"], d_contexts, out=xhat)
+        del scale_weight, shift_weight
+        d_input += self.context_backward(cache["ctx"], d_contexts)
         return d_input

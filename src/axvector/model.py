@@ -27,7 +27,7 @@ import numpy as np
 
 from .layers import (AdaptiveConvLayer, AdaptiveNormLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      Param, ReluLayer, StatsPoolLayer)
-from .numerics import as_f64, as_float, require
+from .numerics import as_float, require
 from .serialize import FormatError, read_records, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
@@ -181,13 +181,14 @@ def check_min_frames(model: Model, corpus) -> None:
                              f"below the model minimum of {model.min_frames}")
 
 
-def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
+def infer_utterances(model: Model, corpus, head: str, dtype) -> np.ndarray:
     """Inference-mode ``head`` output of every full, uncropped utterance of
     ``corpus``, one row each in corpus order, run one utterance at a time in
-    float64 (features are float32, and the network computes in the dtype of
-    its input)."""
+    ``dtype`` (the network computes in the dtype of its input; features are
+    float32)."""
     check_min_frames(model, corpus)
-    rows = [model.forward(as_f64(corpus.features(utt.utt_id))[None], mode="infer", head=head)[0]
+    rows = [model.forward(np.asarray(corpus.features(utt.utt_id), dtype=dtype)[None],
+                          mode="infer", head=head)[0]
             for utt in corpus.utterances]
     return np.stack(rows)
 

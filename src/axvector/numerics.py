@@ -248,22 +248,6 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
     """
     values = as_float(values)
     weights = _check_weights(values, weights)
-    d_values, d_mean_eff, d_var = _stats_backward(values, weights, d_mean, d_std, moments)
-    d_weights = (np.matmul(values, d_mean_eff[..., None])[..., 0]
-                 + np.einsum("...tc,...tc,...c->...t", values, values, d_var))
-    return d_values, d_weights
-
-
-def weighted_stats_values_backward(values, weights, d_mean, d_std, moments) -> np.ndarray:
-    """The values gradient of weighted_stats_backward alone, for weights that
-    are constants (plain statistics pooling)."""
-    values = as_float(values)
-    return _stats_backward(values, _check_weights(values, weights), d_mean, d_std, moments)[0]
-
-
-def _stats_backward(values, weights, d_mean, d_std, moments):
-    """(d_values, effective mean gradient, variance gradient) of the
-    weighted statistics for checked weights in the values' dtype."""
     mean, raw_var = moments
     std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
     d_var = np.where(raw_var > VARIANCE_FLOOR, as_float(d_std) / (2.0 * std), 0.0)
@@ -271,7 +255,9 @@ def _stats_backward(values, weights, d_mean, d_std, moments):
     d_values = values * (2.0 * d_var)[..., None, :]
     d_values += d_mean_eff[..., None, :]
     d_values *= weights[..., None]
-    return d_values, d_mean_eff, d_var
+    d_weights = (np.matmul(values, d_mean_eff[..., None])[..., 0]
+                 + np.einsum("...tc,...tc,...c->...t", values, values, d_var))
+    return d_values, d_weights
 
 
 # ---------------------------------------------------------------------------

@@ -262,9 +262,10 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
 
 
 def classification_accuracy(model: Model, corpus) -> float:
-    """Inference-mode speaker classification accuracy over full utterances."""
+    """Inference-mode speaker classification accuracy over full utterances,
+    computed in float32, the precision of the features and of training."""
     label_of = corpus.speaker_labels()
-    predicted = infer_utterances(model, corpus, head="logits").argmax(axis=1)
+    predicted = infer_utterances(model, corpus, "logits", np.float32).argmax(axis=1)
     correct = sum(int(p) == label_of[utt.speaker_id]
                   for p, utt in zip(predicted, corpus.utterances))
     return correct / len(corpus.utterances)

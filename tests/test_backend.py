@@ -58,9 +58,35 @@ class TestExtraction:
                           {u.utt_id: tiny_corpus.features(u.utt_id).astype(np.float64)
                            for u in tiny_corpus.utterances})
         for head in ("embedding", "logits"):
-            rows = M.infer_utterances(tiny_model, tiny_corpus, head)
+            rows = M.infer_utterances(tiny_model, tiny_corpus, head, np.float64)
             assert rows.dtype == np.float64
-            assert np.array_equal(rows, M.infer_utterances(tiny_model, upcast, head))
+            assert np.array_equal(rows, M.infer_utterances(tiny_model, upcast, head, np.float64))
+        assert np.array_equal(B.extract_embeddings(tiny_model, tiny_corpus).vectors,
+                              M.infer_utterances(tiny_model, tiny_corpus, "embedding",
+                                                 np.float64))
+
+    def test_accuracy_pass_runs_in_float32(self, tiny_model, tiny_corpus, monkeypatch):
+        """The accuracy pass runs each utterance in float32, the precision
+        training ran in, and predicts what the same pass in float64 does."""
+        seen = []
+        forward = M.Model.forward
+
+        def recording(model, x, *args, **kwargs):
+            seen.append(x.dtype)
+            return forward(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(M.Model, "forward", recording)
+        accuracy = T.classification_accuracy(tiny_model, tiny_corpus)
+        assert seen == [np.float32] * len(tiny_corpus.utterances)
+        monkeypatch.undo()
+        logits32 = M.infer_utterances(tiny_model, tiny_corpus, "logits", np.float32)
+        logits64 = M.infer_utterances(tiny_model, tiny_corpus, "logits", np.float64)
+        assert logits32.dtype == np.float32
+        assert np.array_equal(logits32.argmax(axis=1), logits64.argmax(axis=1))
+        labels = tiny_corpus.speaker_labels()
+        expected = np.mean([int(p) == labels[u.speaker_id]
+                            for p, u in zip(logits64.argmax(axis=1), tiny_corpus.utterances)])
+        assert accuracy == expected
 
     def test_short_utterance_names_id(self, tiny_model):
         utts = [D.Utterance("tooshort", "spk", "clean")]

@@ -492,6 +492,11 @@ def _bad_inputs(pipeline, tmp_path):
     cond_lines = open(os.path.join(pipeline["corpus"], "utt2cond")).readlines()
     partial_cond = tmp_path / "partial_utt2cond"
     partial_cond.write_text("".join(line for line in cond_lines if line.split()[0] != first_test))
+    narrow = str(tmp_path / "narrow")
+    shutil.copytree(pipeline["corpus"], narrow)
+    narrow_file = os.path.join(narrow, "features", sorted(os.listdir(
+        os.path.join(narrow, "features")))[-1])
+    D.write_feature_file(narrow_file, D.read_feature_file(narrow_file)[:, 1:])
     out = str(tmp_path / "out")
     extract = ["extract", "--corpus", pipeline["corpus"], "--out", out, "--model"]
     score = ["score", "--backend", pipeline["backend"], "--out", out]
@@ -546,6 +551,12 @@ def _bad_inputs(pipeline, tmp_path):
         "config-has-a-zero-width": (
             ["gen-data", "--config", bad_value_configs["zero-width"], "--out", out],
             bad_value_configs["zero-width"], out),
+        "feature-file-has-another-dimension-train": (
+            ["train", "--config", pipeline["config"], "--corpus", narrow, "--arch", "baseline",
+             "--out", out], narrow_file, out),
+        "feature-file-has-another-dimension-extract": (
+            ["extract", "--corpus", narrow, "--out", out, "--model", pipeline["ckpt"]],
+            narrow_file, out),
         "utt2cond-lacks-a-test-utterance": (
             ["evaluate", "--scores", pipeline["scores"], "--trials", trials,
              "--utt2cond", str(partial_cond), "--out-prefix", out], str(partial_cond),
@@ -563,7 +574,9 @@ def _bad_inputs(pipeline, tmp_path):
                                   "score-file-repeats-a-trial", "trial-list-repeats-a-pair",
                                   "fused-score-file-lacks-a-trial", "score-files-share-a-stem",
                                   "config-has-an-unknown-key", "config-has-zero-steps",
-                                  "config-has-a-zero-kernel", "config-has-a-zero-width"])
+                                  "config-has-a-zero-kernel", "config-has-a-zero-width",
+                                  "feature-file-has-another-dimension-train",
+                                  "feature-file-has-another-dimension-extract"])
 def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, capsys, kind):
     argv, offending, out = _bad_inputs(pipeline, tmp_path)[kind]
     assert dispatch(argv) == 1

@@ -410,15 +410,67 @@ def _arrays(cache):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", sorted(NORM_CASES))
 def test_norm_cache_holds_no_full_size_array_but_its_input(name, dtype):
-    """A train-mode normalization caches its input once and rebuilds the
-    normalized input in its backward: no other array of the input's shape
-    is kept."""
+    """A train-mode normalization caches its input once and takes its
+    gradients from per-channel sums: no other array of the input's shape is
+    kept."""
     rng = np.random.default_rng(6)
     make, shape = NORM_CASES[name]
     x = rng.normal(size=shape).astype(dtype)
     _, cache = make(rng).forward(x, "train")
     full = [a for a in _arrays(cache) if a.shape == x.shape]
     assert full and all(a is x for a in full)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(LAYER_CASES))
+def test_cache_holds_no_parameter_value_or_cast(name, dtype):
+    """A train-mode cache shares no memory with a parameter value, and holds
+    no array equal to a parameter value cast to the compute dtype: each
+    backward casts the parameters it needs again."""
+    rng = np.random.default_rng(8)
+    make, shape = LAYER_CASES[name]
+    layer = make(rng)
+    _, cache = layer.forward(rng.normal(size=shape).astype(dtype), "train")
+    for a in _arrays(cache):
+        for p in layer.params():
+            assert not np.shares_memory(a, p.value), p.name
+            assert not (a.shape == p.value.shape
+                        and np.array_equal(a, p.value.astype(a.dtype))), p.name
+
+
+def _textbook_affine(layer, x):
+    """(x - running_mean) / sqrt(running_var + eps) * scale + shift in
+    float64, with the layer's fixed affine or, for adaptive norm, the
+    affine it generates from x in float64."""
+    x = x.astype(np.float64)
+    if isinstance(layer, L.AdaptiveNormLayer):
+        contexts, _ = layer.context(x)
+        scale = (contexts @ layer.scale_weight.value + layer.scale_bias.value)[:, None, :]
+        shift = (contexts @ layer.shift_weight.value + layer.shift_bias.value)[:, None, :]
+    else:
+        scale, shift = layer.gamma.value, layer.beta.value
+    inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+    return (x - layer.running_mean) * inv_std * scale + shift
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_infer_mode_is_the_textbook_affine(name, dtype, tol):
+    """An infer-mode normalization, computed as one affine x * a + c, equals
+    the textbook (x - running_mean) * inv_std * scale + shift."""
+    rng = np.random.default_rng(9)
+    make, shape = NORM_CASES[name]
+    layer = make(rng)
+    if isinstance(layer, L.BatchNormLayer):
+        randomize(layer, rng, {"gamma": 1.0})
+    layer.running_mean = rng.normal(size=shape[-1])
+    layer.running_var = rng.uniform(0.5, 2.0, size=shape[-1])
+    layer.initialized = True
+    x = rng.normal(size=shape).astype(dtype)
+    y, _ = layer.forward(x, "infer")
+    expected = _textbook_affine(layer, x)
+    assert y.dtype == dtype
+    np.testing.assert_allclose(y, expected, rtol=tol, atol=tol * np.abs(expected).max())
 
 
 def test_layer_cases_cover_every_layer_class():

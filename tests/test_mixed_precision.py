@@ -36,8 +36,8 @@ def _batch(rng, batch, frames, dim):
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_float32_train_pass_stays_float32(variant):
     """Outputs, input gradients, parameter gradients and cached
-    intermediates are float32; only the (batch, frames) attention and pooling
-    weights are float64, a ReLU caches the bool mask of its input, and every
+    intermediates are float32; only the (batch, frames) attention weights
+    are float64, a ReLU caches the bool mask of its input, and every
     parameter value is float64."""
     rng = np.random.default_rng(3)
     model = M.build(M.ArchConfig(**{**TOY_ARCH, "variant": variant}), seed=3)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from axvector import layers as L
 from axvector import numerics as N
 
 from gradcheck import check_grads
@@ -223,16 +224,26 @@ class TestWeightedStats:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_values_only_gradient_matches_full_backward(self, rng, dtype):
+        """Statistics pooling is the weighted statistics with constant,
+        uniform weights: its forward and its values-only backward agree with
+        weighted_moments and the values gradient of weighted_stats_backward."""
         values = rng.normal(size=(3, 7, 4)).astype(dtype)
         values[1, :, 2] = 0.5   # one channel at the variance floor
-        weights = rng.dirichlet(np.ones(7), size=3)
-        probe_m = rng.normal(size=(3, 4)).astype(dtype)
-        probe_s = rng.normal(size=(3, 4)).astype(dtype)
+        weights = np.full((3, 7), 1.0 / 7)
+        probe = rng.normal(size=(3, 8)).astype(dtype)
         moments = N.weighted_moments(values, weights.astype(dtype))
-        d_values, _ = N.weighted_stats_backward(values, weights, probe_m, probe_s, moments)
-        alone = N.weighted_stats_values_backward(values, weights, probe_m, probe_s, moments)
+        d_values, _ = N.weighted_stats_backward(values, weights, probe[:, :4], probe[:, 4:],
+                                                moments)
+        pool = L.StatsPoolLayer("pool")
+        out, cache = pool.forward(values, "train")
+        alone = pool.backward(cache, probe)
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        mean, raw_var = moments
+        np.testing.assert_allclose(out[:, :4], mean, rtol=tol, atol=tol)
+        np.testing.assert_allclose(out[:, 4:], np.sqrt(np.maximum(raw_var, N.VARIANCE_FLOOR)),
+                                   rtol=tol, atol=tol)
         assert alone.dtype == d_values.dtype == dtype
-        assert np.array_equal(alone, d_values)
+        np.testing.assert_allclose(alone, d_values, rtol=tol, atol=tol * np.abs(d_values).max())
 
     def test_gradient_zero_at_floor(self):
         values = np.full((3, 2), 1.0)
