@@ -359,28 +359,35 @@ def read_scores(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+BACKEND_RECORDS = ("center_mean", "projection", "plda_mean", "plda_between", "plda_within")
+
+
 def save_backend(path: str, transform: PreprocessTransform, plda: PldaModel) -> None:
     header = {"kind": "backend", "lda_dim": int(transform.projection.shape[1])}
-    records = [
-        ("center_mean", transform.mean),
-        ("projection", transform.projection),
-        ("plda_mean", plda.mean),
-        ("plda_between", plda.between),
-        ("plda_within", plda.within),
-    ]
-    write_records(path, header, records)
+    values = (transform.mean, transform.projection, plda.mean, plda.between, plda.within)
+    write_records(path, header, list(zip(BACKEND_RECORDS, values)))
 
 
 def load_backend(path: str) -> tuple[PreprocessTransform, PldaModel]:
+    """Read a backend that ``save_backend`` wrote.  Every record must be
+    present and finite, and with k the header's ``lda_dim``, ``center_mean``
+    must be (d,), ``projection`` (d, k), ``plda_mean`` (k,) and both PLDA
+    covariances (k, k); otherwise one FormatError names the file."""
     header, records = read_records(path)
     if header.get("kind") != "backend":
         raise FormatError(f"{path}: not a backend model")
-    by_name = dict(records)
-    try:
-        transform = PreprocessTransform(mean=by_name["center_mean"],
-                                        projection=by_name["projection"])
-        plda = PldaModel(mean=by_name["plda_mean"], between=by_name["plda_between"],
-                         within=by_name["plda_within"])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing backend record {exc}") from exc
+    by_name, k = dict(records), header.get("lda_dim")
+    for name in BACKEND_RECORDS:
+        if name not in by_name:
+            raise FormatError(f"{path}: missing backend record {name!r}")
+        if not np.all(np.isfinite(by_name[name])):
+            raise FormatError(f"{path}: record {name!r} holds a NaN or infinite value")
+    dim = by_name["center_mean"].shape[0] if by_name["center_mean"].ndim == 1 else "d"
+    for name, shape in zip(BACKEND_RECORDS, ((dim,), (dim, k), (k,), (k, k), (k, k))):
+        if by_name[name].shape != shape:
+            raise FormatError(f"{path}: record {name!r} has shape {by_name[name].shape}, "
+                              f"expected {shape}")
+    transform = PreprocessTransform(mean=by_name["center_mean"], projection=by_name["projection"])
+    plda = PldaModel(mean=by_name["plda_mean"], between=by_name["plda_between"],
+                     within=by_name["plda_within"])
     return transform, plda

@@ -55,6 +55,17 @@ def _train_subset(corpus):
     return corpus.subset_by_speakers(s for s in corpus.speakers() if s not in eval_ids)
 
 
+def _read_labeled_trials(path: str):
+    """The trial list of ``path``, which the detection metrics need to hold
+    target and nontarget trials."""
+    from . import data
+
+    trial_list = data.read_trials(path)
+    if len({t.target for t in trial_list}) < 2:
+        raise ValueError(f"{path}: the detection metrics need target and nontarget trials")
+    return trial_list
+
+
 @contextlib.contextmanager
 def _naming(path: str):
     """Name ``path``, the input at fault, in a lookup or value error raised inside."""
@@ -206,7 +217,7 @@ def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
     from .serialize import atomic_write_text
 
     condition_of = data.read_key_value_file(utt2cond) if utt2cond else None
-    trial_list, score_map = data.read_trials(trials), backend.read_scores(scores)
+    trial_list, score_map = _read_labeled_trials(trials), backend.read_scores(scores)
     if condition_of is not None:
         for trial in trial_list:
             if trial.test not in condition_of:
@@ -221,7 +232,7 @@ def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
 
 
 def cmd_det_export(trials: str, out_dir: str, svg: str, scores: list[str]) -> None:
-    from . import backend, data, metrics
+    from . import backend, metrics
     from .serialize import atomic_write_text
 
     # each score file's CSV is named by its stem, and no output is written twice
@@ -233,7 +244,7 @@ def cmd_det_export(trials: str, out_dir: str, svg: str, scores: list[str]) -> No
             raise ValueError(f"{path} and {writer[name]} would both write "
                              f"{os.path.join(out_dir, name)}")
         writer[name] = path
-    trial_list = data.read_trials(trials)
+    trial_list = _read_labeled_trials(trials)
     # every file is built in memory first, so a bad score file writes nothing
     files, curves = {}, []
     for path, stem in zip(scores, stems):
@@ -256,15 +267,16 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
     """Train, extract, fit and score the adaptive-conv variant at each pool
     size in ``values``, all under the one ``config``, and tabulate the
     metrics of each."""
-    from . import backend, data, metrics
+    from . import backend, metrics
     from .serialize import atomic_write_text
 
     sizes = [int(v) for v in values.split(",") if v.strip()]
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"--values must list positive pool sizes, got {values!r}")
     trials = os.path.join(corpus, "trials.txt")
-    # a corpus without eval trials fails here, before any directory or training
-    trial_list = data.read_trials(trials)
+    # a corpus without eval trials, or with one kind only, fails here, before
+    # any directory or training
+    trial_list = _read_labeled_trials(trials)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for n in sizes:

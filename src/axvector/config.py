@@ -114,11 +114,11 @@ class RunConfig:
         train_speakers = self.corpus.num_speakers - self.split.eval_speakers
         if train_speakers < 2:
             raise ConfigError("corpus must keep at least 2 training speakers after the split")
-        self.arch.num_speakers = train_speakers
         if self.arch.input_dim != self.corpus.feature_dim:
             raise ConfigError(f"arch.input_dim={self.arch.input_dim} does not match "
                               f"corpus.feature_dim={self.corpus.feature_dim}")
-        self.arch.validate()
+        # train takes the speaker count from the corpus, so the config keeps none
+        dataclasses.replace(self.arch, num_speakers=train_speakers).validate()
         if self.corpus.frames_min < self.arch.min_frames:
             raise ConfigError(f"corpus.frames_min={self.corpus.frames_min} is below "
                               f"arch.min_frames={self.arch.min_frames}, the receptive field "

@@ -32,6 +32,11 @@ KNOWN_CONDITIONS = ("clean", "noise", "codec", "reverb")
 # not the corpus, bounds the generator's working memory.
 GENERATION_BLOCK = 64
 
+# The reverb condition: each frame is the normalized sum of the current and
+# previous REVERB_TAPS - 1 frames, weighted by REVERB_DECAY ** lag.
+REVERB_TAPS = 3
+REVERB_DECAY = 0.6
+
 
 @dataclass
 class CorpusSpec:
@@ -47,8 +52,6 @@ class CorpusSpec:
     conditions: tuple = ("clean", "noise", "codec", "reverb")
     noise_scale: float = 0.4
     codec_depth: float = 0.25
-    reverb_taps: int = 3
-    reverb_decay: float = 0.6
     seed: int = 12345
 
     def __post_init__(self):
@@ -67,7 +70,6 @@ class CorpusSpec:
         for cond in self.conditions:
             require(cond in KNOWN_CONDITIONS,
                     f"unknown condition {cond!r}; choose from {KNOWN_CONDITIONS}")
-        require(self.reverb_taps >= 1, "reverb_taps must be >= 1")
 
 
 @dataclass
@@ -144,7 +146,7 @@ def _apply_condition(x: np.ndarray, condition: str, spec: CorpusSpec,
         gain = 1.0 + spec.codec_depth * np.cos(2.0 * np.pi * np.arange(dim) / dim)
         return x * gain
     if condition == "reverb":
-        taps = spec.reverb_decay ** np.arange(spec.reverb_taps)
+        taps = REVERB_DECAY ** np.arange(REVERB_TAPS)
         out = np.zeros_like(x)
         norm = np.zeros(x.shape[0])
         for j, w in enumerate(taps):

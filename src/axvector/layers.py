@@ -19,12 +19,14 @@ to that parameter's gradient, once per call, replacing the previous one.
 Parameter values change only between a forward/backward pair (the optimizer
 updates them in place); the running statistics change only in train mode.
 
-A layer computes in the dtype of its input: float32 stays float32, anything
-else runs in float64.  Parameter gradients come out in that compute dtype;
-parameter values and the running statistics are always float64.  A forward
-and its backward each cast the parameter values they use to the input's
-dtype (a no-op in float64), from the same unchanged values, so both see the
-same weights.
+A layer computes in the dtype of its input, a float32 or float64 array that
+the model or the previous layer produced; no layer casts its input or its
+upstream.  Parameter gradients come out in that compute dtype; parameter
+values and the running statistics are always float64.  A forward and its
+backward each cast the parameter values they use to the input's dtype (a
+no-op in float64), from the same unchanged values, so both see the same
+weights.  An infer-mode ReLU or normalization caches nothing and has no
+backward.
 
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
@@ -38,7 +40,6 @@ import numpy as np
 from .numerics import (
     VARIANCE_FLOOR,
     as_f64,
-    as_float,
     conv_backward,
     conv_forward,
     relu,
@@ -53,9 +54,12 @@ from .numerics import (
 
 MODES = ("train", "infer")
 
+# running-statistics momentum and variance epsilon of every normalization
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
-def _check_frames(frames, what: str) -> np.ndarray:
-    frames = as_float(frames)
+
+def _check_frames(frames: np.ndarray, what: str) -> np.ndarray:
     require(frames.ndim == 3 and frames.shape[1] >= 1,
             f"{what} input must be (batch, frames, channels) with frames >= 1, "
             f"got {frames.shape}")
@@ -122,7 +126,6 @@ class ReluLayer:
         return []
 
     def forward(self, x, mode):
-        x = as_float(x)
         return relu(x), (x > 0.0 if mode == "train" else None)
 
     def backward(self, cache, upstream):
@@ -145,7 +148,6 @@ class ConvLayer:
         return [self.weight, self.bias]
 
     def forward(self, x, mode):
-        x = as_float(x)
         require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
                 f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
         weight, bias = _cast(x.dtype, self.weight, self.bias)
@@ -154,7 +156,7 @@ class ConvLayer:
     def backward(self, cache, upstream):
         x = cache
         [weight] = _cast(x.dtype, self.weight)
-        d_input, d_w, d_b = conv_backward(x, weight, self.dilation, as_float(upstream))
+        d_input, d_w, d_b = conv_backward(x, weight, self.dilation, upstream)
         self.weight.grad = d_w
         self.bias.grad = d_b
         return d_input
@@ -172,7 +174,6 @@ class DenseLayer:
         return [self.weight, self.bias]
 
     def forward(self, x, mode):
-        x = as_float(x)
         require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
                 f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
         weight, bias = _cast(x.dtype, self.weight, self.bias)
@@ -214,7 +215,6 @@ class StatsPoolLayer:
         is zero while the floor is active."""
         x, mean, raw_var = cache
         c, frames = x.shape[-1], x.shape[1]
-        upstream = as_float(upstream)
         std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
         d_var = np.where(raw_var > VARIANCE_FLOOR, upstream[:, c:] / (2.0 * std), 0.0)
         d_x = x * (2.0 / frames * d_var)[:, None, :]
@@ -291,7 +291,6 @@ class AdaptiveConvLayer:
         frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
         score_weight, score_proj = _cast(frames.dtype, self.score_weight, self.score_proj)
         c = frames.shape[-1]
-        d_context = as_float(d_context)
         d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
                                                    d_context[..., c:], moments=cache["moments"])
         d_logits = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
@@ -309,7 +308,6 @@ class AdaptiveConvLayer:
         weights and bias are the coefficient-weighted sums of the pool
         entries, in the context's dtype.
         """
-        context = as_float(context)
         require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
                 f"context must be (batch, {self.mix_weight.value.shape[0]}), "
                 f"got {context.shape}")
@@ -323,16 +321,10 @@ class AdaptiveConvLayer:
 
     def filters_backward(self, cache, d_weights, d_bias):
         """Gradient of filters with respect to the context."""
-        [pool] = _cast(cache["coeffs"].dtype, self.pool_weight)
-        return self._filters_backward(cache, d_weights, d_bias, pool)
-
-    def _filters_backward(self, cache, d_weights, d_bias, pool):
-        """``filters_backward`` given the pool already cast to the compute
-        dtype."""
         context, coeffs = cache["context"], cache["coeffs"]
-        mix_weight, pool_bias = _cast(coeffs.dtype, self.mix_weight, self.pool_bias)
-        d_weights = as_float(d_weights).reshape(coeffs.shape[0], -1)
-        d_bias = as_float(d_bias)
+        mix_weight, pool, pool_bias = _cast(coeffs.dtype, self.mix_weight, self.pool_weight,
+                                            self.pool_bias)
+        d_weights = d_weights.reshape(coeffs.shape[0], -1)
         d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ pool_bias.T
         self.pool_weight.grad = (coeffs.T @ d_weights).reshape(pool.shape)
         self.pool_bias.grad = coeffs.T @ d_bias
@@ -349,17 +341,15 @@ class AdaptiveConvLayer:
         return conv_forward(x, weights, bias, self.dilation), {"ctx": ctx_cache, "mix": mix_cache}
 
     def backward(self, cache, upstream):
-        """The banks are remixed from the cached coefficients and the pool,
-        cast again once for both the remix and the filters' backward, and
-        freed once the convolution's backward has used them; the input is
-        the context's frames."""
+        """The banks are remixed from the cached coefficients and a
+        temporary cast of the pool, and freed once the convolution's backward
+        has used them; the input is the context's frames."""
         mix = cache["mix"]
-        [pool] = _cast(mix["coeffs"].dtype, self.pool_weight)
-        weights = _mixed_banks(mix["coeffs"], pool)
+        weights = _mixed_banks(mix["coeffs"], *_cast(mix["coeffs"].dtype, self.pool_weight))
         d_input, d_weights, d_bias = conv_backward(cache["ctx"]["frames"], weights,
-                                                   self.dilation, as_float(upstream))
+                                                   self.dilation, upstream)
         del weights
-        d_context = self._filters_backward(mix, d_weights, d_bias, pool)
+        d_context = self.filters_backward(mix, d_weights, d_bias)
         d_input += self.context_backward(cache["ctx"], d_context)
         return d_input
 
@@ -376,13 +366,14 @@ class _Normalization:
     Train mode uses batch statistics per channel over all leading axes and
     updates the running statistics by exponential moving average; infer mode
     uses the running statistics, and raises before any update unless they
-    were explicitly initialized.
+    were explicitly initialized.  The momentum and epsilon are BN_MOMENTUM
+    and BN_EPS.
     """
 
-    def __init__(self, name: str, channels: int, momentum: float, eps: float):
+    def __init__(self, name: str, channels: int):
         self.name = name
-        self.momentum = momentum
-        self.eps = eps
+        self.momentum = BN_MOMENTUM
+        self.eps = BN_EPS
         self.running_mean = np.zeros(channels)
         self.running_var = np.zeros(channels)
         self.initialized = False
@@ -393,19 +384,18 @@ class _Normalization:
         (two-dimensional, for frames).  Train mode takes the batch mean,
         then the one fresh array x - mean gives the variance and becomes the
         output; infer mode is the one affine x * a + (shift - mean * a) with
-        a = scale * inv_std from the running statistics.  The cache holds x,
-        mean and inv_std."""
+        a = scale * inv_std from the running statistics.  A train-mode cache
+        holds x, mean and inv_std; an infer-mode forward caches nothing."""
         require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
         require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
         channels = self.running_mean.shape[0]
         require(x.shape[-1] == channels,
                 f"input has {x.shape[-1]} channels, the layer tracks {channels}")
-        count = x.size // x.shape[-1]
-        require(count >= 1, "normalization batch must be nonempty")
+        require(x.size >= 1, "normalization batch must be nonempty")
         if mode == "train":
             mean = _rows(x).mean(axis=0)
             y = x - mean
-            var = np.einsum("nc,nc->c", _rows(y), _rows(y)) / count
+            var = np.einsum("nc,nc->c", _rows(y), _rows(y)) / _rows(x).shape[0]
             m = self.momentum
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
@@ -413,28 +403,27 @@ class _Normalization:
             inv_std = 1.0 / np.sqrt(var + self.eps)
             y *= _per_frame(scale * inv_std)
             y += _per_frame(shift)
-        else:
-            if not self.initialized:
-                raise RuntimeError("inference-mode normalization before any training update; "
-                                   "initialize the running statistics first")
-            mean = self.running_mean.astype(x.dtype, copy=False)
-            inv_std = (1.0 / np.sqrt(self.running_var + self.eps)).astype(x.dtype, copy=False)
-            a = scale * inv_std
-            y = x * _per_frame(a)
-            y += _per_frame(shift - mean * a)
-        return y, {"x": x, "mean": mean, "inv_std": inv_std, "mode": mode, "count": count}
+            return y, {"x": x, "mean": mean, "inv_std": inv_std}
+        if not self.initialized:
+            raise RuntimeError("inference-mode normalization before any training update; "
+                               "initialize the running statistics first")
+        mean = self.running_mean.astype(x.dtype, copy=False)
+        inv_std = (1.0 / np.sqrt(self.running_var + self.eps)).astype(x.dtype, copy=False)
+        a = scale * inv_std
+        y = x * _per_frame(a)
+        y += _per_frame(shift - mean * a)
+        return y, None
 
     def _gradients(self, stats, upstream, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(d_x, d_scale, d_shift) of ``_normalize``'s output, from the sums
-        su of the upstream gradient and sux of its product with x over each
-        scale's frames: d_shift = su and d_scale = (sux - mean su) inv_std.
-        d_x = upstream * scale * inv_std, plus in train mode x * k + j with k
-        and j per channel: the gradient through the batch statistics, which
-        needs only the means of d_xhat = upstream * scale and of d_xhat *
-        xhat.  The normalized input is never rebuilt.  An upstream of
-        another dtype than the input is refused."""
+        """(d_x, d_scale, d_shift) of a train-mode ``_normalize``'s output,
+        from the sums su of the upstream gradient and sux of its product with
+        x over each scale's frames: d_shift = su and d_scale = (sux - mean su)
+        inv_std.  d_x = upstream * scale * inv_std + x * k + j with k and j
+        per channel: the gradient through the batch statistics, which needs
+        only the means of d_xhat = upstream * scale and of d_xhat * xhat.
+        The normalized input is never rebuilt.  An upstream of another dtype
+        than the input is refused."""
         x, mean, inv_std = stats["x"], stats["mean"], stats["inv_std"]
-        upstream = as_float(upstream)
         require(upstream.dtype == x.dtype,
                 f"{self.name} upstream gradient must be {x.dtype} like its input, "
                 f"got {upstream.dtype}")
@@ -447,13 +436,12 @@ class _Normalization:
         d_scale -= mean * d_shift
         d_scale *= inv_std
         d_x = upstream * _per_frame(scale * inv_std)
-        if stats["mode"] == "train":
-            n = stats["count"]
-            mean_d = _rows(scale * d_shift).sum(axis=0) / n
-            mean_dx = _rows(scale * d_scale).sum(axis=0) / n
-            k = -inv_std * inv_std * mean_dx
-            d_x += x * k
-            d_x -= inv_std * mean_d + mean * k
+        n = _rows(x).shape[0]
+        mean_d = _rows(scale * d_shift).sum(axis=0) / n
+        mean_dx = _rows(scale * d_scale).sum(axis=0) / n
+        k = -inv_std * inv_std * mean_dx
+        d_x += x * k
+        d_x -= inv_std * mean_d + mean * k
         return d_x, d_scale, d_shift
 
     def state_items(self):
@@ -471,8 +459,8 @@ class _Normalization:
 class BatchNormLayer(_Normalization):
     """Per-channel batch normalization with a trained fixed affine."""
 
-    def __init__(self, name: str, channels: int, momentum: float, eps: float):
-        super().__init__(name, channels, momentum, eps)
+    def __init__(self, name: str, channels: int):
+        super().__init__(name, channels)
         self.gamma = Param(f"{name}.gamma", np.ones(channels), False)
         self.beta = Param(f"{name}.beta", np.zeros(channels), False)
 
@@ -480,11 +468,11 @@ class BatchNormLayer(_Normalization):
         return [self.gamma, self.beta]
 
     def forward(self, x, mode):
-        x = as_float(x)
         gamma, beta = _cast(x.dtype, self.gamma, self.beta)
         return self._normalize(x, mode, gamma, beta)
 
     def backward(self, cache, upstream):
+        require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         [gamma] = _cast(cache["x"].dtype, self.gamma)
         d_x, self.gamma.grad, self.beta.grad = self._gradients(cache, upstream, gamma)
         return d_x
@@ -501,8 +489,8 @@ class AdaptiveNormLayer(_Normalization):
     """
 
     def __init__(self, name: str, rng: np.random.Generator | None, channels: int,
-                 hidden: int, momentum: float, eps: float):
-        super().__init__(name, channels, momentum, eps)
+                 hidden: int):
+        super().__init__(name, channels)
         self.ctx_weight = Param(f"{name}.ctx_weight", _he_normal(rng, (channels, hidden), channels), True)
         self.ctx_bias = Param(f"{name}.ctx_bias", np.zeros(hidden), False)
         # generators start near the identity affine: scale bias at one (like a
@@ -532,7 +520,6 @@ class AdaptiveNormLayer(_Normalization):
         """Gradient of context with respect to the frames."""
         frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
         [ctx_weight] = _cast(frames.dtype, self.ctx_weight)
-        d_context = as_float(d_context)
         d_attn = np.matmul(feats, d_context[..., None])[..., 0]
         d_means = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
         d_feats = attn.astype(frames.dtype, copy=False)[..., None] * d_context[..., None, :]
@@ -551,11 +538,14 @@ class AdaptiveNormLayer(_Normalization):
         scales = contexts @ scale_weight + scale_bias
         shifts = contexts @ shift_weight + shift_bias
         y, core = self._normalize(frames, mode, scales, shifts)
+        if core is None:
+            return y, None
         return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales}
 
     def backward(self, cache, upstream):
         """The generator weights are cast again, and freed before the
         context's backward."""
+        require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         core, contexts = cache["core"], cache["contexts"]
         d_input, d_scales, d_shifts = self._gradients(core, upstream, cache["scales"])
         self.scale_weight.grad = contexts.T @ d_scales

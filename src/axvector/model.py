@@ -7,7 +7,8 @@ The network is a flat sequence of layers:
     frame1..frame5:  conv (or adaptive conv) -> relu -> norm (BN or adaptive)
     pool:            statistics pooling over frames
     utt1, utt2:      affine -> relu -> BN        (embedding = utt1 affine
-                                                  output, before relu/BN)
+                                                  output, before relu/BN,
+                                                  as in the x-vector recipe)
     output:          affine to speaker logits
 
 The model's parameters are its layers' ``Param``s in layer order; a
@@ -15,8 +16,8 @@ checkpoint stores them by name, followed by the normalization layers'
 running statistics.  A model is immutable during inference and may be
 shared across readers; training mutates parameters and normalization
 statistics from a single writer.  The network computes in the dtype of its
-input (float32 stays float32, anything else is float64); parameters and
-statistics are float64 either way.
+input (float32 stays float32, anything else is float64), which only the model
+casts; parameters and statistics are float64 either way.
 """
 
 from __future__ import annotations
@@ -43,13 +44,10 @@ class ArchConfig:
     dilations: tuple = (1, 2, 3, 1, 1)
     utterance_dims: tuple = (512, 512)
     num_speakers: int | None = None
-    embedding_layer_index: int = 1   # 1-based index of the utterance affine tapped
     variant: str = "baseline"
     acnn_layer_index: int = 4        # 1-based frame layer carrying the adaptive conv
     attention_hidden: int = 256
     pool_size: int = 4
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         self.frame_dims = tuple(int(d) for d in self.frame_dims)
@@ -66,24 +64,16 @@ class ArchConfig:
                 "num_speakers must be set and at least 2")
         require(self.variant in VARIANTS, f"variant must be one of {VARIANTS}, got {self.variant!r}")
         require(1 <= self.acnn_layer_index <= 5, "acnn_layer_index must lie in [1, 5]")
-        require(1 <= self.embedding_layer_index <= len(self.utterance_dims),
-                "embedding_layer_index must point at an utterance layer")
         require(min(self.frame_dims + self.utterance_dims) >= 1, "frame/utterance dims must be >= 1")
         require(all(k >= 1 for k in self.kernel_sizes), "kernel sizes must be >= 1")
         require(all(d >= 1 for d in self.dilations), "dilations must be >= 1")
         require(self.attention_hidden >= 1 and self.pool_size >= 1,
                 "attention_hidden and pool_size must be >= 1")
-        require(0.0 < self.bn_momentum < 1.0, "bn_momentum must lie in (0, 1)")
-        require(self.bn_eps > 0.0, "bn_eps must be positive")
 
     @property
     def min_frames(self) -> int:
         """Smallest input length the frame stack accepts."""
         return 1 + sum((k - 1) * d for k, d in zip(self.kernel_sizes, self.dilations))
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.utterance_dims[self.embedding_layer_index - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +82,12 @@ class ArchConfig:
 
 
 class Model:
-    def __init__(self, config: ArchConfig, layer_list: list, embedding_tap: str):
+    # the layer whose output is the embedding: the first segment-level affine
+    embedding_tap = "utt1.affine"
+
+    def __init__(self, config: ArchConfig, layer_list: list):
         self.config = config
         self.layers = layer_list
-        self.embedding_tap = embedding_tap
 
     def layer(self, name: str):
         for lyr in self.layers:
@@ -221,11 +213,9 @@ def _assemble(config: ArchConfig, rng: np.random.Generator | None) -> Model:
         adaptive_norm = (config.variant in ("abn", "acnn_abn") and not adaptive_conv)
         if adaptive_norm:
             layer_list.append(AdaptiveNormLayer(f"{name}.norm", rng, out_dim,
-                                                config.attention_hidden,
-                                                config.bn_momentum, config.bn_eps))
+                                                config.attention_hidden))
         else:
-            layer_list.append(BatchNormLayer(f"{name}.norm", out_dim,
-                                             config.bn_momentum, config.bn_eps))
+            layer_list.append(BatchNormLayer(f"{name}.norm", out_dim))
         in_dim = out_dim
     layer_list.append(StatsPoolLayer("pool"))
     in_dim = 2 * in_dim
@@ -233,14 +223,13 @@ def _assemble(config: ArchConfig, rng: np.random.Generator | None) -> Model:
         name = f"utt{j + 1}"
         layer_list.append(DenseLayer(f"{name}.affine", rng, in_dim, dim))
         layer_list.append(ReluLayer(f"{name}.act"))
-        layer_list.append(BatchNormLayer(f"{name}.norm", dim, config.bn_momentum, config.bn_eps))
+        layer_list.append(BatchNormLayer(f"{name}.norm", dim))
         in_dim = dim
     # classifier head starts near zero so the initial predictive distribution
     # is close to uniform (first-step cross entropy ~ log num_speakers)
     layer_list.append(DenseLayer("output.affine", rng, in_dim, config.num_speakers,
                                  init_scale=0.1))
-    tap = f"utt{config.embedding_layer_index}.affine"
-    return Model(config, layer_list, tap)
+    return Model(config, layer_list)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ intermediates) and returns exact gradients of the documented contract.
 Shape arithmetic is validated before any compute so failures surface as
 descriptive ``ValueError``s instead of numpy broadcasting accidents.
 
-Precision follows the input: float32 arrays stay float32 (training feeds
-float32 batches), anything else runs in float64, and every fresh buffer takes
+Precision follows the input: the kernels take float32 or float64 arrays,
+which only ``conv1d``/``conv1d_backward`` cast, and every fresh buffer takes
 its input's dtype.  The softmax and the weights of weighted statistics are the
 exception: they are computed and checked in float64 and cast to the values'
 dtype only for the products.
@@ -246,12 +246,11 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
     std = sqrt(max(raw variance, VARIANCE_FLOOR)), given the forward's
     weighted_moments ``moments``.  The floor gives zero gradient while active.
     """
-    values = as_float(values)
     weights = _check_weights(values, weights)
     mean, raw_var = moments
     std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
-    d_var = np.where(raw_var > VARIANCE_FLOOR, as_float(d_std) / (2.0 * std), 0.0)
-    d_mean_eff = as_float(d_mean) - 2.0 * mean * d_var
+    d_var = np.where(raw_var > VARIANCE_FLOOR, d_std / (2.0 * std), 0.0)
+    d_mean_eff = d_mean - 2.0 * mean * d_var
     d_values = values * (2.0 * d_var)[..., None, :]
     d_values += d_mean_eff[..., None, :]
     d_values *= weights[..., None]
@@ -265,8 +264,8 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
 # ---------------------------------------------------------------------------
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(as_float(x), 0.0)
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(mask: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -65,7 +65,7 @@ class TestCriterion2Gradients:
                     self.TOL)
 
     def test_criterion_2_gradients_batch_norm(self, rng):
-        layer = L.BatchNormLayer("bn", 3, 0.1, 1e-5)
+        layer = L.BatchNormLayer("bn", 3)
         layer.gamma.value[...] = rng.normal(size=3) + 1.0
         layer.beta.value[...] = rng.normal(size=3)
         x = rng.normal(size=(2, 4, 3))
@@ -79,7 +79,7 @@ class TestCriterion2Gradients:
         check_grads(loss, [("x", x, dx)] + param_grads(layer), self.TOL)
 
     def test_criterion_2_gradients_abn(self, rng):
-        layer = randomize(L.AdaptiveNormLayer("abn", np.random.default_rng(0), 3, 2, 0.1, 1e-5),
+        layer = randomize(L.AdaptiveNormLayer("abn", np.random.default_rng(0), 3, 2),
                            rng, {"scale_bias": 1.0})
         x = rng.normal(size=(2, 4, 3))
         probe = rng.normal(size=(2, 4, 3))
@@ -199,7 +199,7 @@ class TestCriterion2Gradients:
 class TestCriterion3Reductions:
     def test_criterion_3_reduction_abn_to_bn(self, rng):
         channels = 5
-        abn = L.AdaptiveNormLayer("abn", np.random.default_rng(0), channels, 3, 0.1, 1e-5)
+        abn = L.AdaptiveNormLayer("abn", np.random.default_rng(0), channels, 3)
         abn.ctx_weight.value[...] = rng.normal(size=(channels, 3))
         abn.ctx_bias.value[...] = rng.normal(size=3)
         abn.scale_weight.value[...] = 0.0
@@ -208,7 +208,7 @@ class TestCriterion3Reductions:
         abn.shift_bias.value[...] = 0.0
         x = rng.normal(size=(4, 7, channels))
         out_abn, _ = abn.forward(x, "train")
-        out_bn, _ = L.BatchNormLayer("bn", channels, 0.1, 1e-5).forward(x, "train")
+        out_bn, _ = L.BatchNormLayer("bn", channels).forward(x, "train")
         assert np.max(np.abs(out_abn - out_bn)) <= 1e-12
         assert np.array_equal(out_abn, out_bn)
 

@@ -106,6 +106,12 @@ def test_config_refuses_arch_fields_that_are_not_settings(key, value):
         RunConfig.from_dict(config)
 
 
+def test_loaded_config_holds_no_speaker_count():
+    """Validation checks the architecture with the split's speaker count but
+    leaves the config's unset: train takes the count from the corpus."""
+    assert RunConfig.from_dict(MINI_CONFIG).arch.num_speakers is None
+
+
 @pytest.mark.parametrize("metrics", [{"dcf_p_targets": [1.5]}, {"act_p_target": 0.0},
                                      {"act_p_target": "high"}])
 def test_bad_metrics_section_fails_train_before_any_work(pipeline, tmp_path, capsys, metrics):
@@ -445,6 +451,15 @@ def test_pipeline_rerun_is_byte_identical(workdir, pipeline):
     assert open(ckpt2, "rb").read() == open(pipeline["ckpt"], "rb").read()
 
 
+def test_score_accepts_a_trial_list_of_one_kind(pipeline, tmp_path):
+    """Only the detection metrics need target and nontarget trials."""
+    trials = tmp_path / "targets.txt"
+    trials.write_text("".join(line for line in open(os.path.join(pipeline["corpus"], "trials.txt"))
+                              if line.split()[2] == "target"))
+    assert dispatch(["score", "--backend", pipeline["backend"], "--embeddings", pipeline["emb"],
+                     "--trials", str(trials), "--out", str(tmp_path / "scores.txt")]) == 0
+
+
 def _bad_inputs(pipeline, tmp_path):
     """(argv, offending path, output path) for one bad input of each kind.
     det-export is given a good score file before the bad one, so that only
@@ -497,6 +512,18 @@ def _bad_inputs(pipeline, tmp_path):
     narrow_file = os.path.join(narrow, "features", sorted(os.listdir(
         os.path.join(narrow, "features")))[-1])
     D.write_feature_file(narrow_file, D.read_feature_file(narrow_file)[:, 1:])
+    header, records = read_records(pipeline["backend"])
+    nan_backend, short_backend = str(tmp_path / "nan.axvr"), str(tmp_path / "short.axvr")
+    write_records(nan_backend, header, [(name, np.full_like(value, np.nan) if
+                                         name == "center_mean" else value)
+                                        for name, value in records])
+    write_records(short_backend, header, [(name, value[:-1] if name == "plda_mean" else value)
+                                          for name, value in records])
+    one_kind = str(tmp_path / "one_kind")
+    shutil.copytree(pipeline["corpus"], one_kind)
+    targets_only = os.path.join(one_kind, "trials.txt")
+    with open(targets_only, "w") as handle:
+        handle.writelines(line for line in open(trials) if line.split()[2] == "target")
     out = str(tmp_path / "out")
     extract = ["extract", "--corpus", pipeline["corpus"], "--out", out, "--model"]
     score = ["score", "--backend", pipeline["backend"], "--out", out]
@@ -557,6 +584,21 @@ def _bad_inputs(pipeline, tmp_path):
         "feature-file-has-another-dimension-extract": (
             ["extract", "--corpus", narrow, "--out", out, "--model", pipeline["ckpt"]],
             narrow_file, out),
+        "backend-holds-a-nan": (
+            ["score", "--backend", nan_backend, "--embeddings", pipeline["emb"], "--trials",
+             trials, "--out", out], nan_backend, out),
+        "backend-shapes-disagree": (
+            ["score", "--backend", short_backend, "--embeddings", pipeline["emb"], "--trials",
+             trials, "--out", out], short_backend, out),
+        "trial-list-has-one-kind-evaluate": (
+            ["evaluate", "--scores", pipeline["scores"], "--trials", targets_only,
+             "--out-prefix", out], targets_only, out + ".txt"),
+        "trial-list-has-one-kind-det-export": (
+            ["det-export", "--trials", targets_only, "--out-dir", out, pipeline["scores"]],
+            targets_only, out),
+        "trial-list-has-one-kind-sweep-n": (
+            ["sweep-n", "--config", pipeline["config"], "--corpus", one_kind, "--out-dir", out,
+             "--values", "2"], targets_only, out),
         "utt2cond-lacks-a-test-utterance": (
             ["evaluate", "--scores", pipeline["scores"], "--trials", trials,
              "--utt2cond", str(partial_cond), "--out-prefix", out], str(partial_cond),
@@ -576,7 +618,11 @@ def _bad_inputs(pipeline, tmp_path):
                                   "config-has-an-unknown-key", "config-has-zero-steps",
                                   "config-has-a-zero-kernel", "config-has-a-zero-width",
                                   "feature-file-has-another-dimension-train",
-                                  "feature-file-has-another-dimension-extract"])
+                                  "feature-file-has-another-dimension-extract",
+                                  "backend-holds-a-nan", "backend-shapes-disagree",
+                                  "trial-list-has-one-kind-evaluate",
+                                  "trial-list-has-one-kind-det-export",
+                                  "trial-list-has-one-kind-sweep-n"])
 def test_bad_input_fails_with_one_error_naming_its_file(pipeline, tmp_path, capsys, kind):
     argv, offending, out = _bad_inputs(pipeline, tmp_path)[kind]
     assert dispatch(argv) == 1

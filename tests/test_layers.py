@@ -16,12 +16,14 @@ def make_acnn_layer(rng, in_dim=4, hidden=3, pool=3, kernel=2, out_dim=5, dilati
 
 
 def make_abn_layer(rng, channels=4, hidden=3):
-    layer = L.AdaptiveNormLayer("abn", np.random.default_rng(0), channels, hidden, 0.1, 1e-5)
+    layer = L.AdaptiveNormLayer("abn", np.random.default_rng(0), channels, hidden)
     return randomize(layer, rng, {"scale_bias": 1.0})
 
 
-def make_bn_layer(channels, momentum=0.1, eps=1e-5):
-    return L.BatchNormLayer("bn", channels, momentum, eps)
+def make_bn_layer(channels, momentum=L.BN_MOMENTUM, eps=L.BN_EPS):
+    layer = L.BatchNormLayer("bn", channels)
+    layer.momentum, layer.eps = momentum, eps
+    return layer
 
 
 def floored_stats(values, weights):
@@ -326,7 +328,7 @@ class TestAbnApply:
         assert np.array_equal(abn.running_mean, bn.running_mean)
 
     def test_infer_affine_arithmetic(self):
-        abn = L.AdaptiveNormLayer("abn", np.random.default_rng(0), 1, 2, 0.1, 1e-5)
+        abn = L.AdaptiveNormLayer("abn", np.random.default_rng(0), 1, 2)
         for p in abn.params():
             p.value[...] = 0.0
         abn.scale_bias.value[...] = 2.0
@@ -382,6 +384,21 @@ NORM_CASES = {
     "bn-frames": (lambda rng: make_bn_layer(3), (2, 4, 3)),
     "abn": (lambda rng: make_abn_layer(rng, channels=3, hidden=2), (2, 4, 3)),
 }
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_infer_mode_norm_keeps_no_cache(name):
+    """Like a ReLU, an infer-mode normalization caches nothing, and its
+    backward is refused."""
+    rng = np.random.default_rng(4)
+    make, shape = NORM_CASES[name]
+    layer = make(rng)
+    layer.running_var = np.ones(shape[-1])
+    layer.initialized = True
+    out, cache = layer.forward(rng.normal(size=shape), "infer")
+    assert cache is None
+    with pytest.raises(ValueError, match=f"{layer.name}: backward needs a train-mode forward"):
+        layer.backward(cache, np.ones_like(out))
 
 
 @pytest.mark.parametrize("name", sorted(NORM_CASES))

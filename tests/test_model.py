@@ -63,7 +63,7 @@ class TestBuild:
         assert frame5.weight.value.shape == (1, 512, 1536)
         utt1 = model.layer("utt1.affine")
         assert utt1.weight.value.shape == (3072, 512)   # pooled mean+std of 1536
-        assert model.config.embedding_dim == 512
+        assert model.config.utterance_dims[0] == 512
 
     def test_acnn_variant_wiring(self):
         model = M.build(M.ArchConfig(variant="acnn", **FULL_SIZE), seed=0)
@@ -308,10 +308,12 @@ class TestCheckpoint:
         (None, "no config"),
         ({**asdict(tiny_config()), "variant": "dense"}, "variant"),
         ({**asdict(tiny_config()), "kernel_sizes": 3}, "kernel_sizes|iterable"),
-        ({**asdict(tiny_config()), "bn_momentum": 2.0}, "bn_momentum"),
-        ({**asdict(tiny_config()), "bn_eps": 0.0}, "bn_eps"),
+        # a header naming a setting that became a constant, with its old value
+        ({**asdict(tiny_config()), "bn_momentum": 0.1}, "bn_momentum"),
+        ({**asdict(tiny_config()), "bn_eps": 1e-5}, "bn_eps"),
         ({**asdict(tiny_config()), "frame_dims": (4, -3, 4, 4, 6)}, "dims must be >= 1"),
         ({**asdict(tiny_config()), "utterance_dims": (5, 0)}, "dims must be >= 1"),
+        ({**asdict(tiny_config()), "embedding_layer_index": 1}, "embedding_layer_index"),
     ])
     def test_bad_config_is_format_error(self, tmp_path, config, message):
         header = {"kind": "model"}
