@@ -186,6 +186,8 @@ def cmd_score(backend_path: str, embeddings: str, trials: str, out: str) -> None
     from . import backend, data
 
     transform, plda = backend.load_backend(backend_path)
+    with _naming(backend_path):
+        scorer = backend.PldaScorer(plda)
     table = backend.EmbeddingTable.load(embeddings)
     if table.dim != transform.mean.shape[0]:
         raise ValueError(f"{embeddings}: dimension {table.dim} does not match the "
@@ -197,7 +199,7 @@ def cmd_score(backend_path: str, embeddings: str, trials: str, out: str) -> None
     projected = dict(zip(needed, backend.preprocess_apply(transform, vectors)))
     enroll = np.stack([projected[t.enroll] for t in trial_list])
     test = np.stack([projected[t.test] for t in trial_list])
-    values = backend.PldaScorer(plda).score_pairs(enroll, test)
+    values = scorer.score_pairs(enroll, test)
     scores = {(t.enroll, t.test): float(v) for t, v in zip(trial_list, values)}
     backend.write_scores(out, scores)
     _log(f"scored {len(scores)} trials")

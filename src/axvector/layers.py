@@ -21,12 +21,13 @@ updates them in place); the running statistics change only in train mode.
 
 A layer computes in the dtype of its input, a float32 or float64 array that
 the model or the previous layer produced; no layer casts its input or its
-upstream.  Parameter gradients come out in that compute dtype; parameter
-values and the running statistics are always float64.  A forward and its
+upstream.  Parameter gradients come out in that compute dtype.  Parameter
+values are float64 as built or loaded and float32 once training has cast
+them; the running statistics are always float64.  A forward and its
 backward each cast the parameter values they use to the input's dtype (a
-no-op in float64), from the same unchanged values, so both see the same
-weights.  An infer-mode ReLU or normalization caches nothing and has no
-backward.
+no-op when the dtypes match), from the same unchanged values, so both see
+the same weights.  An infer-mode ReLU or normalization caches nothing and
+has no backward.
 
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
@@ -78,8 +79,8 @@ def _per_frame(a: np.ndarray) -> np.ndarray:
 
 
 def _cast(dtype, *params) -> list[np.ndarray]:
-    """The parameters' values in the compute dtype (the values themselves in
-    float64)."""
+    """The parameters' values in the compute dtype (the values themselves
+    when they already are in it)."""
     return [p.value.astype(dtype, copy=False) for p in params]
 
 

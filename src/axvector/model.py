@@ -17,7 +17,9 @@ running statistics.  A model is immutable during inference and may be
 shared across readers; training mutates parameters and normalization
 statistics from a single writer.  The network computes in the dtype of its
 input (float32 stays float32, anything else is float64), which only the model
-casts; parameters and statistics are float64 either way.
+casts.  Parameters are float64 as built or loaded, and float32 once training
+has cast them; statistics are float64 either way, and a checkpoint stores
+every value as float64.
 """
 
 from __future__ import annotations
@@ -241,40 +243,6 @@ def count_params(model_or_params) -> int:
     """Total trainable scalar count; running statistics are excluded."""
     params = model_or_params.params() if isinstance(model_or_params, Model) else model_or_params
     return int(sum(int(p.value.size) for p in params))
-
-
-def conv_param_count(kernel: int, in_dim: int, out_dim: int) -> int:
-    return kernel * in_dim * out_dim + out_dim
-
-
-def acnn_param_overhead(config: ArchConfig) -> int:
-    """Extra parameters of the adaptive conv layer over its static twin."""
-    i = config.acnn_layer_index - 1
-    in_dim = config.input_dim if i == 0 else config.frame_dims[i - 1]
-    out_dim = config.frame_dims[i]
-    kernel = config.kernel_sizes[i]
-    h = config.attention_hidden
-    n = config.pool_size
-    attention = (in_dim * h + h) + h + (2 * in_dim * n + n)
-    return (n - 1) * conv_param_count(kernel, in_dim, out_dim) + attention
-
-
-def abn_param_overhead(config: ArchConfig) -> int:
-    """Extra parameters of adaptive normalization over plain BN, summed over
-    the frame layers that carry it under the configured variant."""
-    if config.variant == "abn":
-        layers_with_abn = list(range(1, 6))
-    elif config.variant == "acnn_abn":
-        layers_with_abn = [i for i in range(1, 6) if i != config.acnn_layer_index]
-    else:
-        return 0
-    h = config.attention_hidden
-    total = 0
-    for i in layers_with_abn:
-        c = config.frame_dims[i - 1]
-        # ctx map + two generator maps, minus the dropped fixed gamma/beta
-        total += (c * h + h) + 2 * (h * c + c) - 2 * c
-    return total
 
 
 # ---------------------------------------------------------------------------

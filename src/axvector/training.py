@@ -1,9 +1,12 @@
 """Cross-entropy training: Adam with decoupled-from-bias L2 decay, an
 exponential learning-rate ramp, and same-duration crop batching.
 
-Mixed precision: batches are float32, the features' own precision, so the
-network's forward and backward run in float32 and yield float32 gradients;
-the loss, the parameters and the Adam moments stay float64.
+Precision: batches are float32, the features' own precision, and ``train``
+casts every parameter value to float32 once before the first step, so the
+network's forward and backward, its gradients, the parameter values and the
+Adam moments are all float32.  The loss and the running statistics stay
+float64, and a checkpoint stores the float32 values upcast exactly to
+float64.
 
 One logical writer mutates the model; batch assembly is deterministic given
 (seed, epoch), so a full run reproduces bit for bit on one machine.
@@ -51,17 +54,19 @@ ADAM_CHUNK = 32768
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter, and one
-    ADAM_CHUNK-sized scratch buffer for the update itself."""
+    """One ADAM_CHUNK-sized scratch buffer for the update itself, the
+    first/second moment accumulators and the shared step counter."""
 
+    scratch: np.ndarray
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    scratch: np.ndarray = field(default_factory=lambda: np.empty(ADAM_CHUNK))
 
 
 def init_adam(params: list[Param]) -> AdamState:
-    state = AdamState()
+    """Zero moments and the scratch buffer, in the parameters' dtype."""
+    dtype = np.result_type(*(p.value.dtype for p in params))
+    state = AdamState(np.empty(ADAM_CHUNK, dtype))
     for p in params:
         state.m[p.name] = np.zeros_like(p.value)
         state.v[p.name] = np.zeros_like(p.value)
@@ -84,8 +89,10 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
     parameters flagged as decaying (weights, not biases or norm affines).
     Every gradient is checked before anything changes, so a missing, mis-shaped
     or non-finite one leaves the values, moments and step count as they were.
-    The update runs over ADAM_CHUNK-element slices in the float64 scratch
-    buffer, which upcasts a float32 gradient exactly; ``p.grad`` stays as is.
+    The update runs over ADAM_CHUNK-element slices in the scratch buffer,
+    in the dtype ``init_adam`` gave it, the parameters' own: float32 state
+    takes float32 steps, and float64 state upcasts a float32 gradient
+    exactly.  ``p.grad`` stays as is.
     """
     for p in params:
         if p.grad is None or p.grad.shape != p.value.shape:
@@ -233,6 +240,10 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
     for utt in corpus.utterances:
         check_wrap(corpus.features(utt.utt_id).shape[0], cfg.crop_frames_max, utt.utt_id)
     params = model.params()
+    # the batches are float32, so the parameters and the optimizer state take
+    # that dtype too: each float64 value is rounded once, here
+    for p in params:
+        p.value = p.value.astype(np.float32)
     state = init_adam(params)
     log: list[StepRecord] = []
     step = 0

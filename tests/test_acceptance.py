@@ -7,6 +7,8 @@ end-to-end criteria drive the shipped command line exactly as a user would.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from axvector import training as T
 from axvector.cli import dispatch
 
 from gradcheck import check_grads, param_grads, randomize
+from param_overhead import conv_param_count
 from test_metrics import oracle_eer, oracle_min_dcf
 
 # ---------------------------------------------------------------------------
@@ -40,7 +43,7 @@ def test_criterion_1_parameter_overhead():
     assert 1.06 <= ratio <= 1.12, (
         f"parameter ratio {ratio:.5f} outside [1.06, 1.12] "
         f"(baseline {n_base}, adaptive {n_acnn}; filter-pool replication alone adds "
-        f"{3 * M.conv_param_count(1, 512, 512) / n_base:.4f}, the attention and mixing "
+        f"{3 * conv_param_count(1, 512, 512) / n_base:.4f}, the attention and mixing "
         f"maps add the rest)")
 
 
@@ -363,7 +366,40 @@ def run_toy_pipeline(root) -> dict:
 
 
 @pytest.fixture(scope="session")
-def toy_run_a(tmp_path_factory):
+def toy_run_b(tmp_path_factory):
+    """Criterion 7's rerun of the toy pipeline, started in a child process
+    with one BLAS thread and its output captured beside the run, so that it
+    runs while ``toy_run_a`` runs in this process.  Returns a function that
+    waits for the child and returns the rerun's paths."""
+    root = tmp_path_factory.mktemp("toy_b")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [tests, os.path.join(os.path.dirname(tests), "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    script = ("import json, sys\n"
+              "from test_acceptance import run_toy_pipeline\n"
+              "paths = run_toy_pipeline(sys.argv[1])\n"
+              "with open(sys.argv[2], 'w') as handle:\n"
+              "    json.dump(paths, handle)\n")
+    with open(root / "stdout", "w") as out, open(root / "stderr", "w") as err:
+        child = subprocess.Popen([sys.executable, "-c", script, str(root / "run"),
+                                  str(root / "paths.json")], env=env, stdout=out, stderr=err)
+
+    def wait() -> dict:
+        returncode = child.wait(timeout=1800)
+        assert returncode == 0, \
+            f"toy pipeline rerun exited with {returncode}:\n{(root / 'stderr').read_text()}"
+        return json.loads((root / "paths.json").read_text())
+
+    yield wait
+    if child.poll() is None:
+        child.kill()
+        child.wait()
+
+
+@pytest.fixture(scope="session")
+def toy_run_a(tmp_path_factory, toy_run_b):
+    # criterion 7's rerun has started in its child process and runs meanwhile
     return run_toy_pipeline(str(tmp_path_factory.mktemp("toy_a")))
 
 
@@ -412,8 +448,8 @@ def test_toy_scores_separate_target_from_nontarget(toy_run_a):
         assert np.median(target) > np.median(nontarget), tag
 
 
-def test_criterion_7_pipeline_determinism(toy_run_a, tmp_path_factory):
-    run_b = run_toy_pipeline(str(tmp_path_factory.mktemp("toy_b")))
+def test_criterion_7_pipeline_determinism(toy_run_a, toy_run_b):
+    run_b = toy_run_b()
     for tag, path_a in toy_run_a["scores"].items():
         path_b = run_b["scores"][tag]
         assert open(path_a, "rb").read() == open(path_b, "rb").read(), \

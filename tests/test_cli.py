@@ -519,6 +519,10 @@ def _bad_inputs(pipeline, tmp_path):
                                         for name, value in records])
     write_records(short_backend, header, [(name, value[:-1] if name == "plda_mean" else value)
                                           for name, value in records])
+    indefinite_backend = str(tmp_path / "indefinite.axvr")
+    write_records(indefinite_backend, header,
+                  [(name, -np.eye(len(value)) if name == "plda_within" else value)
+                   for name, value in records])
     one_kind = str(tmp_path / "one_kind")
     shutil.copytree(pipeline["corpus"], one_kind)
     targets_only = os.path.join(one_kind, "trials.txt")
@@ -590,6 +594,9 @@ def _bad_inputs(pipeline, tmp_path):
         "backend-shapes-disagree": (
             ["score", "--backend", short_backend, "--embeddings", pipeline["emb"], "--trials",
              trials, "--out", out], short_backend, out),
+        "backend-covariance-is-not-positive-definite": (
+            ["score", "--backend", indefinite_backend, "--embeddings", pipeline["emb"],
+             "--trials", trials, "--out", out], indefinite_backend + ":", out),
         "trial-list-has-one-kind-evaluate": (
             ["evaluate", "--scores", pipeline["scores"], "--trials", targets_only,
              "--out-prefix", out], targets_only, out + ".txt"),
@@ -620,6 +627,7 @@ def _bad_inputs(pipeline, tmp_path):
                                   "feature-file-has-another-dimension-train",
                                   "feature-file-has-another-dimension-extract",
                                   "backend-holds-a-nan", "backend-shapes-disagree",
+                                  "backend-covariance-is-not-positive-definite",
                                   "trial-list-has-one-kind-evaluate",
                                   "trial-list-has-one-kind-det-export",
                                   "trial-list-has-one-kind-sweep-n"])

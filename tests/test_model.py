@@ -11,6 +11,8 @@ from axvector import model as M
 from axvector import numerics as N
 from axvector.serialize import FormatError, write_records
 
+from param_overhead import abn_param_overhead, acnn_param_overhead, conv_param_count
+
 
 def tiny_config(variant="baseline", **overrides):
     base = dict(input_dim=3, frame_dims=(4, 4, 4, 4, 6), kernel_sizes=(2, 1, 1, 1, 1),
@@ -172,7 +174,7 @@ class TestForward:
 
 class TestCountParams:
     def test_layer4_closed_form(self):
-        assert M.conv_param_count(1, 512, 512) == 262_656
+        assert conv_param_count(1, 512, 512) == 262_656
 
     def test_empty_parameter_list(self):
         assert M.count_params([]) == 0
@@ -182,15 +184,15 @@ class TestCountParams:
         for variant in ("acnn", "abn", "acnn_abn"):
             cfg = M.ArchConfig(variant=variant, **FULL_SIZE)
             total = M.count_params(M.build(cfg, seed=0))
-            expected = base + M.acnn_param_overhead(cfg) * (variant != "abn") \
-                + M.abn_param_overhead(cfg)
+            expected = base + acnn_param_overhead(cfg) * (variant != "abn") \
+                + abn_param_overhead(cfg)
             assert total == expected, variant
 
     def test_overheads_match_closed_form_tiny(self):
         base = M.count_params(M.build(tiny_config(), seed=0))
         cfg = tiny_config("acnn_abn")
         total = M.count_params(M.build(cfg, seed=0))
-        assert total == base + M.acnn_param_overhead(cfg) + M.abn_param_overhead(cfg)
+        assert total == base + acnn_param_overhead(cfg) + abn_param_overhead(cfg)
 
 
 class TestCheckpoint:
