@@ -257,6 +257,17 @@ def plda_train(vectors, labels, iterations: int = 15) -> PldaModel:
     return model
 
 
+def _positive_definite(matrix: np.ndarray) -> bool:
+    """Whether a Cholesky factorization of ``matrix`` (its lower triangle)
+    succeeds; a determinant's sign cannot tell, since an even number of
+    negative eigenvalues leaves it positive."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class PldaScorer:
     """Closed-form log-likelihood-ratio scorer for a two-covariance model.
 
@@ -273,16 +284,17 @@ class PldaScorer:
     def __init__(self, model: PldaModel):
         self.mean = model.mean
         total = model.between + model.within
+        require(_positive_definite(total), "scorer covariances must be positive definite")
         tot_inv_b = np.linalg.solve(total, model.between)          # A^-1 B
         diff = total - model.between @ tot_inv_b                   # A - B A^-1 B
+        require(_positive_definite(diff), "scorer covariances must be positive definite")
         diff_inv = np.linalg.inv(diff)
         quad = np.linalg.inv(total) - diff_inv
         cross = diff_inv @ tot_inv_b.T                             # D^-1 B A^-1
         self.quad = 0.5 * (quad + quad.T)
         self.cross = 0.5 * (cross + cross.T)
-        sign_a, logdet_a = np.linalg.slogdet(total)
-        sign_d, logdet_d = np.linalg.slogdet(diff)
-        require(sign_a > 0 and sign_d > 0, "scorer covariances must be positive definite")
+        _, logdet_a = np.linalg.slogdet(total)
+        _, logdet_d = np.linalg.slogdet(diff)
         self.offset = 0.5 * (logdet_a - logdet_d)
 
     def score(self, enroll, test) -> float:

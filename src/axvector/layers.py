@@ -6,14 +6,19 @@ statistics.  Every layer works batch-first on (batch, frames, channels)
 arrays, or on (batch, channels) rows after pooling.  ``forward(x, mode)``
 returns ``(output, cache)``, where the cache holds what the hand-written
 ``backward(cache, upstream)`` cannot rebuild in one pass from the layer's
-input and parameters: a convolution keeps its input, not the wider window
-matrix; the adaptive convolution keeps its mixing coefficients, not the
-mixed filter banks; a normalization keeps its input, mean and inverse std,
-and its backward works from per-channel sums instead of the normalized
-input.  No cache holds a parameter value or a cast of one.  A backward
-rebuilds what it needs with the forward's own operations on the cached
-arrays and the parameter values, and it writes only into arrays it made
-itself, so a cache stays valid through later forwards and backwards.
+input and parameters: a ReLU keeps its output, which holds the sign its
+backward needs and is the very array the next normalization caches as its
+input, so it costs nothing; a convolution keeps its input, not the wider
+window matrix; the adaptive convolution keeps its mixing coefficients, not
+the mixed filter banks; a normalization keeps its input, mean and inverse
+std, and its backward works from per-channel sums instead of the
+normalized input, forming its input gradient in row blocks of about
+NORM_BLOCK_BYTES so that it holds no temporary of the input's size.  No
+cache holds a parameter value or a cast of one.  A backward rebuilds what
+it needs with the forward's own operations on the cached arrays and the
+parameter values, and it writes only into arrays it made itself, never
+into its upstream or its cache, so a cache stays valid through later
+forwards and backwards.
 ``backward`` returns the input gradient and sets each parameter's ``grad``
 to that parameter's gradient, once per call, replacing the previous one.
 Parameter values change only between a forward/backward pair (the optimizer
@@ -58,6 +63,9 @@ MODES = ("train", "infer")
 # running-statistics momentum and variance epsilon of every normalization
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+# a normalization's backward forms its input gradient in blocks of about
+# this many bytes, so no temporary it holds is larger than one block
+NORM_BLOCK_BYTES = 1 << 20
 
 
 def _check_frames(frames: np.ndarray, what: str) -> np.ndarray:
@@ -116,9 +124,11 @@ def _he_normal(rng: np.random.Generator | None, shape, fan_in: int,
 
 
 class ReluLayer:
-    """The backward needs only the sign of the input, so a train-mode forward
-    caches the bool mask ``x > 0`` (the subgradient at 0 is 0); an
-    infer-mode forward caches nothing and has no backward."""
+    """The backward needs only the sign of the input, which the output
+    y = max(x, 0) holds as well (y > 0 exactly where x > 0; the subgradient
+    at 0 is 0), so a train-mode forward caches its own output: the same
+    array the next layer takes as input and, for a normalization, caches.
+    An infer-mode forward caches nothing and has no backward."""
 
     def __init__(self, name: str):
         self.name = name
@@ -127,11 +137,12 @@ class ReluLayer:
         return []
 
     def forward(self, x, mode):
-        return relu(x), (x > 0.0 if mode == "train" else None)
+        y = relu(x)
+        return y, (y if mode == "train" else None)
 
     def backward(self, cache, upstream):
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
-        return relu_backward(cache, upstream)
+        return relu_backward(cache > 0.0, upstream)
 
 
 class ConvLayer:
@@ -415,15 +426,17 @@ class _Normalization:
         y += _per_frame(shift - mean * a)
         return y, None
 
-    def _gradients(self, stats, upstream, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(d_x, d_scale, d_shift) of a train-mode ``_normalize``'s output,
-        from the sums su of the upstream gradient and sux of its product with
-        x over each scale's frames: d_shift = su and d_scale = (sux - mean su)
-        inv_std.  d_x = upstream * scale * inv_std + x * k + j with k and j
-        per channel: the gradient through the batch statistics, which needs
-        only the means of d_xhat = upstream * scale and of d_xhat * xhat.
-        The normalized input is never rebuilt.  An upstream of another dtype
-        than the input is refused."""
+    def _gradients(self, stats, upstream, scale) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(d_scale, d_shift, coeffs) of a train-mode ``_normalize``'s
+        output, from the sums su of the upstream gradient and sux of its
+        product with x over each scale's frames: d_shift = su and
+        d_scale = (sux - mean su) inv_std.  The input gradient is
+        d_x = (upstream * a + x * k) - c, which ``_input_gradient`` forms
+        from coeffs = (a, k, c): a = scale * inv_std, shaped like the scale,
+        and k and c per channel, the gradient through the batch statistics,
+        which needs only the means of d_xhat = upstream * scale and of
+        d_xhat * xhat.  The normalized input is never rebuilt.  An upstream
+        of another dtype than the input is refused."""
         x, mean, inv_std = stats["x"], stats["mean"], stats["inv_std"]
         require(upstream.dtype == x.dtype,
                 f"{self.name} upstream gradient must be {x.dtype} like its input, "
@@ -436,14 +449,11 @@ class _Normalization:
             d_scale = np.einsum("btc,btc->bc", upstream, x)
         d_scale -= mean * d_shift
         d_scale *= inv_std
-        d_x = upstream * _per_frame(scale * inv_std)
         n = _rows(x).shape[0]
         mean_d = _rows(scale * d_shift).sum(axis=0) / n
         mean_dx = _rows(scale * d_scale).sum(axis=0) / n
         k = -inv_std * inv_std * mean_dx
-        d_x += x * k
-        d_x -= inv_std * mean_d + mean * k
-        return d_x, d_scale, d_shift
+        return d_scale, d_shift, (scale * inv_std, k, inv_std * mean_d + mean * k)
 
     def state_items(self):
         return [(f"{self.name}.running_mean", self.running_mean),
@@ -455,6 +465,43 @@ class _Normalization:
         self.running_mean = as_f64(records[f"{self.name}.running_mean"])
         self.running_var = as_f64(records[f"{self.name}.running_var"])
         self.initialized = bool(records[f"{self.name}.initialized"][0] == 1.0)
+
+
+def _row_blocks(shape, itemsize: int) -> list[tuple]:
+    """Index tuples that cover an array of ``shape`` in blocks of about
+    NORM_BLOCK_BYTES: runs of rows of a 2-D array; of a 3-D one, runs of
+    whole utterances, or of one utterance's frames when a single utterance
+    is larger than a block."""
+    row = shape[-1] * itemsize
+    rows = max(1, NORM_BLOCK_BYTES // row)
+    if len(shape) == 2:
+        return [(slice(i, i + rows),) for i in range(0, shape[0], rows)]
+    batch, frames = shape[:2]
+    utts = NORM_BLOCK_BYTES // (frames * row)
+    if utts >= 1:
+        return [(slice(b, b + utts),) for b in range(0, batch, utts)]
+    return [(slice(b, b + 1), slice(t, t + rows))
+            for b in range(batch) for t in range(0, frames, rows)]
+
+
+def _input_gradient(x, upstream, coeffs, into=None) -> np.ndarray:
+    """d_x = (upstream * a + x * k) - c from ``_gradients``' coeffs, one
+    block of rows at a time, written into a fresh array or added into
+    ``into``; it writes into nothing else, and holds at most two blocks
+    (upstream * a and x * k) beside its output."""
+    a, k, c = coeffs
+    a = _per_frame(a)
+    fresh = into is None
+    out = np.empty_like(x) if fresh else into
+    for idx in _row_blocks(x.shape, x.itemsize):
+        t = np.multiply(upstream[idx], a[idx[0]] if a.ndim == 3 else a,
+                        out=out[idx] if fresh else None)
+        t += x[idx] * k
+        t -= c
+        if not fresh:
+            block = out[idx]
+            block += t
+    return out
 
 
 class BatchNormLayer(_Normalization):
@@ -475,8 +522,8 @@ class BatchNormLayer(_Normalization):
     def backward(self, cache, upstream):
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         [gamma] = _cast(cache["x"].dtype, self.gamma)
-        d_x, self.gamma.grad, self.beta.grad = self._gradients(cache, upstream, gamma)
-        return d_x
+        self.gamma.grad, self.beta.grad, coeffs = self._gradients(cache, upstream, gamma)
+        return _input_gradient(cache["x"], upstream, coeffs)
 
 
 class AdaptiveNormLayer(_Normalization):
@@ -526,6 +573,7 @@ class AdaptiveNormLayer(_Normalization):
         d_feats = attn.astype(frames.dtype, copy=False)[..., None] * d_context[..., None, :]
         d_feats += (d_means / feats.shape[-1])[..., None]
         d_pre = tanh_backward(feats, d_feats)
+        del d_feats
         self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.ctx_bias.grad = _rows(d_pre).sum(axis=0)
         return np.matmul(d_pre, ctx_weight.T)
@@ -544,11 +592,13 @@ class AdaptiveNormLayer(_Normalization):
         return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales}
 
     def backward(self, cache, upstream):
-        """The generator weights are cast again, and freed before the
-        context's backward."""
+        """Sums, generator gradients, then the context's backward, whose
+        fresh frames gradient takes the normalization's input gradient added
+        in blocks.  The generator weights are cast again, and freed before
+        the context's backward."""
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         core, contexts = cache["core"], cache["contexts"]
-        d_input, d_scales, d_shifts = self._gradients(core, upstream, cache["scales"])
+        d_scales, d_shifts, coeffs = self._gradients(core, upstream, cache["scales"])
         self.scale_weight.grad = contexts.T @ d_scales
         self.scale_bias.grad = d_scales.sum(axis=0)
         self.shift_weight.grad = contexts.T @ d_shifts
@@ -556,5 +606,5 @@ class AdaptiveNormLayer(_Normalization):
         scale_weight, shift_weight = _cast(contexts.dtype, self.scale_weight, self.shift_weight)
         d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
         del scale_weight, shift_weight
-        d_input += self.context_backward(cache["ctx"], d_contexts)
-        return d_input
+        d_frames = self.context_backward(cache["ctx"], d_contexts)
+        return _input_gradient(core["x"], upstream, coeffs, into=d_frames)

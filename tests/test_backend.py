@@ -238,6 +238,16 @@ class TestPldaScoring:
                            between=random_spd(rng, dim, 1.0),
                            within=random_spd(rng, dim, 0.7))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_negative_definite_covariances_refused(self, dim):
+        """A negative-definite within covariance is refused in every
+        dimension, also where an even count of negative eigenvalues makes
+        the determinants positive."""
+        model = B.PldaModel(mean=np.zeros(dim), between=0.1 * np.eye(dim),
+                            within=-np.eye(dim))
+        with pytest.raises(ValueError, match="scorer covariances must be positive definite"):
+            B.PldaScorer(model)
+
     def test_zero_between_gives_zero_llr(self, rng):
         model = B.PldaModel(mean=np.zeros(3), between=np.zeros((3, 3)),
                             within=random_spd(rng, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -34,16 +36,20 @@ def floored_stats(values, weights):
 
 class TestRelu:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_caches_the_sign_mask_only(self, rng, dtype):
+    def test_caches_its_output_only(self, rng, dtype):
+        """The train-mode cache is the forward's output array itself, and
+        the backward takes the sign from it: upstream * (x > 0) bit for bit,
+        zeros (here a row of them) included."""
         x = rng.normal(size=(3, 7, 4)).astype(dtype)
         x[0, :2] = 0.0
         upstream = rng.normal(size=x.shape).astype(dtype)
         relu = L.ReluLayer("act")
-        out, mask = relu.forward(x, "train")
+        out, cache = relu.forward(x, "train")
         assert np.array_equal(out, np.maximum(x, 0.0)) and out.dtype == dtype
-        assert mask.dtype == np.bool_ and np.array_equal(mask, x > 0)
-        d_x = relu.backward(mask, upstream)
+        assert cache is out
+        d_x = relu.backward(cache, upstream)
         assert d_x.dtype == dtype and np.array_equal(d_x, upstream * (x > 0))
+        assert not d_x[0, :2].any()
 
     def test_infer_mode_keeps_no_cache(self, rng):
         relu = L.ReluLayer("act")
@@ -411,6 +417,41 @@ def test_upstream_of_another_dtype_rejected(name):
     _, cache = layer.forward(rng.normal(size=shape), "train")
     with pytest.raises(ValueError, match="float64 like its input, got float32"):
         layer.backward(cache, rng.normal(size=shape).astype(np.float32))
+
+
+# (make, shape, blocks): float32 shapes several 1 MiB blocks wide, and the
+# blocks a backward may hold beside its output: batch norm forms each block
+# in its output, adaptive norm adds upstream * a + x * k, two blocks, into it
+NORM_BUDGET_CASES = {
+    "bn-rows": (lambda rng: make_bn_layer(768), (2048, 768), 1),
+    "bn-frames": (lambda rng: make_bn_layer(768), (8, 256, 768), 1),
+    "abn": (lambda rng: make_abn_layer(rng, channels=768, hidden=8), (8, 256, 768), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_BUDGET_CASES))
+def test_norm_backward_holds_no_full_size_temporary(name):
+    """From just before a normalization's backward to its traced peak, the
+    heap grows by at most the input gradient it returns, the parameter
+    gradients it sets and its blocks, plus a small slack (per-channel sums,
+    adaptive norm's hidden-width context temporaries): no temporary the
+    size of the input."""
+    rng = np.random.default_rng(21)
+    make, shape, blocks = NORM_BUDGET_CASES[name]
+    layer = make(rng)
+    x = rng.normal(size=shape).astype(np.float32)
+    upstream = rng.normal(size=shape).astype(np.float32)
+    _, cache = layer.forward(x, "train")
+    tracemalloc.start()
+    try:
+        d_x = layer.backward(cache, upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grads = sum(p.grad.nbytes for p in layer.params())
+    budget = d_x.nbytes + grads + blocks * L.NORM_BLOCK_BYTES + 256 * 1024
+    assert x.nbytes >= 6 * L.NORM_BLOCK_BYTES
+    assert peak <= budget, f"{peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
 
 
 def _arrays(cache):
