@@ -1,6 +1,11 @@
 """Deterministic synthetic speaker corpus plus the on-disk feature, label and
 trial formats.
 
+A corpus loaded from disk holds an index of its feature files, not their
+contents: ``load_corpus`` checks every file before any work and keeps its
+path and shape, and each read (one whole utterance, or a range of frames
+into the caller's array) checks the file again.
+
 Each utterance is a (frames, dim) feature matrix drawn as
 
     x_t = speaker_mean + session_offset + sigma_frame * n_t
@@ -18,6 +23,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,12 +85,23 @@ class Utterance:
     condition: str
 
 
-class Corpus:
-    """Utterance metadata plus in-memory float32 features; ``load_labels``
-    gives one without features."""
+class FeatureFile(NamedTuple):
+    """An utterance's feature file and the (frames, dim) shape ``load_corpus``
+    found in it."""
 
-    def __init__(self, utterances: list[Utterance], features: dict[str, np.ndarray],
-                 meta: dict | None = None):
+    path: str
+    shape: tuple
+
+
+class Corpus:
+    """Utterance metadata plus each utterance's float32 features: an array
+    held in memory (``generate_corpus``, tests) or a ``FeatureFile`` whose
+    file is read when the features are asked for (``load_corpus``).  Both
+    answer ``frames``, ``features`` and ``read_frames`` alike;
+    ``load_labels`` gives a corpus without features."""
+
+    def __init__(self, utterances: list[Utterance],
+                 features: dict[str, np.ndarray | FeatureFile], meta: dict | None = None):
         self._by_id = {u.utt_id: u for u in utterances}
         require(len(self._by_id) == len(utterances), "utterance ids must be unique")
         self.utterances = utterances
@@ -101,8 +118,33 @@ class Corpus:
         """Class index of each speaker: its position in ``speakers()``."""
         return {spk: i for i, spk in enumerate(self.speakers())}
 
+    def frames(self, utt_id: str) -> int:
+        return self._features[utt_id].shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        """Features per frame, those of the first utterance."""
+        return self._features[self.utterances[0].utt_id].shape[1]
+
     def features(self, utt_id: str) -> np.ndarray:
-        return self._features[utt_id]
+        """One whole utterance; a file must still hold the shape it had at
+        load."""
+        source = self._features[utt_id]
+        if not isinstance(source, FeatureFile):
+            return source
+        x = read_feature_file(source.path)
+        if x.shape != source.shape:
+            raise FormatError(f"{source.path}: holds {x.shape[0]}x{x.shape[1]} features, "
+                              f"{source.shape[0]}x{source.shape[1]} when the corpus was loaded")
+        return x
+
+    def read_frames(self, utt_id: str, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the utterance's frames from ``start`` on."""
+        source = self._features[utt_id]
+        if isinstance(source, FeatureFile):
+            read_feature_file(source.path, out, start)
+        else:
+            out[...] = source[start:start + out.shape[0]]
 
     def utterance(self, utt_id: str) -> Utterance:
         return self._by_id[utt_id]
@@ -224,26 +266,50 @@ def write_feature_file(path: str, matrix: np.ndarray) -> None:
     atomic_write_bytes(path, feature_file_bytes(matrix))
 
 
-def read_feature_file(path: str) -> np.ndarray:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, frames, dim = struct.unpack("<4sIII", data[:16])
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if frames < 1 or dim < 1:
-        raise FormatError(f"{path}: invalid header dimensions {frames}x{dim}")
-    expected = 16 + frames * dim * 4
-    if len(data) != expected:
-        raise FormatError(f"{path}: payload is {len(data) - 16} bytes, expected {expected - 16}")
-    values = np.frombuffer(data, dtype="<f4", offset=16).reshape(frames, dim)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: frame {bad[0]} holds a NaN or infinite value")
-    return values
+def read_feature_file(path: str, out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+    """The (frames, dim) float32 features of a file written by
+    write_feature_file, in a fresh array; or, given ``out``, a C-contiguous
+    float32 (n, dim) array, frames [start, start + n) read into it, and
+    ``out`` returned.
+
+    Either way one positioned read fills the array, after the header and the
+    file's length are checked, and every value read is checked to be finite.
+    A file that fails any check raises one FormatError naming it, and nothing
+    beyond the returned array is allocated."""
+    if out is not None and not (out.ndim == 2 and out.dtype == np.float32
+                                and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float32 (frames, dim) array, got "
+                         f"{out.dtype} {out.shape}")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        header = os.pread(fd, 16, 0)
+        if len(header) < 16:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, frames, dim = struct.unpack("<4sIII", header)
+        if magic != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != FEATURE_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if frames < 1 or dim < 1:
+            raise FormatError(f"{path}: invalid header dimensions {frames}x{dim}")
+        payload = os.fstat(fd).st_size - 16
+        if payload != frames * dim * 4:
+            raise FormatError(f"{path}: payload is {payload} bytes, expected {frames * dim * 4}")
+        if out is None:
+            out = np.empty((frames, dim), np.float32)
+        elif out.shape[1] != dim or not 0 <= start <= frames - out.shape[0]:
+            raise FormatError(f"{path}: holds {frames}x{dim} features, cannot read frames "
+                              f"{start} to {start + out.shape[0]} of width {out.shape[1]}")
+        if os.preadv(fd, [out], 16 + start * dim * 4) != out.nbytes:
+            raise FormatError(f"{path}: payload ended early")
+    finally:
+        os.close(fd)
+    # min and max propagate a NaN and reach any infinity, so they check every
+    # value without a temporary of the array's size
+    if out.size and not (math.isfinite(out.min()) and math.isfinite(out.max())):
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        raise FormatError(f"{path}: frame {start + bad[0]} holds a NaN or infinite value")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +350,11 @@ def load_labels(path: str) -> Corpus:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a corpus written by save_corpus: ``load_labels`` plus the feature
-    file of every utterance, each of which must have the ``spec.feature_dim``
-    that ``corpus.json`` declares."""
+    """Check a corpus written by save_corpus and index it: ``load_labels``
+    plus, for every utterance, its feature file's path and shape.  Each file
+    is read once here, so one that is malformed, non-finite or not of the
+    ``spec.feature_dim`` that ``corpus.json`` declares fails before any
+    work; the features themselves are not kept."""
     labels = load_labels(path)
     meta_path = os.path.join(path, "corpus.json")
     spec = labels.meta.get("spec")
@@ -294,14 +362,15 @@ def load_corpus(path: str) -> Corpus:
     if type(dim) is not int or dim < 1:
         raise FormatError(f"{meta_path}: spec.feature_dim must be a positive integer, "
                           f"got {dim!r}")
-    features = {}
+    index = {}
     for u in labels.utterances:
         feature_path = os.path.join(path, "features", f"{u.utt_id}.axvf")
-        x = features[u.utt_id] = read_feature_file(feature_path)
-        if x.shape[1] != dim:
-            raise FormatError(f"{feature_path}: {x.shape[1]} features per frame, but "
+        shape = read_feature_file(feature_path).shape
+        if shape[1] != dim:
+            raise FormatError(f"{feature_path}: {shape[1]} features per frame, but "
                               f"{meta_path} declares {dim}")
-    return Corpus(labels.utterances, features, labels.meta)
+        index[u.utt_id] = FeatureFile(feature_path, shape)
+    return Corpus(labels.utterances, index, labels.meta)
 
 
 def _read_meta(path: str, speakers: set, spk_path: str) -> dict:

@@ -18,7 +18,10 @@ cache holds a parameter value or a cast of one.  A backward rebuilds what
 it needs with the forward's own operations on the cached arrays and the
 parameter values, and it writes only into arrays it made itself, never
 into its upstream or its cache, so a cache stays valid through later
-forwards and backwards.
+forwards and backwards.  A normalization also rebuilds its train-mode
+output from its cache (``output``), and a convolution's cache can be
+given its input back (``with_input``): the model drops a convolution's
+input when a normalization made it and rebuilds it for the backward.
 ``backward`` returns the input gradient and sets each parameter's ``grad``
 to that parameter's gradient, once per call, replacing the previous one.
 Parameter values change only between a forward/backward pair (the optimizer
@@ -84,6 +87,13 @@ def _per_frame(a: np.ndarray) -> np.ndarray:
     """A per-utterance (batch, channels) array as (batch, 1, channels), to
     broadcast over frames; a per-channel one as it is."""
     return a[:, None, :] if a.ndim == 2 else a
+
+
+def _project(frames: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``frames @ weight`` as one 2-D product over the rows of all
+    utterances, which at full-size shapes is faster than a stack of
+    per-utterance products."""
+    return (_rows(frames) @ weight).reshape(frames.shape[:-1] + weight.shape[-1:])
 
 
 def _cast(dtype, *params) -> list[np.ndarray]:
@@ -164,6 +174,11 @@ class ConvLayer:
                 f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
         weight, bias = _cast(x.dtype, self.weight, self.bias)
         return conv_forward(x, weight, bias, self.dilation), x
+
+    @staticmethod
+    def with_input(cache, x):
+        """The cache with ``x`` as the input (None: without it)."""
+        return x
 
     def backward(self, cache, upstream):
         x = cache
@@ -291,7 +306,9 @@ class AdaptiveConvLayer:
         frames = _check_frames(frames, "context")
         score_weight, score_bias, score_proj = _cast(frames.dtype, self.score_weight,
                                                      self.score_bias, self.score_proj)
-        scored = np.tanh(frames @ score_weight + score_bias)
+        scored = _project(frames, score_weight)
+        scored += score_bias
+        np.tanh(scored, out=scored)
         attn = softmax(np.matmul(scored, score_proj))
         mean, raw_var = weighted_moments(frames, attn.astype(frames.dtype, copy=False))
         context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
@@ -310,7 +327,7 @@ class AdaptiveConvLayer:
         self.score_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.score_bias.grad = _rows(d_pre).sum(axis=0)
         self.score_proj.grad = _rows(scored).T @ d_logits.ravel()
-        d_frames += np.matmul(d_pre, score_weight.T)
+        d_frames += _project(d_pre, score_weight.T)
         return d_frames
 
     def filters(self, context):
@@ -351,6 +368,11 @@ class AdaptiveConvLayer:
         context, ctx_cache = self.context(x)
         (weights, bias), mix_cache = self.filters(context)
         return conv_forward(x, weights, bias, self.dilation), {"ctx": ctx_cache, "mix": mix_cache}
+
+    @staticmethod
+    def with_input(cache, x):
+        """The cache with ``x`` as the context's frames (None: without them)."""
+        return {"ctx": dict(cache["ctx"], frames=x), "mix": cache["mix"]}
 
     def backward(self, cache, upstream):
         """The banks are remixed from the cached coefficients and a
@@ -413,9 +435,7 @@ class _Normalization:
             self.running_var = (1.0 - m) * self.running_var + m * var
             self.initialized = True
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            y *= _per_frame(scale * inv_std)
-            y += _per_frame(shift)
-            return y, {"x": x, "mean": mean, "inv_std": inv_std}
+            return _affine(y, scale, inv_std, shift), {"x": x, "mean": mean, "inv_std": inv_std}
         if not self.initialized:
             raise RuntimeError("inference-mode normalization before any training update; "
                                "initialize the running statistics first")
@@ -425,6 +445,12 @@ class _Normalization:
         y = x * _per_frame(a)
         y += _per_frame(shift - mean * a)
         return y, None
+
+    @staticmethod
+    def _rebuild(stats, scale, shift) -> np.ndarray:
+        """A train-mode ``_normalize``'s output, rebuilt from its cache by the
+        forward's own operations, so bit for bit."""
+        return _affine(stats["x"] - stats["mean"], scale, stats["inv_std"], shift)
 
     def _gradients(self, stats, upstream, scale) -> tuple[np.ndarray, np.ndarray, tuple]:
         """(d_scale, d_shift, coeffs) of a train-mode ``_normalize``'s
@@ -465,6 +491,13 @@ class _Normalization:
         self.running_mean = as_f64(records[f"{self.name}.running_mean"])
         self.running_var = as_f64(records[f"{self.name}.running_var"])
         self.initialized = bool(records[f"{self.name}.initialized"][0] == 1.0)
+
+
+def _affine(centered, scale, inv_std, shift) -> np.ndarray:
+    """centered * (scale * inv_std) + shift, in place in ``centered``."""
+    centered *= _per_frame(scale * inv_std)
+    centered += _per_frame(shift)
+    return centered
 
 
 def _row_blocks(shape, itemsize: int) -> list[tuple]:
@@ -519,6 +552,11 @@ class BatchNormLayer(_Normalization):
         gamma, beta = _cast(x.dtype, self.gamma, self.beta)
         return self._normalize(x, mode, gamma, beta)
 
+    def output(self, cache):
+        """The train-mode forward's output, rebuilt from its cache."""
+        gamma, beta = _cast(cache["x"].dtype, self.gamma, self.beta)
+        return self._rebuild(cache, gamma, beta)
+
     def backward(self, cache, upstream):
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         [gamma] = _cast(cache["x"].dtype, self.gamma)
@@ -559,7 +597,9 @@ class AdaptiveNormLayer(_Normalization):
         by a softmax over the per-frame feature means."""
         frames = _check_frames(frames, "context")
         ctx_weight, ctx_bias = _cast(frames.dtype, self.ctx_weight, self.ctx_bias)
-        feats = np.tanh(frames @ ctx_weight + ctx_bias)
+        feats = _project(frames, ctx_weight)
+        feats += ctx_bias
+        np.tanh(feats, out=feats)
         attn = softmax(feats.mean(axis=-1))
         context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
         return context, {"frames": frames, "feats": feats, "attn": attn}
@@ -576,7 +616,7 @@ class AdaptiveNormLayer(_Normalization):
         del d_feats
         self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.ctx_bias.grad = _rows(d_pre).sum(axis=0)
-        return np.matmul(d_pre, ctx_weight.T)
+        return _project(d_pre, ctx_weight.T)
 
     def forward(self, x, mode):
         """The context's frames are the normalization's input, cached once."""
@@ -589,7 +629,12 @@ class AdaptiveNormLayer(_Normalization):
         y, core = self._normalize(frames, mode, scales, shifts)
         if core is None:
             return y, None
-        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales}
+        return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales,
+                   "shifts": shifts}
+
+    def output(self, cache):
+        """The train-mode forward's output, rebuilt from its cache."""
+        return self._rebuild(cache["core"], cache["scales"], cache["shifts"])
 
     def backward(self, cache, upstream):
         """Sums, generator gradients, then the context's backward, whose

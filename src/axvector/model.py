@@ -13,7 +13,10 @@ The network is a flat sequence of layers:
 
 The model's parameters are its layers' ``Param``s in layer order; a
 checkpoint stores them by name, followed by the normalization layers'
-running statistics.  A model is immutable during inference and may be
+running statistics.  In a training forward, a convolution whose input is a
+normalization's output keeps no reference to it, and the backward has that
+normalization rebuild it from its own cache, so each frame activation is
+held once.  A model is immutable during inference and may be
 shared across readers; training mutates parameters and normalization
 statistics from a single writer.  The network computes in the dtype of its
 input (float32 stays float32, anything else is float64), which only the model
@@ -90,6 +93,12 @@ class Model:
     def __init__(self, config: ArchConfig, layer_list: list):
         self.config = config
         self.layers = layer_list
+        # positions of the layers whose train cache drops their input, a
+        # normalization's output, which the backward rebuilds from that
+        # normalization's cache instead
+        self._rebuilt = {i for i in range(1, len(layer_list))
+                         if hasattr(layer_list[i], "with_input")
+                         and hasattr(layer_list[i - 1], "output")}
 
     def layer(self, name: str):
         for lyr in self.layers:
@@ -130,8 +139,10 @@ class Model:
         require(head in ("logits", "embedding"), f"head must be 'logits' or 'embedding', got {head!r}")
         h = self._check_input(x)
         caches = []
-        for lyr in self.layers:
+        for i, lyr in enumerate(self.layers):
             h, cache = lyr.forward(h, mode)
+            if keep_caches and i in self._rebuilt:
+                cache = lyr.with_input(cache, None)
             caches.append(cache if keep_caches else None)
             if head == "embedding" and lyr.name == self.embedding_tap:
                 return h, caches
@@ -153,15 +164,20 @@ class Model:
         layer's cache is popped before its backward runs, so it is freed as
         soon as that backward returns, and the list is empty afterwards.  A
         second backward therefore needs a fresh ``forward_train``; given
-        anything but one cache per layer it raises ValueError.
+        anything but one cache per layer it raises ValueError.  A
+        convolution whose input is a normalization's output gets that input
+        rebuilt by the normalization from its cache, still held then.
         """
         require(len(caches) == len(self.layers),
                 f"backward needs the {len(self.layers)} layer caches of a fresh forward_train, "
                 f"got {len(caches)}: a backward consumes its caches, so run forward_train "
                 f"again before another backward")
         d = as_float(d_logits)
-        for lyr in reversed(self.layers):
-            d = lyr.backward(caches.pop(), d)
+        for i in reversed(range(len(self.layers))):
+            lyr, cache = self.layers[i], caches.pop()
+            if i in self._rebuilt:
+                cache = lyr.with_input(cache, self.layers[i - 1].output(caches[-1]))
+            d = lyr.backward(cache, d)
         return d
 
 
@@ -169,7 +185,7 @@ def check_min_frames(model: Model, corpus) -> None:
     """Fail on the first utterance of ``corpus``, in corpus order, that is
     shorter than the model's receptive field."""
     for utt in corpus.utterances:
-        frames = corpus.features(utt.utt_id).shape[0]
+        frames = corpus.frames(utt.utt_id)
         if frames < model.min_frames:
             raise ValueError(f"utterance {utt.utt_id!r} has {frames} frames, "
                              f"below the model minimum of {model.min_frames}")

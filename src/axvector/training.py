@@ -9,7 +9,9 @@ float64, and a checkpoint stores the float32 values upcast exactly to
 float64.
 
 One logical writer mutates the model; batch assembly is deterministic given
-(seed, epoch), so a full run reproduces bit for bit on one machine.
+(seed, epoch), so a full run reproduces bit for bit on one machine.  Training
+holds one batch of features at a time: each crop is read from the corpus
+(from its feature file, for a loaded corpus) straight into its batch row.
 """
 
 from __future__ import annotations
@@ -143,13 +145,19 @@ def check_wrap(frames: int, crop: int, utt_id: str) -> None:
             f"{crop} exceeds the {MAX_WRAP}x limit")
 
 
-def crop_or_wrap(features: np.ndarray, crop: int, offset: int, utt_id: str) -> np.ndarray:
-    frames = features.shape[0]
+def crop_or_wrap(corpus, utt_id: str, offset: int, row: np.ndarray) -> None:
+    """Fill ``row`` (crop, dim) with the utterance's frames from ``offset``
+    on, or, when it is shorter than the crop, with the utterance tiled from
+    frame 0: it is read into the row's head once, and each later copy comes
+    from there."""
+    frames, crop = corpus.frames(utt_id), row.shape[0]
     if frames >= crop:
-        return features[offset:offset + crop]
+        corpus.read_frames(utt_id, offset, row)
+        return
     check_wrap(frames, crop, utt_id)
-    reps = math.ceil(crop / frames)
-    return np.tile(features, (reps, 1))[:crop]
+    corpus.read_frames(utt_id, 0, row[:frames])
+    for t in range(frames, crop, frames):
+        row[t:t + frames] = row[:min(frames, crop - t)]
 
 
 def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -160,7 +168,8 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> Iterator[tuple[np.ndar
     Every utterance appears once per epoch.  Each batch shares a single crop
     length drawn uniformly from [crop_frames_min, crop_frames_max]; utterances
     are cropped at a random offset, or wrap-padded from frame 0 when shorter
-    than the crop.
+    than the crop.  A batch is allocated once and each crop is read straight
+    into its row.
     """
     cfg.validate()
     utts = corpus.utterances
@@ -171,15 +180,14 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> Iterator[tuple[np.ndar
     for start in range(0, len(order), cfg.batch_size):
         chunk = order[start:start + cfg.batch_size]
         crop = int(rng.integers(cfg.crop_frames_min, cfg.crop_frames_max + 1))
-        feats = []
-        labels = []
-        for idx in chunk:
+        batch = np.empty((len(chunk), crop, corpus.feature_dim), np.float32)
+        labels = np.empty(len(chunk), np.int64)
+        for i, idx in enumerate(chunk):
             utt = utts[int(idx)]
-            x = corpus.features(utt.utt_id)
-            offset = int(rng.integers(0, max(x.shape[0] - crop, 0) + 1))
-            feats.append(crop_or_wrap(x, crop, offset, utt.utt_id))
-            labels.append(label_of[utt.speaker_id])
-        yield np.stack(feats, dtype=np.float32), np.asarray(labels, dtype=np.int64)
+            offset = int(rng.integers(0, max(corpus.frames(utt.utt_id) - crop, 0) + 1))
+            crop_or_wrap(corpus, utt.utt_id, offset, batch[i])
+            labels[i] = label_of[utt.speaker_id]
+        yield batch, labels
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +246,7 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
     # batches are built as the loop reaches them, so every utterance is
     # checked against the longest crop here, before the first step
     for utt in corpus.utterances:
-        check_wrap(corpus.features(utt.utt_id).shape[0], cfg.crop_frames_max, utt.utt_id)
+        check_wrap(corpus.frames(utt.utt_id), cfg.crop_frames_max, utt.utt_id)
     params = model.params()
     # the batches are float32, so the parameters and the optimizer state take
     # that dtype too: each float64 value is rounded once, here

@@ -1,8 +1,16 @@
+import os
 import re
 
-import numpy as np
-import pytest
-from hypothesis import HealthCheck, settings
+# One BLAS thread in this process and in every child it starts, set before
+# anything loads numpy: criterion 7 reruns the toy pipeline in a child beside
+# the in-process run, and on a two-core machine a multi-threaded BLAS in
+# either slows both.  A value set in the environment wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=40,
                           suppress_health_check=[HealthCheck.too_slow])

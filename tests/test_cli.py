@@ -18,6 +18,7 @@ from axvector import metrics as X
 from axvector.cli import build_parser, dispatch
 from axvector.config import ConfigError, RunConfig
 from axvector.serialize import read_records, write_records
+from feature_edits import ALTERATIONS, alter
 
 MINI_CONFIG = {
     "corpus": {
@@ -310,6 +311,36 @@ def test_backend_fit_reads_no_feature_file(pipeline, tmp_path):
                      pipeline["emb"], "--corpus", str(corpus), "--out", str(out)]) == 0
     with open(pipeline["backend"], "rb") as handle:
         assert out.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("how", sorted(ALTERATIONS))
+@pytest.mark.parametrize("stage", ["train", "extract"])
+def test_feature_file_altered_after_load_fails_without_output(pipeline, tmp_path, monkeypatch,
+                                                              capsys, stage, how):
+    """train and extract read the features after load_corpus has checked
+    them; a file broken in between fails the stage with one error naming it,
+    and nothing is written."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    victim = str(corpus / "features" / "spk0000_utt001.axvf")   # a training utterance
+    load_corpus = D.load_corpus
+
+    def load_then_alter(path):
+        loaded = load_corpus(path)
+        alter(victim, how)
+        return loaded
+
+    monkeypatch.setattr(D, "load_corpus", load_then_alter)
+    run = tmp_path / "run"
+    run.mkdir()
+    argv = (["train", "--config", pipeline["config"], "--corpus", str(corpus), "--arch",
+             "acnn-abn", "--out", str(run / "m.ckpt")] if stage == "train" else
+            ["extract", "--model", pipeline["ckpt"], "--corpus", str(corpus),
+             "--out", str(run / "emb.axvr")])
+    assert dispatch(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and victim in errors[0], errors
+    assert list(run.iterdir()) == []
 
 
 def _fresh_interpreter_exit_code(code: str) -> int:

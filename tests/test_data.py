@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ from scipy.signal import lfilter
 import looped_reference as ref
 from axvector import data as D
 from axvector.serialize import FormatError
+from feature_edits import ALTERATIONS, alter
 
 
 def small_spec(**overrides):
@@ -177,6 +179,30 @@ class TestFeatureFiles:
             D.read_feature_file(path)
 
 
+    def test_frame_range_read_fills_the_callers_array(self, tmp_path, rng):
+        mat = rng.normal(size=(9, 4)).astype(np.float32)
+        path = str(tmp_path / "utt.axvf")
+        D.write_feature_file(path, mat)
+        out = np.full((12, 4), -1.0, np.float32)
+        assert D.read_feature_file(path, out[2:7], 3).base is out
+        assert np.array_equal(out[2:7], mat[3:8])
+        assert np.all(out[:2] == -1.0) and np.all(out[7:] == -1.0)
+
+    @pytest.mark.parametrize("shape, start", [((5, 4), 5), ((2, 3), 0), ((1, 4), -1)])
+    def test_frame_range_outside_the_file_refused(self, tmp_path, rng, shape, start):
+        path = str(tmp_path / "utt.axvf")
+        D.write_feature_file(path, rng.normal(size=(9, 4)))
+        with pytest.raises(FormatError, match=r"utt\.axvf: holds 9x4 features"):
+            D.read_feature_file(path, np.empty(shape, np.float32), start)
+
+    def test_frame_range_needs_a_float32_row_block(self, tmp_path, rng):
+        path = str(tmp_path / "utt.axvf")
+        D.write_feature_file(path, rng.normal(size=(9, 4)))
+        for out in (np.empty((3, 4)), np.empty((4, 3), np.float32).T, np.empty(4, np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous float32"):
+                D.read_feature_file(path, out)
+
+
 class TestCorpusIo:
     def test_save_load_round_trip(self, tmp_path):
         corpus = D.generate_corpus(small_spec())
@@ -190,6 +216,51 @@ class TestCorpusIo:
             assert np.array_equal(loaded.features(utt.utt_id), corpus.features(utt.utt_id))
             assert loaded.features(utt.utt_id).dtype == np.float32
             assert corpus.features(utt.utt_id).dtype == np.float32
+
+    def test_loaded_corpus_reads_what_was_saved(self, tmp_path):
+        corpus = D.generate_corpus(small_spec())
+        D.save_corpus(corpus, str(tmp_path / "c"))
+        loaded = D.load_corpus(str(tmp_path / "c"))
+        assert loaded.feature_dim == corpus.feature_dim == 5
+        for utt in corpus.utterances:
+            frames = corpus.frames(utt.utt_id)
+            assert loaded.frames(utt.utt_id) == frames
+            a, b = np.empty((frames - 3, 5), np.float32), np.empty((frames - 3, 5), np.float32)
+            loaded.read_frames(utt.utt_id, 2, a)
+            corpus.read_frames(utt.utt_id, 2, b)
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, corpus.features(utt.utt_id)[2:frames - 1])
+
+    def test_loaded_corpus_does_not_grow_with_its_features(self, tmp_path):
+        """load_corpus keeps an index, so four times the utterances add far
+        less than their features' bytes."""
+        kept, feature_bytes = {}, {}
+        for n in (16, 64):
+            corpus = D.generate_corpus(small_spec(num_speakers=n // 4, feature_dim=30,
+                                                  frames_min=200, frames_max=300))
+            D.save_corpus(corpus, str(tmp_path / str(n)))
+            feature_bytes[n] = sum(corpus.features(u.utt_id).nbytes for u in corpus.utterances)
+            del corpus
+            tracemalloc.start()
+            loaded = D.load_corpus(str(tmp_path / str(n)))
+            kept[n] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            assert len(loaded) == n
+        assert kept[64] - kept[16] < 0.05 * (feature_bytes[64] - feature_bytes[16])
+
+    @pytest.mark.parametrize("how", sorted(ALTERATIONS))
+    @pytest.mark.parametrize("read", ["features", "read_frames"])
+    def test_file_altered_after_load_is_named(self, tmp_path, how, read):
+        D.save_corpus(D.generate_corpus(small_spec()), str(tmp_path / "c"))
+        loaded = D.load_corpus(str(tmp_path / "c"))
+        utt = loaded.utterances[3].utt_id
+        path = str(tmp_path / "c" / "features" / f"{utt}.axvf")
+        alter(path, how)
+        with pytest.raises(FormatError, match=re.escape(path)):
+            if read == "features":
+                loaded.features(utt)
+            else:
+                loaded.read_frames(utt, 1, np.empty((loaded.frames(utt) - 2, 5), np.float32))
 
     def test_utterance_lookup_by_id(self):
         corpus = D.generate_corpus(small_spec())

@@ -1,6 +1,7 @@
 """Hypothesis fuzzing of the file readers: truncated, garbled and oversized
 inputs either parse or fail with FormatError, and nothing else, without
-allocating much more than the file itself."""
+allocating much more than the file itself; a frame-range read of a feature
+file allocates nothing beyond the caller's array."""
 
 import struct
 import tracemalloc
@@ -17,6 +18,10 @@ from axvector.serialize import FormatError, read_records, write_records
 # a reader may hold the file, a decoded copy and its arrays: a few times the
 # file, never the sizes a garbled header claims
 ALLOCATION_SLACK = 1 << 20
+# a frame-range read fills the caller's array: a header's bytes and an
+# error message, never an array
+FRAME_READ_SLACK = 1 << 12
+_FRAMES_OUT = np.empty((2, 3), np.float32)
 
 
 def _valid_records(path) -> bytes:
@@ -32,6 +37,11 @@ def _valid_features(path) -> bytes:
     return path.read_bytes()
 
 
+def _read_frames(path):
+    """Frames 1 and 2 of a feature file into a preallocated array."""
+    return D.read_feature_file(path, _FRAMES_OUT, 1)
+
+
 def _valid_trials(path) -> bytes:
     D.write_trials(str(path), [D.Trial("a", "b", True), D.Trial("a", "c", False)])
     return path.read_bytes()
@@ -45,6 +55,7 @@ def _valid_scores(path) -> bytes:
 READERS = {
     "records": (read_records, _valid_records),
     "features": (D.read_feature_file, _valid_features),
+    "feature frames": (_read_frames, _valid_features),
     "trials": (D.read_trials, _valid_trials),
     "scores": (B.read_scores, _valid_scores),
 }
@@ -63,7 +74,8 @@ def _read_or_format_error(reader, path, data: bytes) -> bool:
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= 4 * len(data) + ALLOCATION_SLACK, f"peak allocation {peak} bytes"
+        budget = FRAME_READ_SLACK if reader is _read_frames else 4 * len(data) + ALLOCATION_SLACK
+        assert peak <= budget, f"peak allocation {peak} bytes"
 
 
 @pytest.fixture(params=sorted(READERS), scope="module")
@@ -79,7 +91,7 @@ def test_truncated_input(reader_case, cut):
     cut = cut % len(valid)
     accepted = _read_or_format_error(reader, path, valid[:cut])
     # the binary formats have no valid proper prefix
-    if reader in (read_records, D.read_feature_file):
+    if reader in (read_records, D.read_feature_file, _read_frames):
         assert not accepted
 
 
@@ -136,6 +148,9 @@ def test_features_oversized_header(tmp_path_factory, frames, dim):
     struct.pack_into("<II", data, 8, frames, dim)
     accepted = _read_or_format_error(D.read_feature_file, directory / "fuzzed", bytes(data))
     assert accepted == (frames * dim == 12 and frames >= 1)
+    # the frame-range read also needs the caller's width and frames 1 and 2
+    accepted = _read_or_format_error(_read_frames, directory / "fuzzed", bytes(data))
+    assert accepted == (frames * dim == 12 and dim == 3)
 
 
 @pytest.mark.parametrize("header", [b"[1, 2]", b"3", b"\"text\"", b"null"])

@@ -179,16 +179,20 @@ class TestBatches:
             assert labels.shape == (batch.shape[0],)
             assert cfg.crop_frames_min <= batch.shape[1] <= cfg.crop_frames_max
 
+    @staticmethod
+    def _one_utterance(frames):
+        return D.Corpus([D.Utterance("u", "s", "clean")],
+                        {"u": np.arange(frames, dtype=np.float32)[:, None]})
+
     def test_wrap_padding_order(self):
-        feats = np.arange(150, dtype=float)[:, None]
-        out = T.crop_or_wrap(feats, 200, offset=0, utt_id="u")
+        out = np.empty((200, 1), np.float32)
+        T.crop_or_wrap(self._one_utterance(150), "u", 0, out)
         expected = np.concatenate([np.arange(150), np.arange(50)])[:, None]
         assert np.array_equal(out, expected)
 
     def test_wrap_limit_error(self):
-        feats = np.arange(10, dtype=float)[:, None]
         with pytest.raises(ValueError, match="'u'"):
-            T.crop_or_wrap(feats, 100, offset=0, utt_id="u")
+            T.crop_or_wrap(self._one_utterance(10), "u", 0, np.empty((100, 1), np.float32))
 
     def test_deterministic_given_seed(self):
         corpus = micro_corpus()
@@ -204,6 +208,38 @@ class TestBatches:
         cfg = micro_train_config(batch_size=5)
         batches = T.make_batches(corpus, cfg, epoch_seed=7)
         assert sum(len(labels) for _, labels in batches) == len(corpus)
+
+    def test_loaded_corpus_batches_equal_stacked_crops(self, tmp_path):
+        """Batches read from the feature files equal a stack of crops cut
+        from each whole file, wrap-padded ones included, with the same
+        draws in the same order."""
+        spec = D.CorpusSpec(num_speakers=3, utts_per_speaker=6, feature_dim=3, frames_min=6,
+                            frames_max=30, conditions=("clean",), seed=5)
+        D.save_corpus(D.generate_corpus(spec), str(tmp_path))
+        corpus = D.load_corpus(str(tmp_path))
+        cfg = micro_train_config(batch_size=4, crop_frames_min=12, crop_frames_max=24)
+        label_of = corpus.speaker_labels()
+        rng = np.random.default_rng([3, 1])
+        order = rng.permutation(len(corpus))
+        batches = list(T.make_batches(corpus, cfg, epoch_seed=[3, 1]))
+        assert len(batches) == -(-len(corpus) // cfg.batch_size)
+        wrapped = 0
+        for start, (batch, labels) in zip(range(0, len(order), cfg.batch_size), batches):
+            crop = int(rng.integers(cfg.crop_frames_min, cfg.crop_frames_max + 1))
+            crops, expected_labels = [], []
+            for idx in order[start:start + cfg.batch_size]:
+                utt = corpus.utterances[int(idx)]
+                x = D.read_feature_file(str(tmp_path / "features" / f"{utt.utt_id}.axvf"))
+                offset = int(rng.integers(0, max(x.shape[0] - crop, 0) + 1))
+                if x.shape[0] < crop:
+                    wrapped += 1
+                    x, offset = np.tile(x, (-(-crop // x.shape[0]), 1)), 0
+                crops.append(x[offset:offset + crop])
+                expected_labels.append(label_of[utt.speaker_id])
+            assert np.array_equal(batch, np.stack(crops, dtype=np.float32))
+            assert batch.dtype == np.float32
+            assert np.array_equal(labels, expected_labels)
+        assert wrapped >= 2
 
 
 class TestLoss:
@@ -314,6 +350,53 @@ def _arrays(obj):
     elif isinstance(obj, dict):
         for item in obj.values():
             yield from _arrays(item)
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_no_cache_shares_memory_with_a_conv_input(variant, rng, monkeypatch):
+    """A convolution whose input is a normalization's output caches no
+    reference to it: the model's backward has the normalization rebuild it."""
+    model = M.build(tiny_arch(variant), seed=0)
+    outputs = {}
+    for lyr, after in zip(model.layers, model.layers[1:]):
+        if lyr.name.endswith(".norm") and after.name.endswith(".conv"):
+            def recording(x, mode, forward=lyr.forward, name=lyr.name):
+                y, cache = forward(x, mode)
+                outputs[name] = y
+                return y, cache
+            monkeypatch.setattr(lyr, "forward", recording)
+    _, caches = model.forward_train(rng.normal(size=(2, 7, 3)))
+    assert sorted(outputs) == [f"frame{k}.norm" for k in range(1, 5)]
+    for name, y in outputs.items():
+        for i, cache in enumerate(caches):
+            assert not any(np.shares_memory(a, y) for a in _arrays(cache)), \
+                f"{model.layers[i].name} caches {name}'s output"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_gradients_equal_a_per_layer_backward_on_cached_inputs(variant, dtype, rng):
+    """The model's backward, with its rebuilt conv inputs, gives what each
+    layer's own backward gives from a cache that holds its input."""
+    model = M.build(tiny_arch(variant), seed=0)
+    for p in model.params():
+        p.value = p.value.astype(dtype)
+    x = rng.normal(size=(3, 8, 3)).astype(dtype)
+    d_logits = rng.normal(size=(3, 3)).astype(dtype)
+    logits, caches = model.forward_train(x)
+    d_x = model.backward(caches, d_logits)
+    grads = [p.grad for p in model.params()]
+    h, own = x, []
+    for lyr in model.layers:
+        h, cache = lyr.forward(h, "train")
+        own.append(cache)
+    assert np.array_equal(h, logits)
+    d = d_logits
+    for lyr, cache in zip(reversed(model.layers), reversed(own)):
+        d = lyr.backward(cache, d)
+    assert d.dtype == dtype and np.array_equal(d, d_x)
+    for p, grad in zip(model.params(), grads):
+        assert np.array_equal(p.grad, grad), p.name
 
 
 class TestTrainLoop:
