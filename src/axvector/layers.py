@@ -24,6 +24,14 @@ given its input back (``with_input``): the model drops a convolution's
 input when a normalization made it and rebuilds it for the backward.
 ``backward`` returns the input gradient and sets each parameter's ``grad``
 to that parameter's gradient, once per call, replacing the previous one.
+A convolution's backward, static or adaptive, given ``input_grad=False``
+sets the gradients only and returns None, skipping the products that form
+the input gradient: the model asks that of its first layer when its caller
+needs no gradient of the network input.  Per-channel and per-utterance sums
+over frame rows (bias and shift gradients, batch and pooling means) are
+taken with ``np.einsum``, which adds the rows in the order numpy's reduction
+over a leading axis does, so they are the bits of ``.sum``/``.mean``, with
+less overhead per call.
 Parameter values change only between a forward/backward pair (the optimizer
 updates them in place); the running statistics change only in train mode.
 
@@ -51,6 +59,7 @@ from .numerics import (
     as_f64,
     conv_backward,
     conv_forward,
+    per_frame,
     relu,
     relu_backward,
     require,
@@ -81,12 +90,6 @@ def _check_frames(frames: np.ndarray, what: str) -> np.ndarray:
 def _rows(a: np.ndarray) -> np.ndarray:
     """All leading axes folded into one: (n, last)."""
     return a.reshape(-1, a.shape[-1])
-
-
-def _per_frame(a: np.ndarray) -> np.ndarray:
-    """A per-utterance (batch, channels) array as (batch, 1, channels), to
-    broadcast over frames; a per-channel one as it is."""
-    return a[:, None, :] if a.ndim == 2 else a
 
 
 def _project(frames: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -152,7 +155,7 @@ class ReluLayer:
 
     def backward(self, cache, upstream):
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
-        return relu_backward(cache > 0.0, upstream)
+        return relu_backward(cache, upstream)
 
 
 class ConvLayer:
@@ -180,10 +183,11 @@ class ConvLayer:
         """The cache with ``x`` as the input (None: without it)."""
         return x
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
+        """With ``input_grad`` false, sets the gradients only and returns None."""
         x = cache
         [weight] = _cast(x.dtype, self.weight)
-        d_input, d_w, d_b = conv_backward(x, weight, self.dilation, upstream)
+        d_input, d_w, d_b = conv_backward(x, weight, self.dilation, upstream, input_grad)
         self.weight.grad = d_w
         self.bias.grad = d_b
         return d_input
@@ -210,7 +214,7 @@ class DenseLayer:
         x = cache
         [weight] = _cast(x.dtype, self.weight)
         self.weight.grad = x.T @ upstream
-        self.bias.grad = upstream.sum(axis=0)
+        self.bias.grad = np.einsum("nc->c", upstream)
         return upstream @ weight.T
 
 
@@ -232,7 +236,7 @@ class StatsPoolLayer:
 
     def forward(self, x, mode):
         x = _check_frames(x, "pooling")
-        mean = x.mean(axis=1)
+        mean = np.einsum("btc->bc", x) / x.shape[1]
         raw_var = np.einsum("btc,btc->bc", x, x) / x.shape[1] - mean * mean
         std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
         return np.concatenate([mean, std], axis=-1), (x, mean, raw_var)
@@ -307,7 +311,7 @@ class AdaptiveConvLayer:
         score_weight, score_bias, score_proj = _cast(frames.dtype, self.score_weight,
                                                      self.score_bias, self.score_proj)
         scored = _project(frames, score_weight)
-        scored += score_bias
+        scored += per_frame(score_bias, scored)
         np.tanh(scored, out=scored)
         attn = softmax(np.matmul(scored, score_proj))
         mean, raw_var = weighted_moments(frames, attn.astype(frames.dtype, copy=False))
@@ -315,8 +319,9 @@ class AdaptiveConvLayer:
         return context, {"frames": frames, "scored": scored, "attn": attn,
                          "moments": (mean, raw_var)}
 
-    def context_backward(self, cache, d_context):
-        """Gradient of context with respect to the frames."""
+    def context_backward(self, cache, d_context, input_grad=True):
+        """Gradient of context with respect to the frames (None, with
+        ``input_grad`` false: the parameter gradients only)."""
         frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
         score_weight, score_proj = _cast(frames.dtype, self.score_weight, self.score_proj)
         c = frames.shape[-1]
@@ -325,8 +330,10 @@ class AdaptiveConvLayer:
         d_logits = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
         d_pre = tanh_backward(scored, np.multiply.outer(d_logits, score_proj))
         self.score_weight.grad = _rows(frames).T @ _rows(d_pre)
-        self.score_bias.grad = _rows(d_pre).sum(axis=0)
+        self.score_bias.grad = np.einsum("nc->c", _rows(d_pre))
         self.score_proj.grad = _rows(scored).T @ d_logits.ravel()
+        if not input_grad:
+            return None
         d_frames += _project(d_pre, score_weight.T)
         return d_frames
 
@@ -374,17 +381,20 @@ class AdaptiveConvLayer:
         """The cache with ``x`` as the context's frames (None: without them)."""
         return {"ctx": dict(cache["ctx"], frames=x), "mix": cache["mix"]}
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         """The banks are remixed from the cached coefficients and a
         temporary cast of the pool, and freed once the convolution's backward
-        has used them; the input is the context's frames."""
+        has used them; the input is the context's frames.  With
+        ``input_grad`` false, sets the gradients only and returns None."""
         mix = cache["mix"]
         weights = _mixed_banks(mix["coeffs"], *_cast(mix["coeffs"].dtype, self.pool_weight))
         d_input, d_weights, d_bias = conv_backward(cache["ctx"]["frames"], weights,
-                                                   self.dilation, upstream)
+                                                   self.dilation, upstream, input_grad)
         del weights
         d_context = self.filters_backward(mix, d_weights, d_bias)
-        d_input += self.context_backward(cache["ctx"], d_context)
+        d_frames = self.context_backward(cache["ctx"], d_context, input_grad)
+        if input_grad:
+            d_input += d_frames
         return d_input
 
 
@@ -427,8 +437,8 @@ class _Normalization:
                 f"input has {x.shape[-1]} channels, the layer tracks {channels}")
         require(x.size >= 1, "normalization batch must be nonempty")
         if mode == "train":
-            mean = _rows(x).mean(axis=0)
-            y = x - mean
+            mean = np.einsum("nc->c", _rows(x)) / _rows(x).shape[0]
+            y = x - per_frame(mean, x)
             var = np.einsum("nc,nc->c", _rows(y), _rows(y)) / _rows(x).shape[0]
             m = self.momentum
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
@@ -442,15 +452,16 @@ class _Normalization:
         mean = self.running_mean.astype(x.dtype, copy=False)
         inv_std = (1.0 / np.sqrt(self.running_var + self.eps)).astype(x.dtype, copy=False)
         a = scale * inv_std
-        y = x * _per_frame(a)
-        y += _per_frame(shift - mean * a)
+        y = x * per_frame(a, x)
+        y += per_frame(shift - mean * a, x)
         return y, None
 
     @staticmethod
     def _rebuild(stats, scale, shift) -> np.ndarray:
         """A train-mode ``_normalize``'s output, rebuilt from its cache by the
         forward's own operations, so bit for bit."""
-        return _affine(stats["x"] - stats["mean"], scale, stats["inv_std"], shift)
+        x = stats["x"]
+        return _affine(x - per_frame(stats["mean"], x), scale, stats["inv_std"], shift)
 
     def _gradients(self, stats, upstream, scale) -> tuple[np.ndarray, np.ndarray, tuple]:
         """(d_scale, d_shift, coeffs) of a train-mode ``_normalize``'s
@@ -464,14 +475,15 @@ class _Normalization:
         d_xhat * xhat.  The normalized input is never rebuilt.  An upstream
         of another dtype than the input is refused."""
         x, mean, inv_std = stats["x"], stats["mean"], stats["inv_std"]
-        require(upstream.dtype == x.dtype,
-                f"{self.name} upstream gradient must be {x.dtype} like its input, "
-                f"got {upstream.dtype}")
+        if upstream.dtype != x.dtype:
+            # not require(): formatting a dtype costs more than the check
+            raise ValueError(f"{self.name} upstream gradient must be {x.dtype} like its input, "
+                             f"got {upstream.dtype}")
         if scale.ndim == 1:
-            d_shift = _rows(upstream).sum(axis=0)
+            d_shift = np.einsum("nc->c", _rows(upstream))
             d_scale = np.einsum("nc,nc->c", _rows(upstream), _rows(x))
         else:
-            d_shift = upstream.sum(axis=1)
+            d_shift = np.einsum("btc->bc", upstream)
             d_scale = np.einsum("btc,btc->bc", upstream, x)
         d_scale -= mean * d_shift
         d_scale *= inv_std
@@ -495,8 +507,8 @@ class _Normalization:
 
 def _affine(centered, scale, inv_std, shift) -> np.ndarray:
     """centered * (scale * inv_std) + shift, in place in ``centered``."""
-    centered *= _per_frame(scale * inv_std)
-    centered += _per_frame(shift)
+    centered *= per_frame(scale * inv_std, centered)
+    centered += per_frame(shift, centered)
     return centered
 
 
@@ -523,14 +535,14 @@ def _input_gradient(x, upstream, coeffs, into=None) -> np.ndarray:
     ``into``; it writes into nothing else, and holds at most two blocks
     (upstream * a and x * k) beside its output."""
     a, k, c = coeffs
-    a = _per_frame(a)
     fresh = into is None
     out = np.empty_like(x) if fresh else into
     for idx in _row_blocks(x.shape, x.itemsize):
-        t = np.multiply(upstream[idx], a[idx[0]] if a.ndim == 3 else a,
+        block_x = x[idx]
+        t = np.multiply(upstream[idx], per_frame(a[idx[0]] if a.ndim == 2 else a, block_x),
                         out=out[idx] if fresh else None)
-        t += x[idx] * k
-        t -= c
+        t += block_x * per_frame(k, block_x)
+        t -= per_frame(c, block_x)
         if not fresh:
             block = out[idx]
             block += t
@@ -598,7 +610,7 @@ class AdaptiveNormLayer(_Normalization):
         frames = _check_frames(frames, "context")
         ctx_weight, ctx_bias = _cast(frames.dtype, self.ctx_weight, self.ctx_bias)
         feats = _project(frames, ctx_weight)
-        feats += ctx_bias
+        feats += per_frame(ctx_bias, feats)
         np.tanh(feats, out=feats)
         attn = softmax(feats.mean(axis=-1))
         context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
@@ -615,7 +627,7 @@ class AdaptiveNormLayer(_Normalization):
         d_pre = tanh_backward(feats, d_feats)
         del d_feats
         self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
-        self.ctx_bias.grad = _rows(d_pre).sum(axis=0)
+        self.ctx_bias.grad = np.einsum("nc->c", _rows(d_pre))
         return _project(d_pre, ctx_weight.T)
 
     def forward(self, x, mode):

@@ -156,9 +156,13 @@ class Model:
         """Training forward pass with logits head; returns (logits, caches)."""
         return self._run(x, "train", "logits", keep_caches=True)
 
-    def backward(self, caches: list, d_logits) -> np.ndarray:
+    def backward(self, caches: list, d_logits, input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate ``d_logits`` through every layer, last to first:
-        sets each parameter's ``grad`` and returns the input gradient.
+        sets each parameter's ``grad`` and returns the input gradient, or
+        None when ``input_grad`` is false: the first layer then sets its
+        parameter gradients only, and skips the product and scatter that
+        would form the gradient of the network's input.  The parameter
+        gradients are the same bits either way.
 
         Consumes ``caches``, the list ``forward_train`` returned: each
         layer's cache is popped before its backward runs, so it is freed as
@@ -177,7 +181,10 @@ class Model:
             lyr, cache = self.layers[i], caches.pop()
             if i in self._rebuilt:
                 cache = lyr.with_input(cache, self.layers[i - 1].output(caches[-1]))
-            d = lyr.backward(cache, d)
+            if i or input_grad:
+                d = lyr.backward(cache, d)
+            else:
+                d = lyr.backward(cache, d, input_grad=False)
         return d
 
 

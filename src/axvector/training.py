@@ -8,6 +8,14 @@ Adam moments are all float32.  The loss and the running statistics stay
 float64, and a checkpoint stores the float32 values upcast exactly to
 float64.
 
+Adam state: every parameter of fewer than ADAM_CHUNK elements (biases, norm
+affines and, at toy shapes, every weight) is packed by ``init_adam`` into
+one flat buffer, decaying tensors first, with its value and both moments
+kept as views in its own shape, so one update per step covers all of them;
+a larger parameter keeps its own arrays and is updated on its own.  The
+update is elementwise, so packing changes no bit.  A step's backward
+computes no gradient of the network's input, which nothing uses.
+
 One logical writer mutates the model; batch assembly is deterministic given
 (seed, epoch), so a full run reproduces bit for bit on one machine.  Training
 holds one batch of features at a time: each crop is read from the corpus
@@ -51,25 +59,59 @@ MAX_WRAP = 4
 
 # Elements per slice of the Adam update: small enough that a slice of the
 # value, gradient, both moments and the scratch buffer stays in cache.
+# Tensors with fewer elements are packed into one buffer and updated together.
 ADAM_CHUNK = 32768
 
 
 @dataclass
 class AdamState:
-    """One ADAM_CHUNK-sized scratch buffer for the update itself, the
-    first/second moment accumulators and the shared step counter."""
+    """Adam's moments and step counter, a (2, ADAM_CHUNK) scratch buffer for
+    the update itself, and the packed tensors.
+
+    Every parameter of fewer than ADAM_CHUNK elements is packed: its value
+    lives in row 0 of ``packed``, a (4, n) array whose rows are the packed
+    values, their gathered gradient and their first and second moments, one
+    tensor after another in ``packed_names`` order, decaying tensors first,
+    so the first ``decaying`` columns decay.  The parameter's ``value`` and
+    its ``m``/``v`` entries are views of its run in those rows, in its own
+    shape.  A larger parameter keeps its own value and moment arrays.
+    """
 
     scratch: np.ndarray
+    packed: np.ndarray
+    packed_names: tuple
+    decaying: int
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
 
 
+def _split(params: list[Param]) -> tuple[list[Param], list[Param]]:
+    """(the parameters to pack, decaying ones first, the others), each in
+    the order given."""
+    small = [p for p in params if p.value.size < ADAM_CHUNK]
+    large = [p for p in params if p.value.size >= ADAM_CHUNK]
+    return [p for p in small if p.decay] + [p for p in small if not p.decay], large
+
+
 def init_adam(params: list[Param]) -> AdamState:
-    """Zero moments and the scratch buffer, in the parameters' dtype."""
+    """Zero moments and the scratch buffer, in the parameters' dtype, and
+    the small parameters' values copied into the packed buffer, each
+    parameter's value becoming a view of its copy there."""
     dtype = np.result_type(*(p.value.dtype for p in params))
-    state = AdamState(np.empty(ADAM_CHUNK, dtype))
-    for p in params:
+    small, large = _split(params)
+    sizes = [p.value.size for p in small]
+    packed = np.zeros((4, sum(sizes)), dtype)
+    state = AdamState(np.empty((2, ADAM_CHUNK), dtype), packed, tuple(p.name for p in small),
+                      sum(size for p, size in zip(small, sizes) if p.decay))
+    start = 0
+    for p, size in zip(small, sizes):
+        value, _, m, v = (row[start:start + size].reshape(p.value.shape) for row in packed)
+        value[...] = p.value
+        p.value = value
+        state.m[p.name], state.v[p.name] = m, v
+        start += size
+    for p in large:
         state.m[p.name] = np.zeros_like(p.value)
         state.v[p.name] = np.zeros_like(p.value)
     return state
@@ -87,51 +129,72 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """Bias-corrected Adam update, in place.
 
-    L2 decay is added to the gradient before the moment updates, and only for
-    parameters flagged as decaying (weights, not biases or norm affines).
-    Every gradient is checked before anything changes, so a missing, mis-shaped
-    or non-finite one leaves the values, moments and step count as they were.
-    The update runs over ADAM_CHUNK-element slices in the scratch buffer,
-    in the dtype ``init_adam`` gave it, the parameters' own: float32 state
-    takes float32 steps, and float64 state upcasts a float32 gradient
-    exactly.  ``p.grad`` stays as is.
+    ``params`` are the parameters ``init_adam`` made ``state`` for, whose
+    packed values are still the views it made.  L2 decay is added to the
+    gradient before the moment updates, and only for parameters flagged as
+    decaying (weights, not biases or norm affines).  Every gradient is
+    checked before anything changes, so a missing, mis-shaped or non-finite
+    one leaves the values, moments and step count as they were.  The packed
+    parameters' gradients are gathered into the packed buffer and updated as
+    two flat arrays, the decaying run and the rest; every larger parameter is
+    updated on its own.  The update is elementwise, so the packed tensors
+    take the same bits as they would one by one.  It runs over
+    ADAM_CHUNK-element slices in the scratch buffer, in the dtype
+    ``init_adam`` gave it, the parameters' own: float32 state takes float32
+    steps, and float64 state upcasts a float32 gradient exactly.  ``p.grad``
+    stays as is.
     """
     for p in params:
         if p.grad is None or p.grad.shape != p.value.shape:
             raise ValueError(f"parameter {p.name!r} needs a gradient of shape {p.value.shape}, "
                              f"has {None if p.grad is None else p.grad.shape}")
+    small, large = _split(params)
+    require(tuple(p.name for p in small) == state.packed_names
+            and all(p.value.base is state.packed for p in small)
+            and len(params) == len(state.m) and all(p.name in state.m for p in large),
+            "adam_step needs the parameters its state was made for, with the packed values")
+    values, grad, m, v = state.packed
+    if small:
+        np.concatenate([p.grad.reshape(-1) for p in small], out=grad)
+    # one test covers every packed gradient; only a failing one is searched
+    suspects = large if np.all(np.isfinite(grad)) else small + large
+    for p in suspects:
         if not np.all(np.isfinite(p.grad)):
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for p in params:
-        decay = weight_decay if p.decay else 0.0
+    hyper = (lr, 1.0 - beta1 ** t, 1.0 - beta2 ** t, beta1, beta2, eps)
+    d = state.decaying
+    _update(values[:d], grad[:d], m[:d], v[:d], state.scratch, weight_decay, *hyper)
+    _update(values[d:], grad[d:], m[d:], v[d:], state.scratch, 0.0, *hyper)
+    for p in large:
         flat = [np.reshape(a, -1, copy=False)
                 for a in (p.value, p.grad, state.m[p.name], state.v[p.name])]
-        for start in range(0, p.value.size, ADAM_CHUNK):
-            value, grad, m, v = (a[start:start + ADAM_CHUNK] for a in flat)
-            s = state.scratch[:value.size]
-            # the decayed gradient g is rebuilt in s for each moment
-            np.multiply(value, decay, out=s)
-            s += grad
-            s *= 1.0 - beta1
-            m *= beta1
-            m += s
-            np.multiply(value, decay, out=s)
-            s += grad
-            np.multiply(s, s, out=s)
-            s *= 1.0 - beta2
-            v *= beta2
-            v += s
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(v, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += eps
-            np.divide(m, s, out=s)
-            s *= lr / bc1
-            value -= s
+        _update(*flat, state.scratch, weight_decay if p.decay else 0.0, *hyper)
+
+
+def _update(values, grads, ms, vs, scratch, decay, lr, bc1, bc2, beta1, beta2, eps) -> None:
+    """One Adam update of flat arrays, ADAM_CHUNK elements at a time."""
+    for start in range(0, values.size, ADAM_CHUNK):
+        value, grad, m, v = (a[start:start + ADAM_CHUNK] for a in (values, grads, ms, vs))
+        # the decayed gradient g in one scratch row, each term in the other
+        g, s = scratch[:, :value.size]
+        np.multiply(value, decay, out=g)
+        g += grad
+        np.multiply(g, 1.0 - beta1, out=s)
+        m *= beta1
+        m += s
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        v *= beta2
+        v += s
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= lr / bc1
+        value -= s
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +329,7 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step}")
             # the backward frees each layer's cache once it has used it
-            model.backward(caches, d_logits.astype(logits.dtype))
+            model.backward(caches, d_logits.astype(logits.dtype), input_grad=False)
             adam_step(params, state, lr, cfg.weight_decay)
             # and this step's gradients once they are applied
             for p in params:

@@ -381,3 +381,46 @@ def test_benchmark_binding_contract(rng):
         out, cache = lyr.forward(rng.normal(size=shape), "train")
         assert isinstance(out, np.ndarray) and out.shape == shape
         assert isinstance(lyr.backward(cache, np.ones(shape)), np.ndarray)
+
+
+def test_stage_clock_reads_one_step_end_per_update():
+    """``perfbench/stage.py cli`` takes the train step times from the stage
+    clock, which wraps ``training.train`` and the module-level
+    ``training.adam_step``: a training run records its start and exactly one
+    step end per step, so the packed update must still be one call of
+    ``training.adam_step`` per step."""
+    from axvector import data as D
+    from axvector import training as T
+    tracing = _load_tracing()
+    corpus = D.generate_corpus(D.CorpusSpec(num_speakers=3, utts_per_speaker=2, feature_dim=3,
+                                            frames_min=12, frames_max=16, seed=2))
+    model = M.build(tiny_config(), seed=0)
+    cfg = T.TrainConfig(batch_size=4, crop_frames_min=8, crop_frames_max=10, total_steps=5,
+                        seed=1)
+    with tracing.stage_clock({}) as record:
+        log = T.train(model, corpus, cfg)
+    assert T.train.__name__ == "train" and T.adam_step.__name__ == "adam_step"
+    assert len(log) == 5 and len(record["step_ends"]) == 5
+    assert record["train_start"] < record["step_ends"][0]
+    assert record["step_ends"] == sorted(record["step_ends"])
+
+
+@pytest.mark.parametrize("variant", ["baseline", "acnn"])
+def test_tracer_passes_keyword_arguments(variant, rng):
+    """The tracer's wrappers of ``Model.backward`` and of every layer's
+    ``backward`` pass keyword arguments through: a traced backward without
+    the input gradient returns None and records the spans of the first
+    layer's backward, also when that layer is the adaptive conv."""
+    tracing = _load_tracing()
+    model = M.build(tiny_config(variant, acnn_layer_index=1), seed=0)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        logits, caches = model.forward_train(rng.normal(size=(2, 6, 3)))
+        assert model.backward(caches, np.ones_like(logits), input_grad=False) is None
+    finally:
+        uninstall()
+    first = "aconv" if variant == "acnn" else "conv"
+    names = [span[0] for span in tracer.spans]
+    assert names.count("model.backward") == 1
+    assert names.count(f"model.{first}.bwd") >= 1

@@ -109,6 +109,152 @@ class TestConv1dBackward:
             N.conv1d_backward(x, params, np.zeros((5, 3)))
 
 
+def windows_per_tap(x, kernel, dilation):
+    """The windows built tap by tap into their column blocks."""
+    t_out = x.shape[-2] - (kernel - 1) * dilation
+    c = x.shape[-1]
+    win = np.empty(x.shape[:-2] + (t_out, kernel * c), dtype=x.dtype)
+    for k in range(kernel):
+        win[..., k * c:(k + 1) * c] = x[..., k * dilation:k * dilation + t_out, :]
+    return win
+
+
+def scatter_per_tap(d_windows, shape, kernel, dilation):
+    """The window gradient added back tap by tap into zeros."""
+    t_out, c = d_windows.shape[-2], shape[-1]
+    d_input = np.zeros(shape, dtype=d_windows.dtype)
+    for j in range(kernel):
+        d_input[..., j * dilation:j * dilation + t_out, :] += d_windows[..., j * c:(j + 1) * c]
+    return d_input
+
+
+WINDOW_CASES = [(1, 1), (2, 1), (5, 1), (3, 2), (3, 3), (2, 4)]
+
+
+class TestSlidingWindows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(13, 5), (3, 13, 5), (2, 1, 16, 3)])
+    @pytest.mark.parametrize("kernel, dilation", WINDOW_CASES)
+    def test_strided_copy_matches_per_tap_loop(self, rng, kernel, dilation, shape, dtype):
+        x = rng.normal(size=shape).astype(dtype)
+        win = N.sliding_windows(x, kernel, dilation)
+        assert win.dtype == dtype
+        assert np.array_equal(win, windows_per_tap(x, kernel, dilation))
+        if kernel > 1:
+            # a fresh contiguous array, not a view of x
+            assert win.flags.c_contiguous and win.flags.writeable
+            assert not np.shares_memory(win, x)
+
+    @pytest.mark.parametrize("kernel, dilation", WINDOW_CASES)
+    def test_non_contiguous_input(self, rng, kernel, dilation):
+        """Strided, reversed and transposed inputs give the per-tap windows."""
+        base = rng.normal(size=(4, 30, 12)).astype(np.float32)
+        for x in (base[:, ::2, 1:6], base[::-1, ::-1, ::3], base.transpose(2, 1, 0)[:, :, :3]):
+            assert not x.flags.c_contiguous
+            assert np.array_equal(N.sliding_windows(x, kernel, dilation),
+                                  windows_per_tap(x, kernel, dilation))
+
+
+class TestConvBackwardScatter:
+    @pytest.mark.parametrize("shape", [(13, 5), (3, 13, 5)])
+    @pytest.mark.parametrize("kernel, dilation", WINDOW_CASES)
+    def test_first_tap_seed_matches_scatter_into_zeros(self, rng, kernel, dilation, shape):
+        """d_input equals the window gradient scattered tap by tap into
+        zeros, bit for bit, for a shared bank and a stack of banks."""
+        x = rng.normal(size=shape).astype(np.float32)
+        c, o = shape[-1], 4
+        t_out = shape[-2] - (kernel - 1) * dilation
+        upstream = rng.normal(size=shape[:-2] + (t_out, o)).astype(np.float32)
+        banks = [rng.normal(size=(kernel, c, o)).astype(np.float32)]
+        if len(shape) == 3:
+            banks.append(rng.normal(size=(shape[0], kernel, c, o)).astype(np.float32))
+        for weights in banks:
+            flat_w = weights.reshape(weights.shape[:-3] + (kernel * c, o))
+            if weights.ndim == 3:
+                # the shared bank's product, over the rows of every utterance
+                d_windows = (upstream.reshape(-1, o) @ flat_w.T).reshape(
+                    upstream.shape[:-1] + (kernel * c,))
+            else:
+                d_windows = np.matmul(upstream, flat_w.swapaxes(-1, -2))
+            d_input, _, _ = N.conv_backward(x, weights, dilation, upstream)
+            assert np.array_equal(d_input, scatter_per_tap(d_windows, shape, kernel, dilation))
+
+    @pytest.mark.parametrize("kernel, dilation", WINDOW_CASES)
+    def test_without_input_gradient(self, rng, kernel, dilation):
+        """input_grad=False gives no input gradient and the same parameter
+        gradients, bit for bit."""
+        x = rng.normal(size=(3, 14, 5)).astype(np.float32)
+        t_out = 14 - (kernel - 1) * dilation
+        upstream = rng.normal(size=(3, t_out, 4)).astype(np.float32)
+        for weights in (rng.normal(size=(kernel, 5, 4)), rng.normal(size=(3, kernel, 5, 4))):
+            weights = weights.astype(np.float32)
+            _, d_w, d_b = N.conv_backward(x, weights, dilation, upstream)
+            none, d_w2, d_b2 = N.conv_backward(x, weights, dilation, upstream, input_grad=False)
+            assert none is None
+            assert np.array_equal(d_w, d_w2) and np.array_equal(d_b, d_b2)
+
+
+class TestFrameSums:
+    """The layers take per-channel and per-utterance sums over frame rows
+    with np.einsum, which adds the rows in the order numpy's reductions over
+    a leading axis do: each equals the .sum or .mean it replaced, bit for
+    bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 17, 5), (7, 93, 13), (2, 201, 67),
+                                       (33, 1, 129)])
+    def test_einsum_sums_equal_reductions(self, rng, shape, dtype):
+        x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)).astype(dtype)
+        rows = x.reshape(-1, shape[-1])
+        assert np.array_equal(np.einsum("nc->c", rows), rows.sum(axis=0))
+        assert np.array_equal(np.einsum("nc->c", rows) / rows.shape[0], rows.mean(axis=0))
+        assert np.array_equal(np.einsum("btc->bc", x), x.sum(axis=1))
+        assert np.array_equal(np.einsum("btc->bc", x) / shape[1], x.mean(axis=1))
+        assert np.array_equal(np.einsum("...tc->...c", x), x.sum(axis=-2))
+
+    @pytest.mark.parametrize("shape", [(1, 7, 5), (3, 7, 5), (4, 5)])
+    def test_per_frame_matches_broadcasting(self, rng, shape):
+        """A per-channel vector tiled over the frames, and a per-utterance
+        array given a frame axis, act as numpy's broadcasting of them."""
+        x = rng.normal(size=shape).astype(np.float32)
+        v = rng.normal(size=shape[-1]).astype(np.float32)
+        tiled = N.per_frame(v, x)
+        assert np.array_equal(x * tiled, x * v) and np.array_equal(x - tiled, x - v)
+        if x.ndim == 3:
+            u = rng.normal(size=(shape[0], shape[-1])).astype(np.float32)
+            assert np.array_equal(x + N.per_frame(u, x), x + u[:, None, :])
+
+    def test_layer_sums_equal_reductions(self, rng):
+        """The sums as the layers take them: bias gradients of the conv and
+        dense layers and the normalizations' shift gradients are the
+        reductions of their upstream, and pooling's mean half the mean."""
+        x = rng.normal(size=(3, 11, 5)).astype(np.float32)
+        up = rng.normal(size=(3, 11, 5)).astype(np.float32)
+        pooled, _ = L.StatsPoolLayer("pool").forward(x, "train")
+        assert np.array_equal(pooled[:, :5], x.mean(axis=1))
+        bn = L.BatchNormLayer("bn", 5)
+        for p in bn.params():
+            p.value = p.value.astype(np.float32)
+        _, cache = bn.forward(x, "train")
+        assert np.array_equal(cache["mean"], x.reshape(-1, 5).mean(axis=0))
+        bn.backward(cache, up)
+        assert np.array_equal(bn.beta.grad, up.reshape(-1, 5).sum(axis=0))
+        abn = L.AdaptiveNormLayer("abn", rng, 5, 3)
+        for p in abn.params():
+            p.value = p.value.astype(np.float32)
+        _, cache = abn.forward(x, "train")
+        abn.backward(cache, up)
+        assert np.array_equal(abn.shift_bias.grad, up.sum(axis=1).sum(axis=0))
+        conv = L.ConvLayer("conv", rng, 3, 5, 4, 2)
+        conv_up = rng.normal(size=(3, 7, 4)).astype(np.float32)
+        conv.backward(x, conv_up)
+        assert np.array_equal(conv.bias.grad, conv_up.reshape(-1, 4).sum(axis=0))
+        dense = L.DenseLayer("dense", rng, 5, 4)
+        rows, rows_up = x[:, 0], conv_up[:, 0]
+        dense.backward(rows, rows_up)
+        assert np.array_equal(dense.bias.grad, rows_up.sum(axis=0))
+
+
 class TestSoftmax:
     def test_uniform(self):
         np.testing.assert_allclose(N.softmax([0.0, 0.0, 0.0]), np.full(3, 1 / 3), rtol=1e-15)
@@ -264,6 +410,26 @@ class TestActivations:
             return float(np.sum(N.relu(x) * probe))
 
         check_grads(loss, [("input", x, N.relu_backward(x > 0.0, probe))], tol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_forms_keep_the_product_bits(self, rng, dtype):
+        """relu_backward from the output or from the bool mask, and
+        tanh_backward, give the bits of upstream * (x > 0) and of
+        upstream * (1 - out * out), signs of zeros included."""
+        x = rng.normal(size=(5, 9, 4)).astype(dtype)
+        x[0, :3] = 0.0
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        upstream[1, :2] = -0.0
+        expected = upstream * (x > 0.0)
+        for given in (N.relu(x), x > 0.0):
+            d = N.relu_backward(given, upstream)
+            assert d.dtype == dtype and np.array_equal(d, expected)
+            assert np.array_equal(np.signbit(d), np.signbit(expected))
+        out = np.tanh(x)
+        d = N.tanh_backward(out, upstream)
+        assert d.dtype == dtype
+        assert np.array_equal(d, upstream * (1.0 - out * out))
+        assert np.array_equal(np.signbit(d), np.signbit(upstream * (1.0 - out * out)))
 
     def test_tanh_gradient(self, rng):
         x = rng.normal(size=(4, 3))

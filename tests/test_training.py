@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,98 @@ class TestAdam:
             value = value - (lr / (1.0 - beta1 ** t)) * (m / (np.sqrt(v / (1.0 - beta2 ** t)) + eps))
             assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
             assert np.array_equal(p.value, value)
+
+    @staticmethod
+    def _mixed_params(rng):
+        """Small tensors of both decay flags whose packed run spans several
+        ADAM_CHUNK slices, with the decay boundary inside one, beside two
+        tensors of ADAM_CHUNK elements or more."""
+        specs = [("w_small", (3, 5), True), ("b_small", (7,), False),
+                 ("w_big", (2, T.ADAM_CHUNK // 2 + 3), True), ("w_long", (T.ADAM_CHUNK - 1,), True),
+                 ("b_long", (T.ADAM_CHUNK - 3,), False), ("b_big", (T.ADAM_CHUNK,), False)]
+        return [M.Param(name, rng.normal(size=shape), decay) for name, shape, decay in specs]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packed_update_matches_per_tensor_formula(self, rng, dtype):
+        """Every tensor, packed or not, takes the bits the whole-array
+        formula gives it on its own, over several steps, in float32 and in
+        float64 state; the packed ones are those below ADAM_CHUNK."""
+        params = self._mixed_params(rng)
+        for p in params:
+            p.value = p.value.astype(dtype)
+        expected = {p.name: (p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value))
+                    for p in params}
+        state = T.init_adam(params)
+        assert state.packed_names == ("w_small", "w_long", "b_small", "b_long")
+        lr, decay, beta1, beta2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
+        for t in range(1, 5):
+            for p in params:
+                p.grad = rng.normal(size=p.value.shape).astype(dtype)
+            T.adam_step(params, state, lr, decay, beta1, beta2, eps)
+            for p in params:
+                value, m, v = expected[p.name]
+                g = p.grad + (decay if p.decay else 0.0) * value
+                m = beta1 * m + (1.0 - beta1) * g
+                v = beta2 * v + (1.0 - beta2) * (g * g)
+                value = value - (lr / (1.0 - beta1 ** t)) * (
+                    m / (np.sqrt(v / (1.0 - beta2 ** t)) + eps))
+                expected[p.name] = value, m, v
+                assert p.value.dtype == dtype
+                assert np.array_equal(p.value, value), p.name
+                assert np.array_equal(state.m[p.name], m) and np.array_equal(state.v[p.name], v)
+
+    def test_moments_and_packed_values_keep_each_tensor_shape(self, rng):
+        params = self._mixed_params(rng)
+        shapes = {p.name: p.value.shape for p in params}
+        before = {p.name: p.value.copy() for p in params}
+        state = T.init_adam(params)
+        for p in params:
+            packed = p.value.size < T.ADAM_CHUNK
+            assert p.value.shape == state.m[p.name].shape == state.v[p.name].shape == shapes[p.name]
+            assert np.array_equal(p.value, before[p.name])
+            for a in (p.value, state.m[p.name], state.v[p.name]):
+                assert np.shares_memory(a, state.packed) == packed, p.name
+
+    @pytest.mark.parametrize("fault", ["missing", "mis-shaped", "nan", "inf"])
+    @pytest.mark.parametrize("target", ["w_small", "b_long"])
+    def test_bad_packed_gradient_changes_nothing(self, rng, fault, target):
+        """After a few steps, a bad gradient of a packed tensor is refused by
+        name, and every value, both moments and the step count stay as
+        they were."""
+        params = self._mixed_params(rng)
+        for p in params:
+            p.value = p.value.astype(np.float32)
+        state = T.init_adam(params)
+        for _ in range(2):
+            for p in params:
+                p.grad = rng.normal(size=p.value.shape).astype(np.float32)
+            T.adam_step(params, state, 1e-3, 1e-2)
+        bad = next(p for p in params if p.name == target)
+        if fault == "missing":
+            bad.grad = None
+        elif fault == "mis-shaped":
+            bad.grad = bad.grad.reshape(-1)[:-1]
+        else:
+            bad.grad.reshape(-1)[-1] = np.nan if fault == "nan" else np.inf
+        snapshot = [(p.value.copy(), state.m[p.name].copy(), state.v[p.name].copy())
+                    for p in params]
+        with pytest.raises(ValueError, match=f"'{target}'"):
+            T.adam_step(params, state, 1e-3, 1e-2)
+        assert state.step == 2
+        for p, arrays in zip(params, snapshot):
+            for now, then in zip((p.value, state.m[p.name], state.v[p.name]), arrays):
+                assert np.array_equal(now, then), p.name
+
+    def test_replaced_packed_value_is_refused(self):
+        """A packed value replaced after init_adam would no longer be the
+        array the update writes, so the update refuses to run."""
+        p = self._param([1.0, 2.0])
+        state = T.init_adam([p])
+        p.value = p.value.copy()
+        p.grad = np.zeros(2)
+        with pytest.raises(ValueError, match="parameters its state was made for"):
+            T.adam_step([p], state, lr=1e-3, weight_decay=0.0)
+        assert state.step == 0
 
     def test_decay_shrinks_norm_with_zero_data_gradient(self):
         p = self._param(np.array([1.0, -1.5, 2.0]))
@@ -287,6 +380,28 @@ def test_backward_sets_gradients_instead_of_adding(variant, rng):
     _, caches = model.forward_train(x)
     model.backward(caches, d_logits)
     for p, grad in zip(model.params(), first):
+        assert np.array_equal(p.grad, grad), p.name
+
+
+@pytest.mark.parametrize("acnn_layer_index", [1, 4])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_backward_without_input_gradient_sets_the_same_gradients(variant, acnn_layer_index,
+                                                                rng):
+    """``input_grad=False`` returns None and sets every parameter gradient
+    to the bits of the full backward, also with the adaptive conv first."""
+    model = M.build(replace(tiny_arch(variant), acnn_layer_index=acnn_layer_index), seed=5)
+    for p in model.params():
+        p.value = p.value.astype(np.float32)
+    x = rng.normal(size=(3, 7, 3)).astype(np.float32)
+    d_logits = rng.normal(size=(3, 3)).astype(np.float32)
+    _, caches = model.forward_train(x)
+    d_x = model.backward(caches, d_logits)
+    assert d_x.shape == x.shape
+    full = [p.grad for p in model.params()]
+    _, caches = model.forward_train(x)
+    assert model.backward(caches, d_logits, input_grad=False) is None
+    assert caches == []
+    for p, grad in zip(model.params(), full):
         assert np.array_equal(p.grad, grad), p.name
 
 
