@@ -14,14 +14,14 @@ the mixed filter banks; a normalization keeps its input, mean and inverse
 std, and its backward works from per-channel sums instead of the
 normalized input, forming its input gradient in row blocks of about
 NORM_BLOCK_BYTES so that it holds no temporary of the input's size.  No
-cache holds a parameter value or a cast of one.  A backward rebuilds what
-it needs with the forward's own operations on the cached arrays and the
-parameter values, and it writes only into arrays it made itself, never
-into its upstream or its cache, so a cache stays valid through later
-forwards and backwards.  A normalization also rebuilds its train-mode
-output from its cache (``output``), and a convolution's cache can be
-given its input back (``with_input``): the model drops a convolution's
-input when a normalization made it and rebuilds it for the backward.
+cache holds a parameter value.  A backward rebuilds what it needs with the
+forward's own operations on the cached arrays and the parameter values,
+and it writes only into arrays it made itself, never into its upstream or
+its cache, so a cache stays valid through later forwards and backwards.
+A normalization also rebuilds its train-mode output from its cache
+(``output``), and a convolution's cache can be given its input back
+(``with_input``): the model drops a convolution's input when a
+normalization made it and rebuilds it for the backward.
 ``backward`` returns the input gradient and sets each parameter's ``grad``
 to that parameter's gradient, once per call, replacing the previous one.
 A convolution's backward, static or adaptive, given ``input_grad=False``
@@ -35,15 +35,12 @@ less overhead per call.
 Parameter values change only between a forward/backward pair (the optimizer
 updates them in place); the running statistics change only in train mode.
 
-A layer computes in the dtype of its input, a float32 or float64 array that
-the model or the previous layer produced; no layer casts its input or its
-upstream.  Parameter gradients come out in that compute dtype.  Parameter
-values are float64 as built or loaded and float32 once training has cast
-them; the running statistics are always float64.  A forward and its
-backward each cast the parameter values they use to the input's dtype (a
-no-op when the dtypes match), from the same unchanged values, so both see
-the same weights.  An infer-mode ReLU or normalization caches nothing and
-has no backward.
+A layer computes in its parameters' dtype, float64 as built or loaded and
+float32 once training has rounded them, and takes its input and upstream in
+that dtype; the model casts its own input once, and no layer casts a
+parameter, its input or its upstream.  Parameter gradients come out in that
+dtype.  The running statistics are always float64.  An infer-mode ReLU or
+normalization caches nothing and has no backward.
 
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
@@ -99,15 +96,9 @@ def _project(frames: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return (_rows(frames) @ weight).reshape(frames.shape[:-1] + weight.shape[-1:])
 
 
-def _cast(dtype, *params) -> list[np.ndarray]:
-    """The parameters' values in the compute dtype (the values themselves
-    when they already are in it)."""
-    return [p.value.astype(dtype, copy=False) for p in params]
-
-
 class Param:
-    """A named trainable tensor and the gradient its layer's last backward set
-    (None before the first), in that backward's compute dtype."""
+    """A named trainable tensor, float64 as built, and the gradient its
+    layer's last backward set (None before the first), in the value's dtype."""
 
     __slots__ = ("name", "value", "grad", "decay")
 
@@ -175,8 +166,7 @@ class ConvLayer:
     def forward(self, x, mode):
         require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
                 f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
-        weight, bias = _cast(x.dtype, self.weight, self.bias)
-        return conv_forward(x, weight, bias, self.dilation), x
+        return conv_forward(x, self.weight.value, self.bias.value, self.dilation), x
 
     @staticmethod
     def with_input(cache, x):
@@ -185,9 +175,8 @@ class ConvLayer:
 
     def backward(self, cache, upstream, input_grad=True):
         """With ``input_grad`` false, sets the gradients only and returns None."""
-        x = cache
-        [weight] = _cast(x.dtype, self.weight)
-        d_input, d_w, d_b = conv_backward(x, weight, self.dilation, upstream, input_grad)
+        d_input, d_w, d_b = conv_backward(cache, self.weight.value, self.dilation, upstream,
+                                          input_grad)
         self.weight.grad = d_w
         self.bias.grad = d_b
         return d_input
@@ -207,15 +196,12 @@ class DenseLayer:
     def forward(self, x, mode):
         require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
                 f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
-        weight, bias = _cast(x.dtype, self.weight, self.bias)
-        return x @ weight + bias, x
+        return x @ self.weight.value + self.bias.value, x
 
     def backward(self, cache, upstream):
-        x = cache
-        [weight] = _cast(x.dtype, self.weight)
-        self.weight.grad = x.T @ upstream
+        self.weight.grad = cache.T @ upstream
         self.bias.grad = np.einsum("nc->c", upstream)
-        return upstream @ weight.T
+        return upstream @ self.weight.value.T
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +294,10 @@ class AdaptiveConvLayer:
         attn    = softmax(logits);  context = [mean, std] of frames under attn.
         """
         frames = _check_frames(frames, "context")
-        score_weight, score_bias, score_proj = _cast(frames.dtype, self.score_weight,
-                                                     self.score_bias, self.score_proj)
-        scored = _project(frames, score_weight)
-        scored += per_frame(score_bias, scored)
+        scored = _project(frames, self.score_weight.value)
+        scored += per_frame(self.score_bias.value, scored)
         np.tanh(scored, out=scored)
-        attn = softmax(np.matmul(scored, score_proj))
+        attn = softmax(np.matmul(scored, self.score_proj.value))
         mean, raw_var = weighted_moments(frames, attn.astype(frames.dtype, copy=False))
         context = np.concatenate([mean, np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))], axis=-1)
         return context, {"frames": frames, "scored": scored, "attn": attn,
@@ -323,18 +307,17 @@ class AdaptiveConvLayer:
         """Gradient of context with respect to the frames (None, with
         ``input_grad`` false: the parameter gradients only)."""
         frames, scored, attn = cache["frames"], cache["scored"], cache["attn"]
-        score_weight, score_proj = _cast(frames.dtype, self.score_weight, self.score_proj)
         c = frames.shape[-1]
         d_frames, d_attn = weighted_stats_backward(frames, attn, d_context[..., :c],
                                                    d_context[..., c:], moments=cache["moments"])
         d_logits = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
-        d_pre = tanh_backward(scored, np.multiply.outer(d_logits, score_proj))
+        d_pre = tanh_backward(scored, np.multiply.outer(d_logits, self.score_proj.value))
         self.score_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.score_bias.grad = np.einsum("nc->c", _rows(d_pre))
         self.score_proj.grad = _rows(scored).T @ d_logits.ravel()
         if not input_grad:
             return None
-        d_frames += _project(d_pre, score_weight.T)
+        d_frames += _project(d_pre, self.score_weight.value.T)
         return d_frames
 
     def filters(self, context):
@@ -342,31 +325,27 @@ class AdaptiveConvLayer:
 
         coeffs = context @ mix_weight + mix_bias (no normalization); the
         weights and bias are the coefficient-weighted sums of the pool
-        entries, in the context's dtype.
+        entries.
         """
         require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
                 f"context must be (batch, {self.mix_weight.value.shape[0]}), "
                 f"got {context.shape}")
-        mix_weight, mix_bias, pool, pool_bias = _cast(context.dtype, self.mix_weight,
-                                                      self.mix_bias, self.pool_weight,
-                                                      self.pool_bias)
-        coeffs = context @ mix_weight + mix_bias
-        weights = _mixed_banks(coeffs, pool)
-        bias = coeffs @ pool_bias
+        coeffs = context @ self.mix_weight.value + self.mix_bias.value
+        weights = _mixed_banks(coeffs, self.pool_weight.value)
+        bias = coeffs @ self.pool_bias.value
         return (weights, bias), {"context": context, "coeffs": coeffs}
 
     def filters_backward(self, cache, d_weights, d_bias):
         """Gradient of filters with respect to the context."""
         context, coeffs = cache["context"], cache["coeffs"]
-        mix_weight, pool, pool_bias = _cast(coeffs.dtype, self.mix_weight, self.pool_weight,
-                                            self.pool_bias)
+        pool = self.pool_weight.value
         d_weights = d_weights.reshape(coeffs.shape[0], -1)
-        d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ pool_bias.T
+        d_coeffs = d_weights @ pool.reshape(pool.shape[0], -1).T + d_bias @ self.pool_bias.value.T
         self.pool_weight.grad = (coeffs.T @ d_weights).reshape(pool.shape)
         self.pool_bias.grad = coeffs.T @ d_bias
         self.mix_weight.grad = context.T @ d_coeffs
         self.mix_bias.grad = d_coeffs.sum(axis=0)
-        return d_coeffs @ mix_weight.T
+        return d_coeffs @ self.mix_weight.value.T
 
     def forward(self, x, mode):
         """Context, filter mixing, then a valid convolution of each utterance
@@ -382,12 +361,12 @@ class AdaptiveConvLayer:
         return {"ctx": dict(cache["ctx"], frames=x), "mix": cache["mix"]}
 
     def backward(self, cache, upstream, input_grad=True):
-        """The banks are remixed from the cached coefficients and a
-        temporary cast of the pool, and freed once the convolution's backward
-        has used them; the input is the context's frames.  With
-        ``input_grad`` false, sets the gradients only and returns None."""
+        """The banks are remixed from the cached coefficients and the pool,
+        and freed once the convolution's backward has used them; the input is
+        the context's frames.  With ``input_grad`` false, sets the gradients
+        only and returns None."""
         mix = cache["mix"]
-        weights = _mixed_banks(mix["coeffs"], *_cast(mix["coeffs"].dtype, self.pool_weight))
+        weights = _mixed_banks(mix["coeffs"], self.pool_weight.value)
         d_input, d_weights, d_bias = conv_backward(cache["ctx"]["frames"], weights,
                                                    self.dilation, upstream, input_grad)
         del weights
@@ -561,18 +540,16 @@ class BatchNormLayer(_Normalization):
         return [self.gamma, self.beta]
 
     def forward(self, x, mode):
-        gamma, beta = _cast(x.dtype, self.gamma, self.beta)
-        return self._normalize(x, mode, gamma, beta)
+        return self._normalize(x, mode, self.gamma.value, self.beta.value)
 
     def output(self, cache):
         """The train-mode forward's output, rebuilt from its cache."""
-        gamma, beta = _cast(cache["x"].dtype, self.gamma, self.beta)
-        return self._rebuild(cache, gamma, beta)
+        return self._rebuild(cache, self.gamma.value, self.beta.value)
 
     def backward(self, cache, upstream):
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
-        [gamma] = _cast(cache["x"].dtype, self.gamma)
-        self.gamma.grad, self.beta.grad, coeffs = self._gradients(cache, upstream, gamma)
+        self.gamma.grad, self.beta.grad, coeffs = self._gradients(cache, upstream,
+                                                                  self.gamma.value)
         return _input_gradient(cache["x"], upstream, coeffs)
 
 
@@ -608,9 +585,8 @@ class AdaptiveNormLayer(_Normalization):
         """Frame-attention context of each utterance: tanh features weighted
         by a softmax over the per-frame feature means."""
         frames = _check_frames(frames, "context")
-        ctx_weight, ctx_bias = _cast(frames.dtype, self.ctx_weight, self.ctx_bias)
-        feats = _project(frames, ctx_weight)
-        feats += per_frame(ctx_bias, feats)
+        feats = _project(frames, self.ctx_weight.value)
+        feats += per_frame(self.ctx_bias.value, feats)
         np.tanh(feats, out=feats)
         attn = softmax(feats.mean(axis=-1))
         context = np.matmul(attn.astype(frames.dtype, copy=False)[..., None, :], feats)[..., 0, :]
@@ -619,7 +595,6 @@ class AdaptiveNormLayer(_Normalization):
     def context_backward(self, cache, d_context):
         """Gradient of context with respect to the frames."""
         frames, feats, attn = cache["frames"], cache["feats"], cache["attn"]
-        [ctx_weight] = _cast(frames.dtype, self.ctx_weight)
         d_attn = np.matmul(feats, d_context[..., None])[..., 0]
         d_means = softmax_backward(attn, d_attn).astype(frames.dtype, copy=False)
         d_feats = attn.astype(frames.dtype, copy=False)[..., None] * d_context[..., None, :]
@@ -628,17 +603,14 @@ class AdaptiveNormLayer(_Normalization):
         del d_feats
         self.ctx_weight.grad = _rows(frames).T @ _rows(d_pre)
         self.ctx_bias.grad = np.einsum("nc->c", _rows(d_pre))
-        return _project(d_pre, ctx_weight.T)
+        return _project(d_pre, self.ctx_weight.value.T)
 
     def forward(self, x, mode):
         """The context's frames are the normalization's input, cached once."""
         contexts, ctx_cache = self.context(x)
-        frames = ctx_cache["frames"]
-        scale_weight, scale_bias, shift_weight, shift_bias = _cast(
-            frames.dtype, self.scale_weight, self.scale_bias, self.shift_weight, self.shift_bias)
-        scales = contexts @ scale_weight + scale_bias
-        shifts = contexts @ shift_weight + shift_bias
-        y, core = self._normalize(frames, mode, scales, shifts)
+        scales = contexts @ self.scale_weight.value + self.scale_bias.value
+        shifts = contexts @ self.shift_weight.value + self.shift_bias.value
+        y, core = self._normalize(ctx_cache["frames"], mode, scales, shifts)
         if core is None:
             return y, None
         return y, {"core": core, "ctx": ctx_cache, "contexts": contexts, "scales": scales,
@@ -651,8 +623,7 @@ class AdaptiveNormLayer(_Normalization):
     def backward(self, cache, upstream):
         """Sums, generator gradients, then the context's backward, whose
         fresh frames gradient takes the normalization's input gradient added
-        in blocks.  The generator weights are cast again, and freed before
-        the context's backward."""
+        in blocks."""
         require(cache is not None, f"{self.name}: backward needs a train-mode forward")
         core, contexts = cache["core"], cache["contexts"]
         d_scales, d_shifts, coeffs = self._gradients(core, upstream, cache["scales"])
@@ -660,8 +631,6 @@ class AdaptiveNormLayer(_Normalization):
         self.scale_bias.grad = d_scales.sum(axis=0)
         self.shift_weight.grad = contexts.T @ d_shifts
         self.shift_bias.grad = d_shifts.sum(axis=0)
-        scale_weight, shift_weight = _cast(contexts.dtype, self.scale_weight, self.shift_weight)
-        d_contexts = d_scales @ scale_weight.T + d_shifts @ shift_weight.T
-        del scale_weight, shift_weight
+        d_contexts = d_scales @ self.scale_weight.value.T + d_shifts @ self.shift_weight.value.T
         d_frames = self.context_backward(cache["ctx"], d_contexts)
         return _input_gradient(core["x"], upstream, coeffs, into=d_frames)

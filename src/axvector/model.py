@@ -18,11 +18,11 @@ normalization's output keeps no reference to it, and the backward has that
 normalization rebuild it from its own cache, so each frame activation is
 held once.  A model is immutable during inference and may be
 shared across readers; training mutates parameters and normalization
-statistics from a single writer.  The network computes in the dtype of its
-input (float32 stays float32, anything else is float64), which only the model
-casts.  Parameters are float64 as built or loaded, and float32 once training
-has cast them; statistics are float64 either way, and a checkpoint stores
-every value as float64.
+statistics from a single writer.  The network computes in its parameters'
+dtype, one for the whole model: float64 as built or loaded, float32 once
+training has rounded them.  The model casts its input and the gradient of its
+logits to that dtype, and no layer casts its input.  Statistics are float64
+either way, and a checkpoint stores every value as float64.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .layers import (AdaptiveConvLayer, AdaptiveNormLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      Param, ReluLayer, StatsPoolLayer)
-from .numerics import as_float, require
+from .numerics import require
 from .serialize import FormatError, read_records, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
@@ -123,8 +123,13 @@ class Model:
     def min_frames(self) -> int:
         return self.config.min_frames
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype: that of the parameter values."""
+        return self.layers[0].params()[0].value.dtype
+
     def _check_input(self, x) -> np.ndarray:
-        x = as_float(x)
+        x = np.asarray(x, dtype=self.dtype)
         require(x.ndim == 3,
                 f"model input must be (batch, frames, features), got shape {x.shape}")
         require(x.shape[2] == self.config.input_dim,
@@ -176,7 +181,7 @@ class Model:
                 f"backward needs the {len(self.layers)} layer caches of a fresh forward_train, "
                 f"got {len(caches)}: a backward consumes its caches, so run forward_train "
                 f"again before another backward")
-        d = as_float(d_logits)
+        d = np.asarray(d_logits, dtype=self.dtype)
         for i in reversed(range(len(self.layers))):
             lyr, cache = self.layers[i], caches.pop()
             if i in self._rebuilt:
@@ -198,14 +203,12 @@ def check_min_frames(model: Model, corpus) -> None:
                              f"below the model minimum of {model.min_frames}")
 
 
-def infer_utterances(model: Model, corpus, head: str, dtype) -> np.ndarray:
+def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
     """Inference-mode ``head`` output of every full, uncropped utterance of
     ``corpus``, one row each in corpus order, run one utterance at a time in
-    ``dtype`` (the network computes in the dtype of its input; features are
-    float32)."""
+    the model's dtype."""
     check_min_frames(model, corpus)
-    rows = [model.forward(np.asarray(corpus.features(utt.utt_id), dtype=dtype)[None],
-                          mode="infer", head=head)[0]
+    rows = [model.forward(corpus.features(utt.utt_id)[None], mode="infer", head=head)[0]
             for utt in corpus.utterances]
     return np.stack(rows)
 

@@ -39,7 +39,9 @@ def as_f64(x) -> np.ndarray:
 
 
 def as_float(x) -> np.ndarray:
-    """``x`` as float32 if it already is float32, otherwise as float64."""
+    """``x`` as float32 if it already is float32, otherwise as float64.
+    Only ``conv1d``/``conv1d_backward`` use it, a pair the benchmark's tracer
+    binds by name."""
     x = np.asarray(x)
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 

@@ -2,11 +2,12 @@
 exponential learning-rate ramp, and same-duration crop batching.
 
 Precision: batches are float32, the features' own precision, and ``train``
-casts every parameter value to float32 once before the first step, so the
-network's forward and backward, its gradients, the parameter values and the
-Adam moments are all float32.  The loss and the running statistics stay
-float64, and a checkpoint stores the float32 values upcast exactly to
-float64.
+rounds every parameter value to float32 once before the first step.  The
+network computes in its parameters' dtype, so its forward and backward, its
+gradients, the parameter values and the Adam moments are all float32.  The
+loss and the running statistics stay float64 (the model casts the loss
+gradient to float32), and a checkpoint stores the float32 values upcast
+exactly to float64.
 
 Adam state: every parameter of fewer than ADAM_CHUNK elements (biases, norm
 affines and, at toy shapes, every weight) is packed by ``init_adam`` into
@@ -329,7 +330,7 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite training loss at step {step}")
             # the backward frees each layer's cache once it has used it
-            model.backward(caches, d_logits.astype(logits.dtype), input_grad=False)
+            model.backward(caches, d_logits, input_grad=False)
             adam_step(params, state, lr, cfg.weight_decay)
             # and this step's gradients once they are applied
             for p in params:
@@ -345,9 +346,9 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
 
 def classification_accuracy(model: Model, corpus) -> float:
     """Inference-mode speaker classification accuracy over full utterances,
-    computed in float32, the precision of the features and of training."""
+    computed in the model's dtype (float32 for a model ``train`` has run on)."""
     label_of = corpus.speaker_labels()
-    predicted = infer_utterances(model, corpus, "logits", np.float32).argmax(axis=1)
+    predicted = infer_utterances(model, corpus, "logits").argmax(axis=1)
     correct = sum(int(p) == label_of[utt.speaker_id]
                   for p, utt in zip(predicted, corpus.utterances))
     return correct / len(corpus.utterances)

@@ -1,4 +1,5 @@
-"""Central finite-difference checking shared by the gradient tests.
+"""Central finite-difference checking shared by the gradient tests, and the
+layer and model set-up those tests share.
 
 The oracle stays independent of the backward passes it checks: it only ever
 calls the forward path.
@@ -49,6 +50,15 @@ def randomize(layer, rng, offsets=None):
         short = p.name.rsplit(".", 1)[1]
         p.value[...] = rng.normal(size=p.value.shape) + (offsets or {}).get(short, 0.0)
     return layer
+
+
+def in_dtype(owner, dtype=np.float32):
+    """``owner``, a layer or a model, with every parameter value cast to
+    ``dtype`` once, as ``training.train`` rounds them to float32: the dtype
+    it then computes in."""
+    for p in owner.params():
+        p.value = p.value.astype(dtype)
+    return owner
 
 
 def param_grads(layer, names=None):

@@ -22,7 +22,7 @@ from axvector import numerics as N
 from axvector import training as T
 from axvector.cli import dispatch
 
-from gradcheck import check_grads, param_grads, randomize
+from gradcheck import check_grads, in_dtype, param_grads, randomize
 from param_overhead import conv_param_count
 from test_metrics import oracle_eer, oracle_min_dcf
 
@@ -217,13 +217,16 @@ class TestCriterion3Reductions:
 
     def test_criterion_3_reduction_acnn_to_static_conv(self, rng):
         """A one-hot mixture (zero regression weights, one-hot bias) selects
-        its pool entry exactly, in float64 and in the float32 of training."""
+        its pool entry exactly, in float64 and, with the layer rounded to
+        float32 as training rounds it, in float32."""
         # kernel 2, 3 -> 5 channels, dilation 2, attention hidden 2, pool of 4
         layer = randomize(L.AdaptiveConvLayer("acnn", np.random.default_rng(0), 2, 3, 5, 2, 2, 4),
                            rng)
         layer.mix_weight.value[...] = 0.0
         frames64 = rng.normal(size=(1, 9, 3))
-        for frames in (frames64, frames64.astype(np.float32)):
+        for dtype in (np.float64, np.float32):
+            in_dtype(layer, dtype)
+            frames = frames64.astype(dtype)
             for slot in range(4):
                 layer.mix_bias.value[...] = np.eye(4)[slot]
                 out = layer.forward(frames, "infer")[0][0]

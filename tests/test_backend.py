@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,6 +11,8 @@ from axvector import data as D
 from axvector import model as M
 from axvector import training as T
 from axvector.serialize import FormatError, write_records
+
+from gradcheck import in_dtype
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -52,35 +56,46 @@ class TestExtraction:
             assert np.array_equal(table.vector(utt_id), permuted.vector(utt_id))
 
     def test_float32_features_run_in_float64(self, tiny_model, tiny_corpus):
-        """Extraction runs each float32 utterance in float64: its rows equal
-        those of the same corpus upcast."""
+        """Extraction with a float64 model, as built or loaded, runs each
+        float32 utterance in float64: its rows equal those of the same corpus
+        upcast."""
         upcast = D.Corpus(tiny_corpus.utterances,
                           {u.utt_id: tiny_corpus.features(u.utt_id).astype(np.float64)
                            for u in tiny_corpus.utterances})
         for head in ("embedding", "logits"):
-            rows = M.infer_utterances(tiny_model, tiny_corpus, head, np.float64)
+            rows = M.infer_utterances(tiny_model, tiny_corpus, head)
             assert rows.dtype == np.float64
-            assert np.array_equal(rows, M.infer_utterances(tiny_model, upcast, head, np.float64))
+            assert np.array_equal(rows, M.infer_utterances(tiny_model, upcast, head))
         assert np.array_equal(B.extract_embeddings(tiny_model, tiny_corpus).vectors,
-                              M.infer_utterances(tiny_model, tiny_corpus, "embedding",
-                                                 np.float64))
+                              M.infer_utterances(tiny_model, tiny_corpus, "embedding"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_take_the_model_dtype(self, tiny_model, tiny_corpus, dtype):
+        """infer_utterances runs in its model's dtype, whatever the
+        features' (float32 here)."""
+        model = in_dtype(copy.deepcopy(tiny_model), dtype)
+        for head in ("embedding", "logits"):
+            assert M.infer_utterances(model, tiny_corpus, head).dtype == dtype
 
     def test_accuracy_pass_runs_in_float32(self, tiny_model, tiny_corpus, monkeypatch):
-        """The accuracy pass runs each utterance in float32, the precision
-        training ran in, and predicts what the same pass in float64 does."""
+        """The accuracy pass of a model rounded to float32, as training
+        leaves it, runs each utterance in float32, and predicts what the same
+        pass of the float64 model does."""
+        model32 = in_dtype(copy.deepcopy(tiny_model))
         seen = []
         forward = M.Model.forward
 
         def recording(model, x, *args, **kwargs):
-            seen.append(x.dtype)
-            return forward(model, x, *args, **kwargs)
+            out = forward(model, x, *args, **kwargs)
+            seen.append(out.dtype)
+            return out
 
         monkeypatch.setattr(M.Model, "forward", recording)
-        accuracy = T.classification_accuracy(tiny_model, tiny_corpus)
+        accuracy = T.classification_accuracy(model32, tiny_corpus)
         assert seen == [np.float32] * len(tiny_corpus.utterances)
         monkeypatch.undo()
-        logits32 = M.infer_utterances(tiny_model, tiny_corpus, "logits", np.float32)
-        logits64 = M.infer_utterances(tiny_model, tiny_corpus, "logits", np.float64)
+        logits32 = M.infer_utterances(model32, tiny_corpus, "logits")
+        logits64 = M.infer_utterances(tiny_model, tiny_corpus, "logits")
         assert logits32.dtype == np.float32
         assert np.array_equal(logits32.argmax(axis=1), logits64.argmax(axis=1))
         labels = tiny_corpus.speaker_labels()

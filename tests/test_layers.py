@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from axvector import layers as L
 from axvector import numerics as N
 
-from gradcheck import check_grads, param_grads, randomize
+from gradcheck import check_grads, in_dtype, param_grads, randomize
 
 
 def make_acnn_layer(rng, in_dim=4, hidden=3, pool=3, kernel=2, out_dim=5, dilation=1):
@@ -438,7 +439,7 @@ def test_norm_backward_holds_no_full_size_temporary(name):
     size of the input."""
     rng = np.random.default_rng(21)
     make, shape, blocks = NORM_BUDGET_CASES[name]
-    layer = make(rng)
+    layer = in_dtype(make(rng))
     x = rng.normal(size=shape).astype(np.float32)
     upstream = rng.normal(size=shape).astype(np.float32)
     _, cache = layer.forward(x, "train")
@@ -474,7 +475,7 @@ def test_norm_cache_holds_no_full_size_array_but_its_input(name, dtype):
     rng = np.random.default_rng(6)
     make, shape = NORM_CASES[name]
     x = rng.normal(size=shape).astype(dtype)
-    _, cache = make(rng).forward(x, "train")
+    _, cache = in_dtype(make(rng), dtype).forward(x, "train")
     full = [a for a in _arrays(cache) if a.shape == x.shape]
     assert full and all(a is x for a in full)
 
@@ -482,12 +483,11 @@ def test_norm_cache_holds_no_full_size_array_but_its_input(name, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", sorted(LAYER_CASES))
 def test_cache_holds_no_parameter_value_or_cast(name, dtype):
-    """A train-mode cache shares no memory with a parameter value, and holds
-    no array equal to a parameter value cast to the compute dtype: each
-    backward casts the parameters it needs again."""
+    """A train-mode cache shares no memory with a parameter value and holds
+    no copy of one: each backward reads the parameters it needs again."""
     rng = np.random.default_rng(8)
     make, shape = LAYER_CASES[name]
-    layer = make(rng)
+    layer = in_dtype(make(rng), dtype)
     _, cache = layer.forward(rng.normal(size=shape).astype(dtype), "train")
     for a in _arrays(cache):
         for p in layer.params():
@@ -500,6 +500,7 @@ def _textbook_affine(layer, x):
     """(x - running_mean) / sqrt(running_var + eps) * scale + shift in
     float64, with the layer's fixed affine or, for adaptive norm, the
     affine it generates from x in float64."""
+    layer = in_dtype(copy.deepcopy(layer), np.float64)
     x = x.astype(np.float64)
     if isinstance(layer, L.AdaptiveNormLayer):
         contexts, _ = layer.context(x)
@@ -518,7 +519,7 @@ def test_infer_mode_is_the_textbook_affine(name, dtype, tol):
     the textbook (x - running_mean) * inv_std * scale + shift."""
     rng = np.random.default_rng(9)
     make, shape = NORM_CASES[name]
-    layer = make(rng)
+    layer = in_dtype(make(rng), dtype)
     if isinstance(layer, L.BatchNormLayer):
         randomize(layer, rng, {"gamma": 1.0})
     layer.running_mean = rng.normal(size=shape[-1])
@@ -546,7 +547,7 @@ def test_later_forward_leaves_a_cache_intact(name, dtype):
     forward nor a backward overwrites."""
     rng = np.random.default_rng(17)
     make, shape = LAYER_CASES[name]
-    layer = make(rng)
+    layer = in_dtype(make(rng), dtype)
     x1, x2 = (rng.normal(size=shape).astype(dtype) for _ in range(2))
     out, cache = layer.forward(x1, "train")
     upstream = rng.normal(size=out.shape).astype(dtype)

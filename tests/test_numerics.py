@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from axvector import layers as L
 from axvector import numerics as N
 
-from gradcheck import check_grads
+from gradcheck import check_grads, in_dtype
 
 
 def conv_reference(x, weights, bias, dilation):
@@ -232,24 +232,20 @@ class TestFrameSums:
         up = rng.normal(size=(3, 11, 5)).astype(np.float32)
         pooled, _ = L.StatsPoolLayer("pool").forward(x, "train")
         assert np.array_equal(pooled[:, :5], x.mean(axis=1))
-        bn = L.BatchNormLayer("bn", 5)
-        for p in bn.params():
-            p.value = p.value.astype(np.float32)
+        bn = in_dtype(L.BatchNormLayer("bn", 5))
         _, cache = bn.forward(x, "train")
         assert np.array_equal(cache["mean"], x.reshape(-1, 5).mean(axis=0))
         bn.backward(cache, up)
         assert np.array_equal(bn.beta.grad, up.reshape(-1, 5).sum(axis=0))
-        abn = L.AdaptiveNormLayer("abn", rng, 5, 3)
-        for p in abn.params():
-            p.value = p.value.astype(np.float32)
+        abn = in_dtype(L.AdaptiveNormLayer("abn", rng, 5, 3))
         _, cache = abn.forward(x, "train")
         abn.backward(cache, up)
         assert np.array_equal(abn.shift_bias.grad, up.sum(axis=1).sum(axis=0))
-        conv = L.ConvLayer("conv", rng, 3, 5, 4, 2)
+        conv = in_dtype(L.ConvLayer("conv", rng, 3, 5, 4, 2))
         conv_up = rng.normal(size=(3, 7, 4)).astype(np.float32)
         conv.backward(x, conv_up)
         assert np.array_equal(conv.bias.grad, conv_up.reshape(-1, 4).sum(axis=0))
-        dense = L.DenseLayer("dense", rng, 5, 4)
+        dense = in_dtype(L.DenseLayer("dense", rng, 5, 4))
         rows, rows_up = x[:, 0], conv_up[:, 0]
         dense.backward(rows, rows_up)
         assert np.array_equal(dense.bias.grad, rows_up.sum(axis=0))

@@ -8,7 +8,7 @@ from axvector import data as D
 from axvector import model as M
 from axvector import training as T
 
-from gradcheck import check_grads
+from gradcheck import check_grads, in_dtype
 
 
 def tiny_arch(variant="baseline", num_speakers=3):
@@ -389,9 +389,8 @@ def test_backward_without_input_gradient_sets_the_same_gradients(variant, acnn_l
                                                                 rng):
     """``input_grad=False`` returns None and sets every parameter gradient
     to the bits of the full backward, also with the adaptive conv first."""
-    model = M.build(replace(tiny_arch(variant), acnn_layer_index=acnn_layer_index), seed=5)
-    for p in model.params():
-        p.value = p.value.astype(np.float32)
+    model = in_dtype(M.build(replace(tiny_arch(variant), acnn_layer_index=acnn_layer_index),
+                             seed=5))
     x = rng.normal(size=(3, 7, 3)).astype(np.float32)
     d_logits = rng.normal(size=(3, 3)).astype(np.float32)
     _, caches = model.forward_train(x)
@@ -493,9 +492,7 @@ def test_no_cache_shares_memory_with_a_conv_input(variant, rng, monkeypatch):
 def test_gradients_equal_a_per_layer_backward_on_cached_inputs(variant, dtype, rng):
     """The model's backward, with its rebuilt conv inputs, gives what each
     layer's own backward gives from a cache that holds its input."""
-    model = M.build(tiny_arch(variant), seed=0)
-    for p in model.params():
-        p.value = p.value.astype(dtype)
+    model = in_dtype(M.build(tiny_arch(variant), seed=0), dtype)
     x = rng.normal(size=(3, 8, 3)).astype(dtype)
     d_logits = rng.normal(size=(3, 3)).astype(dtype)
     logits, caches = model.forward_train(x)
@@ -608,7 +605,8 @@ class TestTrainLoop:
         M.save_model(model, str(tmp_path / "m.ckpt"))
         loaded = M.load_model(str(tmp_path / "m.ckpt"))
         x = rng.normal(size=(2, 12, 3))
-        assert np.array_equal(model.forward(x), loaded.forward(x))
+        # the loaded model holds the trained float32 values upcast exactly
+        assert np.array_equal(in_dtype(model, np.float64).forward(x), loaded.forward(x))
 
     def test_crop_below_receptive_field_rejected(self):
         corpus = micro_corpus()
