@@ -16,7 +16,6 @@ its line, and ``write_scores`` keeps a map's order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,12 +211,11 @@ def _total_loglik(stats, mean_all, between, within) -> float:
     return total
 
 
-def plda_train(vectors, labels, iterations: int = 15) -> PldaModel:
-    """Fit the two-covariance model by EM.
+def plda_train(vectors, labels, iterations: int) -> PldaModel:
+    """Fit the two-covariance model to two or more classes by EM.
 
     The recorded ``em_loglik`` sequence (one entry per pass, plus the final
-    state) is non-decreasing.  With a single class the speaker covariance is
-    zero and a warning is issued instead of failing.
+    state) is non-decreasing.
     """
     x = as_f64(vectors)
     labels = np.asarray(labels)
@@ -225,11 +223,7 @@ def plda_train(vectors, labels, iterations: int = 15) -> PldaModel:
     mean_all = x.mean(axis=0)
     stats = list(_class_stats(x, labels))
     dim = x.shape[1]
-    if len(stats) < 2:
-        warnings.warn("single-class input: speaker covariance set to zero", stacklevel=2)
-        centered = x - mean_all
-        within = _floor_covariance(centered.T @ centered / x.shape[0], COVARIANCE_FLOOR)
-        return PldaModel(mean=mean_all, between=np.zeros((dim, dim)), within=within)
+    require(len(stats) >= 2, f"PLDA training needs at least 2 classes, got {len(stats)}")
     # moment-based initialization
     class_means = np.stack([m for _, m, _ in stats])
     between = _floor_covariance(np.cov(class_means.T, bias=True).reshape(dim, dim),
@@ -278,8 +272,8 @@ class PldaScorer:
         llr = 0.5 e'Qe + 0.5 t'Qt + e'Pt + 0.5 log(|A| / |D|)
         Q = A^-1 - D^-1,  P = D^-1 between A^-1
 
-    A zero speaker covariance (a single-class fit) gives D = A, so Q, P and
-    the offset are exactly zero and every pair scores +0.0.
+    A zero speaker covariance gives D = A, so Q, P and the offset are
+    exactly zero and every pair scores +0.0.
     """
 
     def __init__(self, model: PldaModel):

@@ -272,7 +272,10 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
     from . import backend, metrics
     from .serialize import atomic_write_text
 
-    sizes = [int(v) for v in values.split(",") if v.strip()]
+    try:
+        sizes = [int(v) for v in values.split(",") if v.strip()]
+    except ValueError:
+        sizes = []
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"--values must list positive pool sizes, got {values!r}")
     trials = os.path.join(corpus, "trials.txt")
@@ -316,14 +319,18 @@ def cmd_sweep_n(config, corpus: str, out_dir: str, values: str) -> None:
 _DET_TICKS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 _DET_RANGE = (0.001, 0.5)
 _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8a5fbf", "#b8860b", "#444444")
+_DET_SIZE = 520      # width and height of the square image
+_DET_MARGIN = 60     # between the image edge and the plot frame
 
 
-def det_curve_svg(curves, size: int = 520, margin: int = 60) -> str:
-    """Overlay DET curves on probit-scaled axes; legend labels come from the
-    score file stems."""
+def det_curve_svg(curves) -> str:
+    """Overlay DET curves on probit-scaled axes; legend labels are the score
+    file stems, escaped as XML text."""
+    from xml.sax.saxutils import escape   # imported here: it loads urllib.request
     probit = NormalDist().inv_cdf
     lo, hi = probit(_DET_RANGE[0]), probit(_DET_RANGE[1])
     span = hi - lo
+    size, margin = _DET_SIZE, _DET_MARGIN
     plot = size - 2 * margin
 
     def coord(p_fa: float, p_miss: float) -> tuple[float, float]:
@@ -365,7 +372,7 @@ def det_curve_svg(curves, size: int = 520, margin: int = 60) -> str:
         ly = margin + 16 + 16 * i
         parts.append(f'<line x1="{size - margin - 130}" y1="{ly}" x2="{size - margin - 106}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{size - margin - 100}" y="{ly + 4}" font-size="11">{label}</text>')
+        parts.append(f'<text x="{size - margin - 100}" y="{ly + 4}" font-size="11">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -395,8 +395,6 @@ class _Normalization:
 
     def __init__(self, name: str, channels: int):
         self.name = name
-        self.momentum = BN_MOMENTUM
-        self.eps = BN_EPS
         self.running_mean = np.zeros(channels)
         self.running_var = np.zeros(channels)
         self.initialized = False
@@ -419,17 +417,17 @@ class _Normalization:
             mean = np.einsum("nc->c", _rows(x)) / _rows(x).shape[0]
             y = x - per_frame(mean, x)
             var = np.einsum("nc,nc->c", _rows(y), _rows(y)) / _rows(x).shape[0]
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = (1.0 - m) * self.running_mean + m * mean
             self.running_var = (1.0 - m) * self.running_var + m * var
             self.initialized = True
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             return _affine(y, scale, inv_std, shift), {"x": x, "mean": mean, "inv_std": inv_std}
         if not self.initialized:
             raise RuntimeError("inference-mode normalization before any training update; "
                                "initialize the running statistics first")
         mean = self.running_mean.astype(x.dtype, copy=False)
-        inv_std = (1.0 / np.sqrt(self.running_var + self.eps)).astype(x.dtype, copy=False)
+        inv_std = (1.0 / np.sqrt(self.running_var + BN_EPS)).astype(x.dtype, copy=False)
         a = scale * inv_std
         y = x * per_frame(a, x)
         y += per_frame(shift - mean * a, x)

@@ -5,7 +5,8 @@ All functions are pure.  The sweep convention accepts a trial when its score
 is >= the threshold; thresholds run over every distinct score value plus the
 two endpoint operating points (accept everything / reject everything), so a
 brute-force enumeration of midpoint thresholds realizes exactly the same set
-of operating points.
+of operating points.  A miss and a false alarm each cost 1, so a DCF depends
+on the target prior p alone and is normalized by min(p, 1 - p).
 """
 
 from __future__ import annotations
@@ -15,27 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import as_f64, require
-
-
-@dataclass
-class DcfParams:
-    p_target: float
-    c_miss: float = 1.0
-    c_fa: float = 1.0
-
-    def __post_init__(self):
-        require(0.0 < self.p_target < 1.0, "p_target must lie in (0, 1)")
-        require(self.c_miss > 0.0 and self.c_fa > 0.0, "detection costs must be positive")
-
-    @property
-    def normalizer(self) -> float:
-        return min(self.c_miss * self.p_target, self.c_fa * (1.0 - self.p_target))
-
-    @property
-    def bayes_threshold(self) -> float:
-        """Log-likelihood-ratio threshold minimizing expected cost."""
-        return float(np.log((self.c_fa * (1.0 - self.p_target))
-                            / (self.c_miss * self.p_target)))
 
 
 @dataclass
@@ -93,27 +73,28 @@ def eer(target_scores, nontarget_scores) -> float:
     return float(fa0 + frac * (fa1 - fa0))
 
 
-def min_dcf(target_scores, nontarget_scores, params: DcfParams) -> float:
+def min_dcf(target_scores, nontarget_scores, p_target: float) -> float:
     """Minimum over sweep thresholds of the normalized detection cost."""
+    require(0.0 < p_target < 1.0, "p_target must lie in (0, 1)")
     _, p_fa, p_miss = det_points(target_scores, nontarget_scores)
-    costs = (params.c_miss * params.p_target * p_miss
-             + params.c_fa * (1.0 - params.p_target) * p_fa)
-    return float(costs.min() / params.normalizer)
+    costs = p_target * p_miss + (1.0 - p_target) * p_fa
+    return float(costs.min() / min(p_target, 1.0 - p_target))
 
 
-def act_dcf(target_scores, nontarget_scores, params: DcfParams) -> float:
-    """Normalized detection cost at the fixed Bayes threshold.
+def act_dcf(target_scores, nontarget_scores, p_target: float) -> float:
+    """Normalized detection cost at the Bayes threshold log((1 - p) / p).
 
     Scores must be calibrated log-likelihood ratios for the threshold to be
     meaningful.  The value is reported unclipped and can exceed 1 for badly
     calibrated scores.
     """
+    require(0.0 < p_target < 1.0, "p_target must lie in (0, 1)")
     tgt, non = _check_scores(target_scores, nontarget_scores)
-    theta = params.bayes_threshold
+    theta = float(np.log((1.0 - p_target) / p_target))
     p_miss = float(np.mean(tgt < theta))
     p_fa = float(np.mean(non >= theta))
-    cost = params.c_miss * params.p_target * p_miss + params.c_fa * (1.0 - params.p_target) * p_fa
-    return float(cost / params.normalizer)
+    cost = p_target * p_miss + (1.0 - p_target) * p_fa
+    return float(cost / min(p_target, 1.0 - p_target))
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +111,8 @@ def summarize(target_scores, nontarget_scores, cfg: MetricConfig) -> dict:
         "eer": eer(tgt, non),
     }
     for p in cfg.dcf_p_targets:
-        out[f"min_dcf_p{p:g}"] = min_dcf(tgt, non, DcfParams(p))
-    act = act_dcf(tgt, non, DcfParams(cfg.act_p_target))
+        out[f"min_dcf_p{p:g}"] = min_dcf(tgt, non, p)
+    act = act_dcf(tgt, non, cfg.act_p_target)
     out["act_dcf"] = act
     out["act_dcf_capped"] = min(act, 1.0)
     return out

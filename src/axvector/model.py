@@ -140,26 +140,27 @@ class Model:
                 f"{self.min_frames} (receptive field of the configured kernels and dilations)")
         return x
 
-    def _run(self, x, mode: str, head: str, keep_caches: bool):
+    def forward(self, x, head: str = "logits") -> np.ndarray:
+        """Inference forward pass: the logits, or with ``head="embedding"``
+        the output of the embedding tap, from the running statistics."""
         require(head in ("logits", "embedding"), f"head must be 'logits' or 'embedding', got {head!r}")
         h = self._check_input(x)
-        caches = []
-        for i, lyr in enumerate(self.layers):
-            h, cache = lyr.forward(h, mode)
-            if keep_caches and i in self._rebuilt:
-                cache = lyr.with_input(cache, None)
-            caches.append(cache if keep_caches else None)
+        for lyr in self.layers:
+            h = lyr.forward(h, "infer")[0]
             if head == "embedding" and lyr.name == self.embedding_tap:
-                return h, caches
-        return h, caches
-
-    def forward(self, x, mode: str = "infer", head: str = "logits") -> np.ndarray:
-        out, _ = self._run(x, mode, head, keep_caches=False)
-        return out
+                break
+        return h
 
     def forward_train(self, x):
         """Training forward pass with logits head; returns (logits, caches)."""
-        return self._run(x, "train", "logits", keep_caches=True)
+        h = self._check_input(x)
+        caches = []
+        for i, lyr in enumerate(self.layers):
+            h, cache = lyr.forward(h, "train")
+            if i in self._rebuilt:   # rebind: the input is freed before the next layer runs
+                cache = lyr.with_input(cache, None)
+            caches.append(cache)
+        return h, caches
 
     def backward(self, caches: list, d_logits, input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate ``d_logits`` through every layer, last to first:
@@ -204,11 +205,11 @@ def check_min_frames(model: Model, corpus) -> None:
 
 
 def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
-    """Inference-mode ``head`` output of every full, uncropped utterance of
-    ``corpus``, one row each in corpus order, run one utterance at a time in
-    the model's dtype."""
+    """``Model.forward`` output at ``head`` for every full, uncropped
+    utterance of ``corpus``, one row each in corpus order, run one utterance
+    at a time in the model's dtype."""
     check_min_frames(model, corpus)
-    rows = [model.forward(corpus.features(utt.utt_id)[None], mode="infer", head=head)[0]
+    rows = [model.forward(corpus.features(utt.utt_id)[None], head=head)[0]
             for utt in corpus.utterances]
     return np.stack(rows)
 
@@ -265,10 +266,9 @@ def _assemble(config: ArchConfig, rng: np.random.Generator | None) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def count_params(model_or_params) -> int:
+def count_params(model: Model) -> int:
     """Total trainable scalar count; running statistics are excluded."""
-    params = model_or_params.params() if isinstance(model_or_params, Model) else model_or_params
-    return int(sum(int(p.value.size) for p in params))
+    return int(sum(int(p.value.size) for p in model.params()))
 
 
 # ---------------------------------------------------------------------------

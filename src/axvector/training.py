@@ -62,6 +62,7 @@ MAX_WRAP = 4
 # value, gradient, both moments and the scratch buffer stays in cache.
 # Tensors with fewer elements are packed into one buffer and updated together.
 ADAM_CHUNK = 32768
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -126,8 +127,7 @@ def learning_rate(step: int, cfg: TrainConfig) -> float:
     return cfg.lr_start * (cfg.lr_end / cfg.lr_start) ** frac
 
 
-def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: float) -> None:
     """Bias-corrected Adam update, in place.
 
     ``params`` are the parameters ``init_adam`` made ``state`` for, whose
@@ -164,7 +164,7 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
     state.step += 1
     t = state.step
-    hyper = (lr, 1.0 - beta1 ** t, 1.0 - beta2 ** t, beta1, beta2, eps)
+    hyper = (lr, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
     d = state.decaying
     _update(values[:d], grad[:d], m[:d], v[:d], state.scratch, weight_decay, *hyper)
     _update(values[d:], grad[d:], m[d:], v[d:], state.scratch, 0.0, *hyper)
@@ -174,7 +174,7 @@ def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: fl
         _update(*flat, state.scratch, weight_decay if p.decay else 0.0, *hyper)
 
 
-def _update(values, grads, ms, vs, scratch, decay, lr, bc1, bc2, beta1, beta2, eps) -> None:
+def _update(values, grads, ms, vs, scratch, decay, lr, bc1, bc2) -> None:
     """One Adam update of flat arrays, ADAM_CHUNK elements at a time."""
     for start in range(0, values.size, ADAM_CHUNK):
         value, grad, m, v = (a[start:start + ADAM_CHUNK] for a in (values, grads, ms, vs))
@@ -182,17 +182,17 @@ def _update(values, grads, ms, vs, scratch, decay, lr, bc1, bc2, beta1, beta2, e
         g, s = scratch[:, :value.size]
         np.multiply(value, decay, out=g)
         g += grad
-        np.multiply(g, 1.0 - beta1, out=s)
-        m *= beta1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+        m *= ADAM_BETA1
         m += s
         np.multiply(g, g, out=s)
-        s *= 1.0 - beta2
-        v *= beta2
+        s *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += s
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += eps
+        s += ADAM_EPS
         np.divide(m, s, out=s)
         s *= lr / bc1
         value -= s

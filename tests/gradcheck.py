@@ -61,6 +61,18 @@ def in_dtype(owner, dtype=np.float32):
     return owner
 
 
+def cache_arrays(obj):
+    """Every ndarray in a layer cache or a list of them: a nest of dicts,
+    tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        yield from cache_arrays(list(obj.values()))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from cache_arrays(item)
+
+
 def param_grads(layer, names=None):
     """(name, value, gradient) of the layer's parameters, all of them or
     those with the given short names, for check_grads."""

@@ -21,6 +21,7 @@ import numpy as np
 
 from axvector import model as M
 from axvector.data import Trial
+from axvector.layers import BN_EPS
 
 FLOOR = 1e-10   # numerics.VARIANCE_FLOOR
 
@@ -152,7 +153,7 @@ def _normalize_backward(xhat, inv_std, d_xhat):
 
 
 def batch_norm_layer(lyr, x):
-    xhat, inv_std = _normalize(x, lyr.eps)
+    xhat, inv_std = _normalize(x, BN_EPS)
     gamma = lyr.gamma.value
     axes = tuple(range(x.ndim - 1))
 
@@ -171,7 +172,7 @@ def adaptive_norm_layer(lyr, x):
         attn = softmax(feats.mean(axis=1))
         utts.append((feats, attn, attn @ feats))
     contexts = np.stack([u[2] for u in utts])
-    xhat, inv_std = _normalize(x, lyr.eps)
+    xhat, inv_std = _normalize(x, BN_EPS)
     scales = contexts @ p["scale_weight"] + p["scale_bias"]
     shifts = contexts @ p["shift_weight"] + p["shift_bias"]
 

@@ -186,7 +186,7 @@ class TestCriterion2Gradients:
         labels = np.array([0, 1, 0])
 
         def loss():
-            return T.softmax_cross_entropy(model.forward(x, mode="train"), labels)[0]
+            return T.softmax_cross_entropy(model.forward_train(x)[0], labels)[0]
 
         logits, caches = model.forward_train(x)
         _, d_logits, _ = T.softmax_cross_entropy(logits, labels)
@@ -247,7 +247,7 @@ def test_criterion_4_metrics_oracle():
     within 1e-12 on 1000 random score sets of sizes 2..200; the sweep is
     monotone and act_dcf dominates min_dcf on all of them."""
     rng = np.random.default_rng(41)
-    params = X.DcfParams(0.01)
+    p_target = 0.01
     for case in range(1000):
         n_tar = int(rng.integers(1, 100))
         n_non = int(rng.integers(1, 100))
@@ -260,10 +260,10 @@ def test_criterion_4_metrics_oracle():
         _, p_fa, p_miss = X.det_points(target, nontarget)
         assert np.all(np.diff(p_miss) >= 0.0) and np.all(np.diff(p_fa) <= 0.0)
         assert abs(X.eer(target, nontarget) - oracle_eer(target, nontarget)) <= 1e-12
-        assert abs(X.min_dcf(target, nontarget, params)
-                   - oracle_min_dcf(target, nontarget, params)) <= 1e-12
-        assert X.act_dcf(target, nontarget, params) >= \
-            X.min_dcf(target, nontarget, params) - 1e-12
+        assert abs(X.min_dcf(target, nontarget, p_target)
+                   - oracle_min_dcf(target, nontarget, p_target)) <= 1e-12
+        assert X.act_dcf(target, nontarget, p_target) >= \
+            X.min_dcf(target, nontarget, p_target) - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def tiny_model():
                        attention_hidden=3, pool_size=2, variant="baseline")
     model = M.build(cfg, seed=9)
     rng = np.random.default_rng(0)
-    model.forward(rng.normal(size=(4, 10, 4)), mode="train")   # initialize running stats
+    model.forward_train(rng.normal(size=(4, 10, 4)))   # initialize running stats
     return model
 
 
@@ -238,13 +238,10 @@ class TestPldaTraining:
         rel_w = np.linalg.norm(model.within - within_true) / np.linalg.norm(within_true)
         assert rel_b < 0.10 and rel_w < 0.10
 
-    def test_single_class_degenerates_gracefully(self, rng):
+    def test_single_class_refused(self, rng):
         x = rng.normal(size=(20, 4))
-        with pytest.warns(UserWarning, match="single-class"):
-            model = B.plda_train(x, np.zeros(20, dtype=int))
-        assert not model.between.any()
-        scorer = B.PldaScorer(model)
-        assert scorer.score(x[0], x[1]) == 0.0
+        with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+            B.plda_train(x, np.zeros(20, dtype=int), iterations=15)
 
 
 class TestPldaScoring:

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -227,8 +228,8 @@ def test_evaluate_matches_direct_metric_calls(pipeline, capsys, tmp_path):
     target = [scores[(t.enroll, t.test)] for t in trials if t.target]
     nontarget = [scores[(t.enroll, t.test)] for t in trials if not t.target]
     assert report["overall"]["eer"] == X.eer(target, nontarget)
-    assert report["overall"]["min_dcf_p0.01"] == X.min_dcf(target, nontarget, X.DcfParams(0.01))
-    assert report["overall"]["act_dcf"] == X.act_dcf(target, nontarget, X.DcfParams(0.01))
+    assert report["overall"]["min_dcf_p0.01"] == X.min_dcf(target, nontarget, 0.01)
+    assert report["overall"]["act_dcf"] == X.act_dcf(target, nontarget, 0.01)
     assert set(report["conditions"])
 
 
@@ -417,6 +418,20 @@ class TestDetExport:
             assert len(errors) == 1 and all(src in errors[0] for src in sources), errors
             assert not out_dir.exists()
 
+    def test_markup_in_a_stem_is_escaped(self, tmp_path):
+        """A score file stem holding &, < and > is written as text: the SVG
+        parses, and its legend reads the stem."""
+        trials = tmp_path / "t.txt"
+        trials.write_text("a x target\nb y nontarget\n")
+        scores = tmp_path / "x&y<z>.txt"
+        scores.write_text("a x 1.000000\nb y -1.000000\n")
+        out_dir = tmp_path / "det"
+        assert dispatch(["det-export", "--trials", str(trials), "--out-dir", str(out_dir),
+                         str(scores)]) == 0
+        svg = xml.dom.minidom.parse(str(out_dir / "det.svg"))
+        texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
+        assert texts[-1] == "x&y<z>"
+
     def test_separable_curve_hugs_axes(self, tmp_path):
         trials = tmp_path / "t.txt"
         trials.write_text("a x target\nb y nontarget\n")
@@ -460,6 +475,28 @@ def test_sweep_n_loads_the_config_once(pipeline, tmp_path, capsys):
     rows = (out_dir / "sweep.tsv").read_text().splitlines()[1:]
     assert [row.split("\t")[0] for row in rows] == ["2", "3"]
     assert captured.out == (out_dir / "sweep.tsv").read_text()
+
+
+@pytest.mark.parametrize("values", ["2,x", "0", ","])
+def test_sweep_n_refuses_values_that_are_not_pool_sizes(tmp_path, capsys, values):
+    """--values that is not a list of positive integers fails with one
+    error naming the flag, before the corpus is read or a directory made."""
+    out_dir = tmp_path / "sweep"
+    assert dispatch(["sweep-n", "--corpus", str(tmp_path / "absent"), "--out-dir", str(out_dir),
+                     "--values", values]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: --values must list positive pool sizes, got {values!r}"]
+    assert not out_dir.exists()
+
+
+def test_config_has_37_settable_values():
+    """The experiment config holds 37 settable values: the fields of every
+    RunConfig section but arch.variant and arch.num_speakers, which come from
+    train --arch and the corpus split.  A new setting changes this number."""
+    settable = [(section.name, f.name) for section in dataclasses.fields(RunConfig)
+                for f in dataclasses.fields(section.default_factory)
+                if (section.name, f.name) not in {("arch", "variant"), ("arch", "num_speakers")}]
+    assert len(settable) == 37, settable
 
 
 def test_pipeline_rerun_is_byte_identical(workdir, pipeline):

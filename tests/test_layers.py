@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from axvector import layers as L
 from axvector import numerics as N
 
-from gradcheck import check_grads, in_dtype, param_grads, randomize
+from gradcheck import cache_arrays, check_grads, in_dtype, param_grads, randomize
 
 
 def make_acnn_layer(rng, in_dim=4, hidden=3, pool=3, kernel=2, out_dim=5, dilation=1):
@@ -23,10 +23,8 @@ def make_abn_layer(rng, channels=4, hidden=3):
     return randomize(layer, rng, {"scale_bias": 1.0})
 
 
-def make_bn_layer(channels, momentum=L.BN_MOMENTUM, eps=L.BN_EPS):
-    layer = L.BatchNormLayer("bn", channels)
-    layer.momentum, layer.eps = momentum, eps
-    return layer
+def make_bn_layer(channels):
+    return L.BatchNormLayer("bn", channels)
 
 
 def floored_stats(values, weights):
@@ -61,8 +59,9 @@ class TestRelu:
 
 
 class TestBatchNorm:
-    def test_infer_identity(self, rng):
-        bn = make_bn_layer(3, eps=1e-12)
+    def test_infer_identity(self, rng, monkeypatch):
+        monkeypatch.setattr(L, "BN_EPS", 1e-12)
+        bn = make_bn_layer(3)
         bn.running_var = np.ones(3)
         bn.initialized = True
         x = rng.normal(size=(4, 6, 3))
@@ -73,11 +72,12 @@ class TestBatchNorm:
         bn = make_bn_layer(1)
         x = np.array([[-1.0], [1.0]])
         out, _ = bn.forward(x, "train")
-        expected = 1.0 / np.sqrt(1.0 + bn.eps)
+        expected = 1.0 / np.sqrt(1.0 + L.BN_EPS)
         np.testing.assert_allclose(out.ravel(), [-expected, expected], rtol=1e-15)
 
-    def test_running_update_from_zero(self, rng):
-        bn = make_bn_layer(2, momentum=0.25)
+    def test_running_update_from_zero(self, rng, monkeypatch):
+        monkeypatch.setattr(L, "BN_MOMENTUM", 0.25)
+        bn = make_bn_layer(2)
         x = rng.normal(size=(5, 7, 2)) + 3.0
         bn.forward(x, "train")
         np.testing.assert_allclose(bn.running_mean, 0.25 * x.mean(axis=(0, 1)), rtol=1e-12)
@@ -95,7 +95,7 @@ class TestBatchNorm:
         out, _ = bn.forward(x, "train")
         var = x.var(axis=(0, 1))
         np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.0, atol=1e-9)
-        np.testing.assert_allclose(out.var(axis=(0, 1)), var / (var + bn.eps), atol=1e-9)
+        np.testing.assert_allclose(out.var(axis=(0, 1)), var / (var + L.BN_EPS), atol=1e-9)
 
     def test_gradients_train_mode(self, rng):
         bn = make_bn_layer(3)
@@ -344,7 +344,7 @@ class TestAbnApply:
         abn.initialized = True
         x = np.ones((1, 1, 1))
         out, _ = abn.forward(x, "infer")
-        expected = 2.0 / np.sqrt(1.0 + abn.eps) + 3.0
+        expected = 2.0 / np.sqrt(1.0 + L.BN_EPS) + 3.0
         np.testing.assert_allclose(out.ravel(), [expected], rtol=1e-15)
         assert abs(out.ravel()[0] - 5.0) < 1e-4
 
@@ -455,17 +455,6 @@ def test_norm_backward_holds_no_full_size_temporary(name):
     assert peak <= budget, f"{peak / 2**20:.2f} MiB > {budget / 2**20:.2f} MiB"
 
 
-def _arrays(cache):
-    """Every array in a cache of nested dicts, tuples and lists."""
-    if isinstance(cache, np.ndarray):
-        return [cache]
-    if isinstance(cache, dict):
-        cache = list(cache.values())
-    if isinstance(cache, (tuple, list)):
-        return [a for item in cache for a in _arrays(item)]
-    return []
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", sorted(NORM_CASES))
 def test_norm_cache_holds_no_full_size_array_but_its_input(name, dtype):
@@ -476,7 +465,7 @@ def test_norm_cache_holds_no_full_size_array_but_its_input(name, dtype):
     make, shape = NORM_CASES[name]
     x = rng.normal(size=shape).astype(dtype)
     _, cache = in_dtype(make(rng), dtype).forward(x, "train")
-    full = [a for a in _arrays(cache) if a.shape == x.shape]
+    full = [a for a in cache_arrays(cache) if a.shape == x.shape]
     assert full and all(a is x for a in full)
 
 
@@ -489,7 +478,7 @@ def test_cache_holds_no_parameter_value_or_cast(name, dtype):
     make, shape = LAYER_CASES[name]
     layer = in_dtype(make(rng), dtype)
     _, cache = layer.forward(rng.normal(size=shape).astype(dtype), "train")
-    for a in _arrays(cache):
+    for a in cache_arrays(cache):
         for p in layer.params():
             assert not np.shares_memory(a, p.value), p.name
             assert not (a.shape == p.value.shape
@@ -508,7 +497,7 @@ def _textbook_affine(layer, x):
         shift = (contexts @ layer.shift_weight.value + layer.shift_bias.value)[:, None, :]
     else:
         scale, shift = layer.gamma.value, layer.beta.value
-    inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
+    inv_std = 1.0 / np.sqrt(layer.running_var + L.BN_EPS)
     return (x - layer.running_mean) * inv_std * scale + shift
 
 

@@ -41,9 +41,8 @@ def oracle_eer(target, nontarget):
 
 def oracle_min_dcf(target, nontarget, p):
     points = oracle_operating_points(target, nontarget)
-    best = min(p.c_miss * p.p_target * miss + p.c_fa * (1 - p.p_target) * fa
-               for fa, miss in points)
-    return best / p.normalizer
+    best = min(p * miss + (1 - p) * fa for fa, miss in points)
+    return best / min(p, 1 - p)
 
 
 def random_score_sets(count, max_size=200):
@@ -120,70 +119,77 @@ class TestEer:
 
 class TestMinDcf:
     def test_separable_is_zero(self):
-        params = X.DcfParams(0.01)
-        assert X.min_dcf([5.0], [1.0], params) == 0.0
+        p_target = 0.01
+        assert X.min_dcf([5.0], [1.0], p_target) == 0.0
 
     def test_all_equal_scores_is_one(self):
-        params = X.DcfParams(0.01)
-        assert X.min_dcf([1.0, 1.0], [1.0, 1.0, 1.0], params) == pytest.approx(1.0, abs=1e-15)
+        p_target = 0.01
+        assert X.min_dcf([1.0, 1.0], [1.0, 1.0, 1.0], p_target) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_oracle(self):
-        params = X.DcfParams(0.01)
+        p_target = 0.01
         for target, nontarget in random_score_sets(200):
-            assert X.min_dcf(target, nontarget, params) == pytest.approx(
-                oracle_min_dcf(target, nontarget, params), abs=1e-12)
+            assert X.min_dcf(target, nontarget, p_target) == pytest.approx(
+                oracle_min_dcf(target, nontarget, p_target), abs=1e-12)
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0), st.integers(0, 1000))
     def test_invariant_under_increasing_transform(self, slope, intercept, seed):
         rng = np.random.default_rng(seed)
         target = rng.normal(1.0, 1.0, size=8)
         nontarget = rng.normal(0.0, 1.0, size=13)
-        params = X.DcfParams(0.01)
-        base = X.min_dcf(target, nontarget, params)
-        mapped = X.min_dcf(slope * target + intercept, slope * nontarget + intercept, params)
+        p_target = 0.01
+        base = X.min_dcf(target, nontarget, p_target)
+        mapped = X.min_dcf(slope * target + intercept, slope * nontarget + intercept, p_target)
         assert mapped == pytest.approx(base, abs=1e-12)
 
     def test_never_exceeds_one(self):
-        params = X.DcfParams(0.001)
+        p_target = 0.001
         for target, nontarget in random_score_sets(100):
-            assert X.min_dcf(target, nontarget, params) <= 1.0 + 1e-12
+            assert X.min_dcf(target, nontarget, p_target) <= 1.0 + 1e-12
 
 
 class TestActDcf:
     def test_hand_evaluation(self):
         # both trials above the Bayes threshold log(99) ~ 4.595
-        params = X.DcfParams(0.01)
-        value = X.act_dcf([5.0], [4.9], params)
+        p_target = 0.01
+        value = X.act_dcf([5.0], [4.9], p_target)
         assert value == pytest.approx(99.0, rel=1e-12)
 
     def test_calibrated_separable_is_zero(self):
-        params = X.DcfParams(0.01)
-        assert X.act_dcf([20.0], [-20.0], params) == 0.0
+        p_target = 0.01
+        assert X.act_dcf([20.0], [-20.0], p_target) == 0.0
 
     def test_at_least_min_dcf(self):
-        params = X.DcfParams(0.01)
+        p_target = 0.01
         for target, nontarget in random_score_sets(200):
-            assert X.act_dcf(target, nontarget, params) >= \
-                X.min_dcf(target, nontarget, params) - 1e-12
+            assert X.act_dcf(target, nontarget, p_target) >= \
+                X.min_dcf(target, nontarget, p_target) - 1e-12
 
     def test_not_shift_invariant(self):
         # the Bayes threshold is absolute, so shifting scores changes the value
-        params = X.DcfParams(0.01)
+        p_target = 0.01
         target = np.array([5.0, 6.0])
         nontarget = np.array([3.0, 4.0])
-        base = X.act_dcf(target, nontarget, params)
-        shifted = X.act_dcf(target + 3.0, nontarget + 3.0, params)
+        base = X.act_dcf(target, nontarget, p_target)
+        shifted = X.act_dcf(target + 3.0, nontarget + 3.0, p_target)
         assert base != shifted
 
     def test_permutation_invariance(self, rng):
         target = rng.normal(size=20)
         nontarget = rng.normal(size=30)
-        params = X.DcfParams(0.01)
+        p_target = 0.01
         perm_t = target[rng.permutation(20)]
         perm_n = nontarget[rng.permutation(30)]
-        assert X.act_dcf(target, nontarget, params) == X.act_dcf(perm_t, perm_n, params)
+        assert X.act_dcf(target, nontarget, p_target) == X.act_dcf(perm_t, perm_n, p_target)
         assert X.eer(target, nontarget) == X.eer(perm_t, perm_n)
-        assert X.min_dcf(target, nontarget, params) == X.min_dcf(perm_t, perm_n, params)
+        assert X.min_dcf(target, nontarget, p_target) == X.min_dcf(perm_t, perm_n, p_target)
+
+
+@pytest.mark.parametrize("dcf", [X.min_dcf, X.act_dcf])
+@pytest.mark.parametrize("p_target", [0.0, 1.0])
+def test_p_target_outside_unit_interval_refused(dcf, p_target):
+    with pytest.raises(ValueError, match="p_target must lie in"):
+        dcf([1.0], [0.0], p_target)
 
 
 class TestReport:
@@ -216,7 +222,7 @@ class TestReport:
         nontarget = [scores[(t.enroll, t.test)] for t in trials if not t.target]
         assert report["overall"]["eer"] == X.eer(target, nontarget)
         assert report["overall"]["min_dcf_p0.01"] == X.min_dcf(
-            target, nontarget, X.DcfParams(0.01))
+            target, nontarget, 0.01)
 
     def test_missing_score_errors(self):
         trials, scores, _ = self._trials_and_scores()

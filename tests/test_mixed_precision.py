@@ -12,7 +12,7 @@ import pytest
 from axvector import model as M
 from axvector import training as T
 
-from gradcheck import in_dtype
+from gradcheck import cache_arrays, in_dtype
 from test_training import micro_corpus, micro_train_config, tiny_arch
 
 # fixed before the float32 path was measured
@@ -22,18 +22,6 @@ GRAD_REL_TOL = 1e-2
 TOY_ARCH = dict(input_dim=30, frame_dims=(64, 64, 64, 64, 192), kernel_sizes=(5, 3, 3, 1, 1),
                 dilations=(1, 2, 3, 1, 1), utterance_dims=(64, 64), attention_hidden=32,
                 pool_size=4, num_speakers=8)
-
-
-def _arrays(obj):
-    """Every ndarray inside a layer cache."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            yield from _arrays(value)
-    elif isinstance(obj, (tuple, list)):
-        for value in obj:
-            yield from _arrays(value)
 
 
 def _batch(rng, batch, frames, dim):
@@ -58,7 +46,7 @@ def test_float32_train_pass_stays_float32(variant):
         x = h
         h, cache = lyr.forward(x, "train")
         assert h.dtype == np.float32, f"{lyr.name} output is {h.dtype}"
-        for a in _arrays(cache):
+        for a in cache_arrays(cache):
             assert a.dtype != np.bool_, f"{lyr.name} caches a bool array of shape {a.shape}"
             if a.dtype != np.float32:
                 assert a.dtype == np.float64 and x.ndim == 3 and a.shape == x.shape[:-1], \
@@ -76,9 +64,9 @@ def test_float32_train_pass_stays_float32(variant):
             assert value.dtype == np.float64, name
     # inference on the float64 running statistics stays float32 too, and
     # agrees with the same values in float64
-    logits = model.forward(batch, mode="infer")
+    logits = model.forward(batch)
     assert logits.dtype == np.float32
-    reference = in_dtype(copy.deepcopy(model), np.float64).forward(batch, mode="infer")
+    reference = in_dtype(copy.deepcopy(model), np.float64).forward(batch)
     assert reference.dtype == np.float64
     assert np.linalg.norm(logits - reference) <= 1e-3 * np.linalg.norm(reference)
 
@@ -120,7 +108,7 @@ def test_model_casts_its_input_to_its_parameters_dtype(variant, dtype):
         logits, caches = net.forward_train(x.astype(x_dtype))
         _, d_logits, _ = T.softmax_cross_entropy(logits, labels)
         d_x = net.backward(caches, d_logits.astype(d_dtype))
-        outputs = [logits, d_x, net.forward(x.astype(x_dtype), mode="infer")]
+        outputs = [logits, d_x, net.forward(x.astype(x_dtype))]
         outputs += [p.grad for p in net.params()]
         assert all(a.dtype == dtype for a in outputs), x_dtype
         runs.append(outputs)

@@ -8,7 +8,7 @@ from axvector import data as D
 from axvector import model as M
 from axvector import training as T
 
-from gradcheck import check_grads, in_dtype
+from gradcheck import cache_arrays, check_grads, in_dtype
 
 
 def tiny_arch(variant="baseline", num_speakers=3):
@@ -136,7 +136,7 @@ class TestAdam:
         lr, decay, beta1, beta2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
         for t in range(1, 5):
             p.grad = rng.normal(size=shape)
-            T.adam_step([p], state, lr, decay, beta1, beta2, eps)
+            T.adam_step([p], state, lr, decay)
             g = p.grad + decay * value
             m = beta1 * m + (1.0 - beta1) * g
             v = beta2 * v + (1.0 - beta2) * (g * g)
@@ -170,7 +170,7 @@ class TestAdam:
         for t in range(1, 5):
             for p in params:
                 p.grad = rng.normal(size=p.value.shape).astype(dtype)
-            T.adam_step(params, state, lr, decay, beta1, beta2, eps)
+            T.adam_step(params, state, lr, decay)
             for p in params:
                 value, m, v = expected[p.name]
                 g = p.grad + (decay if p.decay else 0.0) * value
@@ -358,7 +358,7 @@ def test_full_model_gradients_match_finite_differences(variant, rng):
     labels = np.array([0, 1, 0])
 
     def loss_fn():
-        return T.softmax_cross_entropy(model.forward(x, mode="train"), labels)[0]
+        return T.softmax_cross_entropy(model.forward_train(x)[0], labels)[0]
 
     logits, caches = model.forward_train(x)
     _, d_logits, _ = T.softmax_cross_entropy(logits, labels)
@@ -448,22 +448,10 @@ def _first_holders(caches, x) -> list:
     ``caches`` other than the input ``x``; it holds no array alive itself."""
     first = {}
     for i, cache in enumerate(caches):
-        for a in _arrays(cache):
+        for a in cache_arrays(cache):
             if a is not x:
                 first.setdefault(id(a), (i, weakref.ref(a)))
     return list(first.values())
-
-
-def _arrays(obj):
-    """Every ndarray in a nest of tuples, lists and dicts."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _arrays(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            yield from _arrays(item)
 
 
 @pytest.mark.parametrize("variant", M.VARIANTS)
@@ -483,8 +471,33 @@ def test_no_cache_shares_memory_with_a_conv_input(variant, rng, monkeypatch):
     assert sorted(outputs) == [f"frame{k}.norm" for k in range(1, 5)]
     for name, y in outputs.items():
         for i, cache in enumerate(caches):
-            assert not any(np.shares_memory(a, y) for a in _arrays(cache)), \
+            assert not any(np.shares_memory(a, y) for a in cache_arrays(cache)), \
                 f"{model.layers[i].name} caches {name}'s output"
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_conv_input_freed_before_the_next_layer_runs(variant, rng, monkeypatch):
+    """forward_train lets go of a normalization's output once the
+    convolution it feeds has run: the ReLU after that convolution starts
+    with the output already freed, so no frame activation is held one layer
+    longer than the forward needs it."""
+    model = M.build(tiny_arch(variant), seed=0)
+    outputs, checked = {}, []
+    for norm, conv, relu in zip(model.layers, model.layers[1:], model.layers[2:]):
+        if norm.name.endswith(".norm") and conv.name.endswith(".conv"):
+            def recording(x, mode, forward=norm.forward, name=norm.name):
+                y, cache = forward(x, mode)
+                outputs[name] = weakref.ref(y)
+                return y, cache
+
+            def checking(x, mode, forward=relu.forward, name=norm.name):
+                assert outputs[name]() is None, f"{name}'s output alive after the conv it feeds"
+                checked.append(name)
+                return forward(x, mode)
+            monkeypatch.setattr(norm, "forward", recording)
+            monkeypatch.setattr(relu, "forward", checking)
+    model.forward_train(rng.normal(size=(2, 7, 3)))
+    assert checked == [f"frame{k}.norm" for k in range(1, 5)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -560,7 +573,7 @@ class TestTrainLoop:
             assert not alive(), f"{alive()} cache arrays of the previous step alive at a forward"
             assert all(p.grad is None for p in model.params())
             logits, caches = real_forward(x)
-            watched[:] = [weakref.ref(a) for a in _arrays(caches) if a is not x]
+            watched[:] = [weakref.ref(a) for a in cache_arrays(caches) if a is not x]
             forwards.append(x.shape)
             return logits, caches
 
