@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import Model, infer_utterances
 from .numerics import as_f64, require
-from .serialize import FormatError, atomic_write_text, read_records, text_lines, write_records
+from .serialize import FormatError, atomic_write_text, read_records, table_rows, write_records
 
 LDA_RIDGE = 1e-6          # scaled by trace/dim of the within scatter
 COVARIANCE_FLOOR = 1e-8   # minimum eigenvalue kept in the PLDA covariances
@@ -164,10 +164,6 @@ class PldaModel:
     between: np.ndarray   # (dim, dim) speaker covariance
     within: np.ndarray    # (dim, dim) session covariance
     em_loglik: list = field(default_factory=list)   # total log-likelihood per EM pass
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
 
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
@@ -344,20 +340,14 @@ def read_scores(path: str) -> dict:
     in file order.  Every score must be a finite number, and a trial may be
     scored only once."""
     out = {}
-    for line_no, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{line_no}: expected 'enroll test score', got {line!r}")
+    for line_no, (enroll, test, text) in table_rows(path, "enroll test score", 2):
         try:
-            score = float(parts[2])
+            score = float(text)
         except ValueError:
             score = math.nan
         if not math.isfinite(score):
-            raise FormatError(f"{path}:{line_no}: score {parts[2]!r} is not a finite number")
-        key = (parts[0], parts[1])
-        if key in out:
-            raise FormatError(f"{path}:{line_no}: trial {parts[0]} {parts[1]} is scored twice")
-        out[key] = score
+            raise FormatError(f"{path}:{line_no}: score {text!r} is not a finite number")
+        out[enroll, test] = score
     return out
 
 
@@ -376,19 +366,18 @@ def save_backend(path: str, transform: PreprocessTransform, plda: PldaModel) -> 
 
 
 def load_backend(path: str) -> tuple[PreprocessTransform, PldaModel]:
-    """Read a backend that ``save_backend`` wrote.  Every record must be
-    present and finite, and with k the header's ``lda_dim``, ``center_mean``
-    must be (d,), ``projection`` (d, k), ``plda_mean`` (k,) and both PLDA
-    covariances (k, k); otherwise one FormatError names the file."""
+    """Read a backend that ``save_backend`` wrote.  It must hold its five
+    records and no other, and with k the header's ``lda_dim``, ``center_mean``
+    (d,), ``projection`` (d, k), ``plda_mean`` (k,) and both PLDA covariances
+    (k, k); otherwise one FormatError names the file."""
     header, records = read_records(path)
     if header.get("kind") != "backend":
         raise FormatError(f"{path}: not a backend model")
     by_name, k = dict(records), header.get("lda_dim")
-    for name in BACKEND_RECORDS:
-        if name not in by_name:
-            raise FormatError(f"{path}: missing backend record {name!r}")
-        if not np.all(np.isfinite(by_name[name])):
-            raise FormatError(f"{path}: record {name!r} holds a NaN or infinite value")
+    odd = sorted(by_name.keys() ^ set(BACKEND_RECORDS))
+    if odd:
+        raise FormatError(f"{path}: {'unknown' if odd[0] in by_name else 'missing'} backend "
+                          f"record {odd[0]!r}")
     dim = by_name["center_mean"].shape[0] if by_name["center_mean"].ndim == 1 else "d"
     for name, shape in zip(BACKEND_RECORDS, ((dim,), (dim, k), (k,), (k, k), (k, k))):
         if by_name[name].shape != shape:

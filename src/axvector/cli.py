@@ -111,9 +111,10 @@ def cmd_train(config, corpus: str, arch: str, out: str, log_path: str | None = N
     train_corpus = _train_subset(data.load_corpus(corpus))
     arch_config = dataclasses.replace(config.arch, variant=ARCH_CHOICES[arch],
                                       num_speakers=len(train_corpus.speakers()))
-    net = M.build(arch_config, seed=config.train.seed)
     # fail before the first step, not in the accuracy pass after the last
-    M.check_min_frames(net, train_corpus)
+    with _naming(corpus):
+        M.check_corpus(arch_config, train_corpus)
+    net = M.build(arch_config, config.train.seed)
     _log(f"training {arch_config.variant}: {M.count_params(net)} parameters, "
          f"{len(train_corpus)} utterances, {arch_config.num_speakers} speakers")
 
@@ -150,7 +151,9 @@ def cmd_extract(model: str, corpus: str, out: str) -> None:
     from . import backend, data, model as M
 
     net = M.load_model(model)
-    table = backend.extract_embeddings(net, data.load_corpus(corpus))
+    loaded = data.load_corpus(corpus)
+    with _naming(corpus):
+        table = backend.extract_embeddings(net, loaded)
     table.save(out)
     _log(f"extracted {len(table)} embeddings of dimension {table.dim}")
 
@@ -226,7 +229,7 @@ def cmd_evaluate(config, scores: str, trials: str, utt2cond: str | None,
                 raise ValueError(f"{utt2cond}: test utterance {trial.test!r} has no condition")
     with _naming(scores):
         report = metrics.build_report(trial_list, score_map, config.metrics, condition_of)
-    text = metrics.format_report(report, title=f"scores: {os.path.basename(scores)}")
+    text = metrics.format_report(report, f"scores: {os.path.basename(scores)}")
     print(text, end="")
     if out_prefix:
         atomic_write_text(out_prefix + ".txt", text)

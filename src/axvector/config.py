@@ -1,10 +1,11 @@
 """Experiment configuration: one JSON document with one section per stage.
 
-Unknown keys are rejected at every level so a typo fails loudly instead of
-silently falling back to a default, and an error in a config file names
-that file.  Everything defining the experiment, seeds included, lives here,
-and no command-line flag overrides a setting; ``sweep-n`` runs all its pool
-sizes in one process from one loaded config.
+Unknown keys are rejected at every level, and so is a value of another JSON
+type than its field declares, so a typo fails loudly instead of silently
+falling back to a default, and an error in a config file names that file.
+Everything defining the experiment, seeds included, lives here, and no
+command-line flag overrides a setting; ``sweep-n`` runs all its pool sizes
+in one process from one loaded config.
 The two architecture fields that are not settings are refused: the variant
 comes from ``train --arch`` and the speaker count from the corpus split.
 """
@@ -12,12 +13,12 @@ comes from ``train --arch`` and the speaker count from the corpus split.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 from .data import CorpusSpec
 from .metrics import MetricConfig
 from .model import ArchConfig
+from .serialize import json_object
 from .training import TrainConfig
 
 
@@ -25,13 +26,23 @@ class ConfigError(ValueError):
     pass
 
 
+# the JSON values that each declared field type takes; a bool is no number
+JSON_VALUES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "str": (str, "a string"), "tuple": (list, "a list"),
+               "int | None": ((int, type(None)), "an integer or null")}
+
+
 def dataclass_from_dict(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be a mapping")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    known = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(known))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, value in data.items():
+        types, what = JSON_VALUES[known[key]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{where}.{key} must be {what}, got {value!r:.40}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -77,8 +88,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
         sections = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - set(sections))
         if unknown:
@@ -97,11 +106,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        with open(path, "rb") as handle:
+            data = json_object(handle.read(), path)
         try:
             return cls.from_dict(data)
         except ValueError as exc:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import require
-from .serialize import FormatError, atomic_write_bytes, atomic_write_text, text_lines
+from .serialize import FormatError, atomic_write_bytes, atomic_write_text, json_object, table_rows
 
 FEATURE_MAGIC = b"AXVF"
 FEATURE_VERSION = 1
@@ -337,12 +337,12 @@ def load_labels(path: str) -> Corpus:
     without its features; every utterance listed in ``utt2spk`` must have a
     condition in ``utt2cond``."""
     spk_path, cond_path = os.path.join(path, "utt2spk"), os.path.join(path, "utt2cond")
-    utt2spk = read_key_value_file(spk_path)
-    utt2cond = read_key_value_file(cond_path)
-    missing = [utt_id for utt_id in utt2spk if utt_id not in utt2cond]
-    if missing:
-        raise FormatError(f"{spk_path}:{_line_of(spk_path, missing[0])}: utterance "
-                          f"{missing[0]!r} has no entry in {cond_path}")
+    utt2cond, utt2spk = read_key_value_file(cond_path), {}
+    for line_no, (utt_id, speaker_id) in table_rows(spk_path, "key value", 1):
+        if utt_id not in utt2cond:
+            raise FormatError(f"{spk_path}:{line_no}: utterance {utt_id!r} has no entry "
+                              f"in {cond_path}")
+        utt2spk[utt_id] = speaker_id
     meta = _read_meta(os.path.join(path, "corpus.json"), set(utt2spk.values()), spk_path)
     utterances = [Utterance(utt_id, utt2spk[utt_id], utt2cond[utt_id])
                   for utt_id in sorted(utt2spk)]
@@ -376,13 +376,8 @@ def load_corpus(path: str) -> Corpus:
 def _read_meta(path: str, speakers: set, spk_path: str) -> dict:
     """The JSON object of ``corpus.json``; its ``eval_speaker_ids``, when
     present, must list speakers of ``spk_path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except ValueError as exc:   # malformed JSON or UTF-8
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    with open(path, "rb") as handle:
+        meta = json_object(handle.read(), path)
     eval_ids = meta.get("eval_speaker_ids", [])
     if not isinstance(eval_ids, list):
         raise FormatError(f"{path}: eval_speaker_ids must be a list of speaker ids, "
@@ -395,24 +390,7 @@ def _read_meta(path: str, speakers: set, spk_path: str) -> dict:
 
 def read_key_value_file(path: str) -> dict[str, str]:
     """``key value`` lines, in file order; a repeated key is an error."""
-    out = {}
-    for line_no, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{line_no}: expected 'key value', got {line!r}")
-        if parts[0] in out:
-            raise FormatError(f"{path}:{line_no}: duplicate key {parts[0]!r} "
-                              f"(first on line {_line_of(path, parts[0])})")
-        out[parts[0]] = parts[1]
-    return out
-
-
-def _line_of(path: str, key: str) -> int:
-    """Line number of the first ``key ...`` line of a key-value file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if line.split()[:1] == [key]:
-                return line_no
+    return dict(fields for _, fields in table_rows(path, "key value", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +471,10 @@ def write_trials(path: str, trials: list[Trial]) -> None:
 def read_trials(path: str) -> list[Trial]:
     """``enroll test target|nontarget`` lines; a trial list names each
     (enroll, test) pair once."""
-    trials, seen = [], set()
-    for line_no, line in text_lines(path):
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-            raise FormatError(f"{path}:{line_no}: expected 'enroll test target|nontarget', "
-                              f"got {line!r}")
-        if (parts[0], parts[1]) in seen:
-            raise FormatError(f"{path}:{line_no}: trial {parts[0]} {parts[1]} is listed twice")
-        seen.add((parts[0], parts[1]))
-        trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
+    trials = []
+    for line_no, (enroll, test, kind) in table_rows(path, "enroll test target|nontarget", 2):
+        if kind not in ("target", "nontarget"):
+            raise FormatError(f"{path}:{line_no}: expected 'target' or 'nontarget', "
+                              f"got {kind!r}")
+        trials.append(Trial(enroll, test, kind == "target"))
     return trials

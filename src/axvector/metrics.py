@@ -167,14 +167,12 @@ def _report_rows(overall: dict) -> list[tuple[str, str, float]]:
     return rows
 
 
-def format_report(report: dict, title: str = "") -> str:
-    """Fixed-width text table: metric rows, overall plus one column per
-    condition."""
+def format_report(report: dict, title: str) -> str:
+    """Fixed-width text table under ``title``: metric rows, overall plus one
+    column per condition."""
     conditions = sorted(report.get("conditions", {}))
     columns = ["overall"] + conditions
-    lines = []
-    if title:
-        lines.append(title)
+    lines = [title]
     width = max(12, *(len(c) + 2 for c in columns))
     lines.append(f"{'metric':<14}" + "".join(f"{c:>{width}}" for c in columns))
     summaries = {"overall": report["overall"]}

@@ -194,27 +194,31 @@ class Model:
         return d
 
 
-def check_min_frames(model: Model, corpus) -> None:
-    """Fail on the first utterance of ``corpus``, in corpus order, that is
-    shorter than the model's receptive field."""
+def check_corpus(config: ArchConfig, corpus) -> None:
+    """Fail before any work on a corpus that a model of ``config`` cannot
+    read: one whose features per frame are not its ``input_dim``, or the
+    first utterance, in corpus order, shorter than its receptive field."""
+    if corpus.utterances and corpus.feature_dim != config.input_dim:
+        raise ValueError(f"corpus has {corpus.feature_dim} features per frame, "
+                         f"the model expects {config.input_dim}")
     for utt in corpus.utterances:
         frames = corpus.frames(utt.utt_id)
-        if frames < model.min_frames:
+        if frames < config.min_frames:
             raise ValueError(f"utterance {utt.utt_id!r} has {frames} frames, "
-                             f"below the model minimum of {model.min_frames}")
+                             f"below the model minimum of {config.min_frames}")
 
 
 def infer_utterances(model: Model, corpus, head: str) -> np.ndarray:
     """``Model.forward`` output at ``head`` for every full, uncropped
     utterance of ``corpus``, one row each in corpus order, run one utterance
     at a time in the model's dtype."""
-    check_min_frames(model, corpus)
+    check_corpus(model.config, corpus)
     rows = [model.forward(corpus.features(utt.utt_id)[None], head=head)[0]
             for utt in corpus.utterances]
     return np.stack(rows)
 
 
-def build(config: ArchConfig, seed: int = 0) -> Model:
+def build(config: ArchConfig, seed: int) -> Model:
     """Deterministically initialize a model for the configured variant."""
     return _assemble(config, np.random.default_rng(seed))
 
@@ -288,11 +292,11 @@ def load_model(path: str) -> Model:
 
     The stored config must build a valid model, and every record is checked
     against the layout it builds (names and shapes, nothing missing, nothing
-    extra) and for finite values, nonnegative running variances and
-    ``initialized`` flags of exactly 0 or 1 before any value is set, so a
-    checkpoint with a bad config, in another layout or with impossible
-    values fails with one FormatError.  The layout is built without random
-    draws, and each parameter takes its record's array as its value.
+    extra) and for nonnegative running variances and ``initialized`` flags
+    of exactly 0 or 1 before any value is set, so a checkpoint with a bad
+    config, in another layout or with impossible values fails with one
+    FormatError.  The layout is built without random draws, and each
+    parameter takes its record's array as its value.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
@@ -305,20 +309,15 @@ def load_model(path: str) -> Model:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid model config: {exc}") from exc
     by_name = dict(records)
-    if len(by_name) != len(records):
-        raise FormatError(f"{path}: duplicate record names")
     expected = [(p.name, p.value) for p in model.params()] + model.state_items()
-    unexpected = sorted(set(by_name) - {name for name, _ in expected})
-    if unexpected:
-        raise FormatError(f"{path}: unexpected records {unexpected[:3]}")
+    odd = sorted(by_name.keys() ^ {name for name, _ in expected})
+    if odd:
+        raise FormatError(f"{path}: {'unexpected' if odd[0] in by_name else 'missing'} "
+                          f"record {odd[0]!r}")
     for name, value in expected:
-        if name not in by_name:
-            raise FormatError(f"{path}: missing record {name!r}")
         if by_name[name].shape != value.shape:
             raise FormatError(f"{path}: record {name!r} has shape {by_name[name].shape}, "
                               f"expected {value.shape}")
-        if not np.all(np.isfinite(by_name[name])):
-            raise FormatError(f"{path}: record {name!r} holds a NaN or infinite value")
         if name.endswith(".running_var") and np.any(by_name[name] < 0.0):
             raise FormatError(f"{path}: record {name!r} holds a negative variance")
         if name.endswith(".initialized") and by_name[name][0] not in (0.0, 1.0):

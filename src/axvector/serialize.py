@@ -1,5 +1,6 @@
-"""Binary record container used for checkpoints, embeddings and backend
-models, plus atomic file writing.
+"""The rules that every file of one kind shares: the binary record
+container used for checkpoints, embeddings and backend models, the JSON
+object reader, the keyed text-table reader, and atomic file writing.
 
 Layout (all integers little-endian):
 
@@ -59,15 +60,41 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def text_lines(path: str):
-    """(line number, stripped line) for each nonblank line of a UTF-8 text
-    file; a file that is not UTF-8 raises FormatError."""
+def json_object(data: bytes, where: str) -> dict:
+    """The JSON object that ``data`` holds.  Text that is not UTF-8, JSON
+    that is malformed or nested too deep, and a value other than an object
+    each raise one FormatError naming ``where``."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{where}: not valid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def table_rows(path: str, columns: str, key_width: int):
+    """(line number, fields) for each nonblank line of a UTF-8 text table
+    whose lines hold the space-separated ``columns``.  The first
+    ``key_width`` fields of a line are its key, which no other line repeats.
+    A file that is not UTF-8, a line of another width and a repeated key
+    each raise one FormatError naming the file and the line."""
+    width, first_line = len(columns.split()), {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if line:
-                    yield line_no, line
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != width:
+                    raise FormatError(f"{path}:{line_no}: expected {columns!r}, "
+                                      f"got {line.strip()!r}")
+                key = " ".join(fields[:key_width])
+                if key in first_line:
+                    raise FormatError(f"{path}:{line_no}: duplicate key {key!r} "
+                                      f"(first on line {first_line[key]})")
+                first_line[key] = line_no
+                yield line_no, fields
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -95,7 +122,8 @@ def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     """Parse a record file straight from its handle; each record's values
     are read into their own writable float64 array.  Every length is checked
     against the bytes left in the file before anything of that size is
-    allocated."""
+    allocated, and a repeated record name or a NaN or infinite value fails
+    naming the record."""
     with open(path, "rb") as handle:
         left = os.fstat(handle.fileno()).st_size
 
@@ -121,13 +149,8 @@ def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         (header_len,) = unpack("<I")
-        try:
-            header = json.loads(take(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"{path}: unreadable header ({exc})") from exc
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: header is not a JSON object")
-        records = []
+        header = json_object(take(header_len), f"{path} header")
+        records, names = [], set()
         for index in range(unpack("<I")[0]):
             try:
                 name = take(unpack("<H")[0]).decode("utf-8")
@@ -139,6 +162,11 @@ def read_records(path: str) -> tuple[dict, list[tuple[str, np.ndarray]]]:
             array = np.empty(shape, dtype="<f8")
             if handle.readinto(array) != array.nbytes:
                 raise FormatError(f"{path}: truncated file")
+            if name in names:
+                raise FormatError(f"{path}: record {name!r} is repeated")
+            if not np.isfinite(array).all():
+                raise FormatError(f"{path}: record {name!r} holds a NaN or infinite value")
+            names.add(name)
             records.append((name, array))
         if left:
             raise FormatError(f"{path}: {left} trailing bytes")

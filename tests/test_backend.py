@@ -10,7 +10,7 @@ from axvector import backend as B
 from axvector import data as D
 from axvector import model as M
 from axvector import training as T
-from axvector.serialize import FormatError, write_records
+from axvector.serialize import FormatError, read_records, write_records
 
 from gradcheck import in_dtype
 
@@ -131,8 +131,7 @@ class TestEmbeddingTable:
         path = str(tmp_path / "emb.axvr")
         write_records(path, {"kind": "embeddings", "dim": 2},
                       [("a", np.ones(2)), ("b", np.array([1.0, np.nan]))])
-        with pytest.raises(FormatError, match=r"emb\.axvr: embedding of utterance 'b' "
-                                              r"holds a NaN or infinite value"):
+        with pytest.raises(FormatError, match=r"emb\.axvr: record 'b' holds a NaN or infinite"):
             B.EmbeddingTable.load(path)
 
 
@@ -369,7 +368,8 @@ class TestFusionAndScores:
     def test_repeated_trial_refused(self, tmp_path):
         path = tmp_path / "scores.txt"
         path.write_text("a b 1.0\na c 2.0\na b 1.0\n")
-        with pytest.raises(FormatError, match=r"scores\.txt:3: trial a b is scored twice"):
+        with pytest.raises(FormatError,
+                           match=r"scores\.txt:3: duplicate key 'a b' \(first on line 1\)"):
             B.read_scores(str(path))
 
 
@@ -385,3 +385,22 @@ def test_backend_save_load_round_trip(tmp_path, rng):
     assert np.array_equal(loaded_transform.projection, transform.projection)
     assert np.array_equal(loaded_plda.between, plda.between)
     assert np.array_equal(loaded_plda.within, plda.within)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: records + records[1:2], "record 'projection' is repeated"),
+    (lambda records: records + [("bias", np.zeros(3))], "unknown backend record 'bias'"),
+    (lambda records: records[:-1], "missing backend record 'plda_within'"),
+], ids=["repeated", "unknown", "missing"])
+def test_backend_holds_its_five_records_and_no_other(tmp_path, rng, edit, message):
+    """A backend with a record repeated, added or left out is refused
+    naming the file, not loaded with the last or the extra record."""
+    path = str(tmp_path / "backend.axvr")
+    B.save_backend(path, B.PreprocessTransform(mean=rng.normal(size=6),
+                                               projection=rng.normal(size=(6, 3))),
+                   B.PldaModel(mean=rng.normal(size=3), between=random_spd(rng, 3),
+                               within=random_spd(rng, 3)))
+    header, records = read_records(path)
+    write_records(path, header, edit(records))
+    with pytest.raises(FormatError, match=rf"backend\.axvr: {message}"):
+        B.load_backend(path)

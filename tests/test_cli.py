@@ -87,6 +87,39 @@ def test_invalid_config_is_rejected_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"corpus": {"num_speakers": "x"}}', "corpus.num_speakers must be an integer, got 'x'"),
+    (b'{"split": {"eval_speakers": null}}', "split.eval_speakers must be an integer, got None"),
+    (b'{"backend": {"lda_dim": "3"}}', "backend.lda_dim must be an integer or null, got '3'"),
+    (b'{"train": {"batch_size": 2.5}}', "train.batch_size must be an integer, got 2.5"),
+    (b'{"train": {"total_steps": true}}', "train.total_steps must be an integer, got True"),
+    (b'{"train": {"lr_start": "0.1"}}', "train.lr_start must be a number, got '0.1'"),
+    (b'{"arch": {"frame_dims": 8}}', "arch.frame_dims must be a list, got 8"),
+    (b'{"corpus": {"conditions": "clean"}}', "corpus.conditions must be a list, got 'clean'"),
+    (b'{"corpus": {"seed": 1}}\xff', "not valid JSON ('utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "not valid JSON"),
+    (b"[]", "expected a JSON object, got list"),
+], ids=["str-for-int", "null-for-int", "str-for-optional-int", "float-for-int",
+        "bool-for-int", "str-for-float", "int-for-list", "str-for-list", "not-utf8",
+        "nested-too-deep", "not-an-object"])
+def test_config_file_of_wrong_form_names_the_file(tmp_path, content, message):
+    """A config value of another JSON type than its field declares, and a
+    file that is no JSON object, fail at load with one error naming the
+    file and the section.key."""
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        RunConfig.from_file(str(path))
+
+
+def test_config_takes_an_int_for_a_float_and_null_for_an_optional_int(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train": {"lr_start": 1, "lr_end": 0.5},
+                                "backend": {"lda_dim": None}}))
+    config = RunConfig.from_file(str(path))
+    assert config.train.lr_start == 1 and config.backend.lda_dim is None
+
+
 def test_corpus_shorter_than_receptive_field_is_rejected():
     """corpus.frames_min must reach the network's receptive field,
     arch.min_frames, and the error names both values."""
@@ -298,7 +331,7 @@ def test_nonfinite_embedding_fails_backend_fit_without_output(pipeline, tmp_path
     assert dispatch(["backend-fit", "--config", pipeline["config"], "--embeddings", emb,
                      "--corpus", pipeline["corpus"], "--out", str(out)]) != 0
     err = capsys.readouterr().err
-    assert f"utterance {bad_id!r} holds a NaN or infinite value" in err
+    assert f"record {bad_id!r} holds a NaN or infinite value" in err
     assert not out.exists()
 
 
@@ -580,6 +613,11 @@ def _bad_inputs(pipeline, tmp_path):
     narrow_file = os.path.join(narrow, "features", sorted(os.listdir(
         os.path.join(narrow, "features")))[-1])
     D.write_feature_file(narrow_file, D.read_feature_file(narrow_file)[:, 1:])
+    other_dim_config = tmp_path / "other_dim.json"
+    other_dim_config.write_text(json.dumps(_with(MINI_CONFIG, corpus={"feature_dim": 6},
+                                                 arch={"input_dim": 6})))
+    other_dim = str(tmp_path / "other_dim")
+    assert dispatch(["gen-data", "--config", str(other_dim_config), "--out", other_dim]) == 0
     header, records = read_records(pipeline["backend"])
     nan_backend, short_backend = str(tmp_path / "nan.axvr"), str(tmp_path / "short.axvr")
     write_records(nan_backend, header, [(name, np.full_like(value, np.nan) if
@@ -656,6 +694,12 @@ def _bad_inputs(pipeline, tmp_path):
         "feature-file-has-another-dimension-extract": (
             ["extract", "--corpus", narrow, "--out", out, "--model", pipeline["ckpt"]],
             narrow_file, out),
+        "corpus-has-another-dimension-train": (
+            ["train", "--config", pipeline["config"], "--corpus", other_dim, "--arch",
+             "baseline", "--out", out], other_dim + ": corpus has 6 features per frame", out),
+        "corpus-has-another-dimension-extract": (
+            ["extract", "--corpus", other_dim, "--out", out, "--model", pipeline["ckpt"]],
+            other_dim + ": corpus has 6 features per frame", out),
         "backend-holds-a-nan": (
             ["score", "--backend", nan_backend, "--embeddings", pipeline["emb"], "--trials",
              trials, "--out", out], nan_backend, out),
@@ -694,6 +738,8 @@ def _bad_inputs(pipeline, tmp_path):
                                   "config-has-a-zero-kernel", "config-has-a-zero-width",
                                   "feature-file-has-another-dimension-train",
                                   "feature-file-has-another-dimension-extract",
+                                  "corpus-has-another-dimension-train",
+                                  "corpus-has-another-dimension-extract",
                                   "backend-holds-a-nan", "backend-shapes-disagree",
                                   "backend-covariance-is-not-positive-definite",
                                   "trial-list-has-one-kind-evaluate",

@@ -293,9 +293,11 @@ class TestCorpusIo:
         ("[1]", "expected a JSON object, got list"),
         ('{"eval_speaker_ids": 5}', "eval_speaker_ids must be a list of speaker ids, got int"),
         ("", "not valid JSON"),
+        ("[" * 100_000, "not valid JSON"),
         ('{"eval_speaker_ids": ["no-such-speaker"]}',
          "eval speaker 'no-such-speaker' has no utterance in .*utt2spk"),
-    ], ids=["not-an-object", "ids-not-a-list", "invalid-json", "unknown-speaker"])
+    ], ids=["not-an-object", "ids-not-a-list", "invalid-json", "nested-too-deep",
+            "unknown-speaker"])
     def test_malformed_corpus_json_rejected(self, tmp_path, text, message):
         root = tmp_path / "c"
         D.save_corpus(D.generate_corpus(small_spec()), str(root))
@@ -355,7 +357,8 @@ class TestTrials:
     def test_repeated_pair_refused(self, tmp_path):
         path = tmp_path / "trials.txt"
         path.write_text("a b target\nb a nontarget\na b nontarget\n")
-        with pytest.raises(FormatError, match=r"trials\.txt:3: trial a b is listed twice"):
+        with pytest.raises(FormatError,
+                           match=r"trials\.txt:3: duplicate key 'a b' \(first on line 1\)"):
             D.read_trials(str(path))
 
 

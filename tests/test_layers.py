@@ -420,13 +420,42 @@ def test_upstream_of_another_dtype_rejected(name):
         layer.backward(cache, rng.normal(size=shape).astype(np.float32))
 
 
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_norm_backward_in_blocks_gives_the_bits_of_one_block(name, monkeypatch):
+    """Runs of rows, of whole utterances and of one utterance's frames give
+    the input and parameter gradients of a backward in one block, bit for
+    bit."""
+    make, shape = NORM_CASES[name]
+
+    def gradients(block_rows):
+        monkeypatch.setattr(L, "NORM_BLOCK_BYTES", block_rows * shape[-1] * 8)
+        rng = np.random.default_rng(8)
+        layer = make(rng)
+        _, cache = layer.forward(rng.normal(size=shape), "train")
+        return [layer.backward(cache, rng.normal(size=shape))] + [p.grad for p in layer.params()]
+
+    whole = gradients(1 << 20)
+    # runs of two rows (of a 2-D input, or of one utterance's frames) and, of
+    # a 3-D input, runs of one utterance
+    for block_rows in (2,) if len(shape) == 2 else (2, shape[1]):
+        blocked = gradients(block_rows)
+        assert len(L._row_blocks(shape, 8)) > 1
+        for a, b in zip(blocked, whole, strict=True):
+            assert np.array_equal(a, b)
+
+
 # (make, shape, blocks): float32 shapes several 1 MiB blocks wide, and the
 # blocks a backward may hold beside its output: batch norm forms each block
-# in its output, adaptive norm adds upstream * a + x * k, two blocks, into it
+# in its output, adaptive norm adds upstream * a + x * k, two blocks, into it.
+# A frame5 utterance of the full-size network (200 x 1536 float32, 1.2 MB)
+# is larger than a block, so its backward runs over runs of frames.
 NORM_BUDGET_CASES = {
     "bn-rows": (lambda rng: make_bn_layer(768), (2048, 768), 1),
     "bn-frames": (lambda rng: make_bn_layer(768), (8, 256, 768), 1),
+    "bn-frame-runs": (lambda rng: make_bn_layer(768), (8, 384, 768), 1),
     "abn": (lambda rng: make_abn_layer(rng, channels=768, hidden=8), (8, 256, 768), 2),
+    "abn-frame-runs": (lambda rng: make_abn_layer(rng, channels=768, hidden=8),
+                       (8, 384, 768), 2),
 }
 
 

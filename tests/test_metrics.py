@@ -243,7 +243,7 @@ class TestReport:
         conditions = {"t1": "clean", "t2": "noise"}
         report = X.build_report(trials, scores, X.MetricConfig(), conditions)
         assert report["conditions"]["noise"] is None
-        text = X.format_report(report)
+        text = X.format_report(report, "demo")
         assert "n/a" in text
 
     def test_format_report_layout(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from axvector import backend as B
 from axvector import data as D
-from axvector.serialize import FormatError, read_records, write_records
+from axvector.serialize import FormatError, json_object, read_records, write_records
 
 # a reader may hold the file, a decoded copy and its arrays: a few times the
 # file, never the sizes a garbled header claims
@@ -52,12 +52,29 @@ def _valid_scores(path) -> bytes:
     return path.read_bytes()
 
 
+def _valid_key_values(path) -> bytes:
+    path.write_text("a spk1\nb spk2\n")
+    return path.read_bytes()
+
+
+def _read_json(path):
+    with open(path, "rb") as handle:
+        return json_object(handle.read(), path)
+
+
+def _valid_json(path) -> bytes:
+    path.write_text('{"spec": {"feature_dim": 3, "conditions": ["clean"]}, "seed": 1.5}')
+    return path.read_bytes()
+
+
 READERS = {
     "records": (read_records, _valid_records),
     "features": (D.read_feature_file, _valid_features),
     "feature frames": (_read_frames, _valid_features),
     "trials": (D.read_trials, _valid_trials),
     "scores": (B.read_scores, _valid_scores),
+    "key values": (D.read_key_value_file, _valid_key_values),
+    "json object": (_read_json, _valid_json),
 }
 
 

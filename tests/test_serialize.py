@@ -93,3 +93,17 @@ def test_failed_write_keeps_previous_file(tmp_path):
         write_records(str(path), {"v": 2}, [("x", np.ones(3)), ("bad", np.array(["text"]))])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["records.axvr"]
+
+
+@pytest.mark.parametrize("records, message", [
+    ([("x", np.ones(2)), ("y", np.ones(1)), ("x", np.ones(2))], "record 'x' is repeated"),
+    ([("x", np.ones(2)), ("y", np.array([0.0, np.inf]))],
+     "record 'y' holds a NaN or infinite value"),
+    ([("x", np.full((2, 2), np.nan))], "record 'x' holds a NaN or infinite value"),
+], ids=["repeated", "infinite", "nan"])
+def test_every_record_file_names_each_record_once_with_finite_values(tmp_path, records,
+                                                                      message):
+    path = str(tmp_path / "records.axvr")
+    write_records(path, {}, records)
+    with pytest.raises(FormatError, match=rf"records\.axvr: {message}"):
+        read_records(path)
