@@ -109,10 +109,10 @@ def cmd_train(config, corpus: str, arch: str, out: str, log_path: str | None = N
     from .serialize import atomic_write_text
 
     train_corpus = _train_subset(data.load_corpus(corpus))
-    arch_config = dataclasses.replace(config.arch, variant=ARCH_CHOICES[arch],
-                                      num_speakers=len(train_corpus.speakers()))
     # fail before the first step, not in the accuracy pass after the last
     with _naming(corpus):
+        arch_config = dataclasses.replace(config.arch, variant=ARCH_CHOICES[arch],
+                                          num_speakers=len(train_corpus.speakers()))
         M.check_corpus(arch_config, train_corpus)
     net = M.build(arch_config, config.train.seed)
     _log(f"training {arch_config.variant}: {M.count_params(net)} parameters, "

@@ -55,15 +55,12 @@ class CorpusSpec:
     sigma_session: float = 0.4    # per-utterance channel offset scale
     sigma_frame: float = 1.0      # AR frame-noise scale
     ar_coefficient: float = 0.5
-    conditions: tuple = ("clean", "noise", "codec", "reverb")
+    conditions: tuple[str, ...] = ("clean", "noise", "codec", "reverb")
     noise_scale: float = 0.4
     codec_depth: float = 0.25
     seed: int = 12345
 
     def __post_init__(self):
-        self.conditions = tuple(self.conditions)
-
-    def validate(self) -> None:
         require(self.num_speakers >= 1 and self.utts_per_speaker >= 1,
                 "need at least one speaker and one utterance per speaker")
         require(self.feature_dim >= 1, "feature_dim must be >= 1")
@@ -211,7 +208,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     utterance's stream where it left off.  Every utterance's draws and float
     operations are those of a one-utterance pass, so the bytes do not depend
     on the block size."""
-    spec.validate()
     utterances, offsets, rngs, lengths = [], [], [], []
     for s in range(spec.num_speakers):
         speaker_id = f"spk{s:04d}"
@@ -334,8 +330,8 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
 
 def load_labels(path: str) -> Corpus:
     """The utterances and ``corpus.json`` of a corpus written by save_corpus,
-    without its features; every utterance listed in ``utt2spk`` must have a
-    condition in ``utt2cond``."""
+    without its features; ``utt2spk`` must list at least one utterance, and
+    every utterance it lists must have a condition in ``utt2cond``."""
     spk_path, cond_path = os.path.join(path, "utt2spk"), os.path.join(path, "utt2cond")
     utt2cond, utt2spk = read_key_value_file(cond_path), {}
     for line_no, (utt_id, speaker_id) in table_rows(spk_path, "key value", 1):
@@ -343,6 +339,8 @@ def load_labels(path: str) -> Corpus:
             raise FormatError(f"{spk_path}:{line_no}: utterance {utt_id!r} has no entry "
                               f"in {cond_path}")
         utt2spk[utt_id] = speaker_id
+    if not utt2spk:
+        raise FormatError(f"{spk_path}: lists no utterance")
     meta = _read_meta(os.path.join(path, "corpus.json"), set(utt2spk.values()), spk_path)
     utterances = [Utterance(utt_id, utt2spk[utt_id], utt2cond[utt_id])
                   for utt_id in sorted(utt2spk)]

@@ -22,12 +22,12 @@ from .numerics import as_f64, require
 class MetricConfig:
     """Settings for the evaluation report."""
 
-    dcf_p_targets: tuple = (0.01, 0.001)
+    dcf_p_targets: tuple[float, ...] = (0.01, 0.001)
     act_p_target: float = 0.01
 
     def __post_init__(self):
-        self.dcf_p_targets = tuple(float(p) for p in self.dcf_p_targets)
-        self.act_p_target = float(self.act_p_target)
+        for p in (*self.dcf_p_targets, self.act_p_target):
+            require(0.0 < p < 1.0, f"p_target {p} does not lie in (0, 1)")
 
 
 def _check_scores(target_scores, nontarget_scores) -> tuple[np.ndarray, np.ndarray]:

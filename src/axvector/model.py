@@ -34,7 +34,7 @@ import numpy as np
 from .layers import (AdaptiveConvLayer, AdaptiveNormLayer, BatchNormLayer, ConvLayer, DenseLayer,
                      Param, ReluLayer, StatsPoolLayer)
 from .numerics import require
-from .serialize import FormatError, read_records, write_records
+from .serialize import FormatError, read_records, settings, write_records
 
 VARIANTS = ("baseline", "acnn", "abn", "acnn_abn")
 
@@ -44,29 +44,23 @@ class ArchConfig:
     """Architecture description for one embedding network."""
 
     input_dim: int = 30
-    frame_dims: tuple = (512, 512, 512, 512, 1536)
-    kernel_sizes: tuple = (5, 3, 3, 1, 1)
-    dilations: tuple = (1, 2, 3, 1, 1)
-    utterance_dims: tuple = (512, 512)
-    num_speakers: int | None = None
+    frame_dims: tuple[int, ...] = (512, 512, 512, 512, 1536)
+    kernel_sizes: tuple[int, ...] = (5, 3, 3, 1, 1)
+    dilations: tuple[int, ...] = (1, 2, 3, 1, 1)
+    utterance_dims: tuple[int, ...] = (512, 512)
+    num_speakers: int | None = None  # set from the corpus split by train
     variant: str = "baseline"
     acnn_layer_index: int = 4        # 1-based frame layer carrying the adaptive conv
     attention_hidden: int = 256
     pool_size: int = 4
 
     def __post_init__(self):
-        self.frame_dims = tuple(int(d) for d in self.frame_dims)
-        self.kernel_sizes = tuple(int(k) for k in self.kernel_sizes)
-        self.dilations = tuple(int(d) for d in self.dilations)
-        self.utterance_dims = tuple(int(d) for d in self.utterance_dims)
-
-    def validate(self) -> None:
         require(len(self.frame_dims) == 5, f"frame_dims must list 5 layers, got {len(self.frame_dims)}")
         require(len(self.kernel_sizes) == 5, f"kernel_sizes must list 5 layers, got {len(self.kernel_sizes)}")
         require(len(self.dilations) == 5, f"dilations must list 5 layers, got {len(self.dilations)}")
         require(len(self.utterance_dims) >= 1, "need at least one utterance-level layer")
-        require(self.num_speakers is not None and self.num_speakers >= 2,
-                "num_speakers must be set and at least 2")
+        require(self.num_speakers is None or self.num_speakers >= 2,
+                f"num_speakers must be at least 2, got {self.num_speakers}")
         require(self.variant in VARIANTS, f"variant must be one of {VARIANTS}, got {self.variant!r}")
         require(1 <= self.acnn_layer_index <= 5, "acnn_layer_index must lie in [1, 5]")
         require(min(self.frame_dims + self.utterance_dims) >= 1, "frame/utterance dims must be >= 1")
@@ -227,7 +221,7 @@ def _assemble(config: ArchConfig, rng: np.random.Generator | None) -> Model:
     """The configured layer sequence, with He-normal weights drawn from
     ``rng``, or, when ``rng`` is None, read-only zero weights that allocate
     nothing (a layout for ``load_model`` to fill)."""
-    config.validate()
+    require(config.num_speakers is not None, "num_speakers must be set")
     layer_list = []
     in_dim = config.input_dim
     for i in range(5):
@@ -290,24 +284,22 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     """Rebuild a model from a checkpoint.
 
-    The stored config must build a valid model, and every record is checked
-    against the layout it builds (names and shapes, nothing missing, nothing
-    extra) and for nonnegative running variances and ``initialized`` flags
-    of exactly 0 or 1 before any value is set, so a checkpoint with a bad
-    config, in another layout or with impossible values fails with one
-    FormatError.  The layout is built without random draws, and each
-    parameter takes its record's array as its value.
+    The stored config is read by the config file's rules
+    (``serialize.settings``) and must build a valid model; every record is
+    checked against the layout it builds (names and shapes, nothing missing,
+    nothing extra) and for nonnegative running variances and
+    ``initialized`` flags of exactly 0 or 1 before any value is set, so a
+    checkpoint with a bad config, in another layout or with impossible
+    values fails with one FormatError.  The layout is built without random
+    draws, and each parameter takes its record's array as its value.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
         raise FormatError(f"{path}: not a model checkpoint (kind={header.get('kind')!r})")
-    if not isinstance(header.get("config"), dict):
-        raise FormatError(f"{path}: model header has no config")
     try:
-        config = ArchConfig(**header["config"])
-        model = _assemble(config, None)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: invalid model config: {exc}") from exc
+        model = _assemble(settings(ArchConfig, header.get("config"), "config"), None)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     by_name = dict(records)
     expected = [(p.name, p.value) for p in model.params()] + model.state_items()
     odd = sorted(by_name.keys() ^ {name for name, _ in expected})

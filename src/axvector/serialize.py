@@ -1,6 +1,7 @@
 """The rules that every file of one kind shares: the binary record
 container used for checkpoints, embeddings and backend models, the JSON
-object reader, the keyed text-table reader, and atomic file writing.
+object reader, the typed reader of a settings object, the keyed text-table
+reader, and atomic file writing.
 
 Layout (all integers little-endian):
 
@@ -16,6 +17,7 @@ every value bit for bit.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -71,6 +73,42 @@ def json_object(data: bytes, where: str) -> dict:
     if not isinstance(value, dict):
         raise FormatError(f"{where}: expected a JSON object, got {type(value).__name__}")
     return value
+
+
+# the JSON value that each declared type of a settings field takes; a bool is
+# no number, and a list becomes a tuple whose elements follow the same rules
+SETTING_VALUES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                  "str": (str, "a string"), "int | None": ((int, type(None)), "an integer or null"),
+                  **{f"tuple[{item}, ...]": (list, "a list") for item in ("int", "float", "str")}}
+
+
+def _setting(value, declared: str, where: str):
+    types, what = SETTING_VALUES[declared]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise FormatError(f"{where} must be {what}, got {value!r:.40}")
+    if isinstance(value, list):
+        item = declared.removeprefix("tuple[").removesuffix(", ...]")
+        return tuple(_setting(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+def settings(cls, data, where: str):
+    """The settings dataclass ``cls`` made from ``data``, a JSON object.  A
+    key that ``cls`` has no field for and a value or list element of another
+    JSON type than its field declares each raise one FormatError naming the
+    section ``where`` and the key; a value that ``cls`` refuses raises one
+    naming the section."""
+    if not isinstance(data, dict):
+        raise FormatError(f"section {where!r} must be a mapping")
+    known = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise FormatError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    values = {key: _setting(value, known[key], f"{where}.{key}") for key, value in data.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise FormatError(f"invalid {where} section: {exc}") from exc
 
 
 def table_rows(path: str, columns: str, key_width: int):

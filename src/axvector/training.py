@@ -46,7 +46,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         require(self.lr_start >= self.lr_end > 0.0, "need lr_start >= lr_end > 0")
         require(self.crop_frames_min <= self.crop_frames_max, "crop range is inverted")
         require(self.crop_frames_min >= 1, "crop length must be positive")
@@ -235,7 +235,6 @@ def make_batches(corpus, cfg: TrainConfig, epoch_seed) -> Iterator[tuple[np.ndar
     than the crop.  A batch is allocated once and each crop is read straight
     into its row.
     """
-    cfg.validate()
     utts = corpus.utterances
     require(len(utts) >= 1, "corpus is empty")
     label_of = corpus.speaker_labels()
@@ -299,7 +298,6 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
     per-step log.  Writes no file; saving the trained model is the caller's
     job.  ``progress`` is an optional callable invoked with each StepRecord.
     """
-    cfg.validate()
     require(cfg.crop_frames_min >= model.min_frames,
             f"crop_frames_min={cfg.crop_frames_min} is below the model's minimum "
             f"input length of {model.min_frames} frames")

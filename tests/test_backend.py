@@ -135,6 +135,17 @@ class TestEmbeddingTable:
             B.EmbeddingTable.load(path)
 
 
+def test_each_loader_refuses_a_record_file_of_another_kind(tiny_model, tiny_corpus, tmp_path):
+    """A checkpoint is no embedding table, and an embedding table no backend."""
+    ckpt, emb = str(tmp_path / "model.ckpt"), str(tmp_path / "emb.axvr")
+    M.save_model(tiny_model, ckpt)
+    B.extract_embeddings(tiny_model, tiny_corpus).save(emb)
+    with pytest.raises(FormatError, match=r"model\.ckpt: not an embedding table"):
+        B.EmbeddingTable.load(ckpt)
+    with pytest.raises(FormatError, match=r"emb\.axvr: not a backend model"):
+        B.load_backend(emb)
+
+
 class TestPreprocess:
     def test_centering_and_unit_norm(self, rng):
         x = rng.normal(size=(60, 8)) + 5.0

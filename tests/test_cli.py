@@ -18,7 +18,7 @@ from axvector import data as D
 from axvector import metrics as X
 from axvector.cli import build_parser, dispatch
 from axvector.config import ConfigError, RunConfig
-from axvector.serialize import read_records, write_records
+from axvector.serialize import SETTING_VALUES, read_records, write_records
 from feature_edits import ALTERATIONS, alter
 
 MINI_CONFIG = {
@@ -96,11 +96,19 @@ def test_invalid_config_is_rejected_without_outputs(tmp_path, capsys):
     (b'{"train": {"lr_start": "0.1"}}', "train.lr_start must be a number, got '0.1'"),
     (b'{"arch": {"frame_dims": 8}}', "arch.frame_dims must be a list, got 8"),
     (b'{"corpus": {"conditions": "clean"}}', "corpus.conditions must be a list, got 'clean'"),
+    (b'{"arch": {"frame_dims": [8.7, 8, 8, 8, 12]}}',
+     "arch.frame_dims[0] must be an integer, got 8.7"),
+    (b'{"arch": {"kernel_sizes": [5, 3, 3, 1, true]}}',
+     "arch.kernel_sizes[4] must be an integer, got True"),
+    (b'{"metrics": {"dcf_p_targets": ["0.1"]}}',
+     "metrics.dcf_p_targets[0] must be a number, got '0.1'"),
+    (b'{"corpus": {"conditions": ["clean", 1]}}', "corpus.conditions[1] must be a string, got 1"),
     (b'{"corpus": {"seed": 1}}\xff', "not valid JSON ('utf-8' codec can't decode byte 0xff"),
     (b"[" * 100_000, "not valid JSON"),
     (b"[]", "expected a JSON object, got list"),
 ], ids=["str-for-int", "null-for-int", "str-for-optional-int", "float-for-int",
-        "bool-for-int", "str-for-float", "int-for-list", "str-for-list", "not-utf8",
+        "bool-for-int", "str-for-float", "int-for-list", "str-for-list", "float-in-int-list",
+        "bool-in-int-list", "str-in-float-list", "int-in-str-list", "not-utf8",
         "nested-too-deep", "not-an-object"])
 def test_config_file_of_wrong_form_names_the_file(tmp_path, content, message):
     """A config value of another JSON type than its field declares, and a
@@ -118,6 +126,46 @@ def test_config_takes_an_int_for_a_float_and_null_for_an_optional_int(tmp_path):
                                 "backend": {"lda_dim": None}}))
     config = RunConfig.from_file(str(path))
     assert config.train.lr_start == 1 and config.backend.lda_dim is None
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"bogus": {}}, "unknown config section(s): bogus"),
+    ({"arch": [8]}, "section 'arch' must be a mapping"),
+    ({"split": {"eval_speakers": -1}}, "eval_speakers must be nonnegative"),
+    ({"split": {"n_target": 0}}, "trial counts must be positive"),
+    ({"split": {"n_nontarget": -5}}, "trial counts must be positive"),
+    ({"backend": {"plda_iterations": 0}}, "plda_iterations must be >= 1"),
+    ({"backend": {"lda_dim": 0}}, "lda_dim must be >= 1 when given"),
+    ({"corpus": {"num_speakers": 9}, "split": {"eval_speakers": 8}},
+     "corpus must keep at least 2 training speakers after the split"),
+    ({"arch": {"input_dim": 20}}, "arch.input_dim=20 does not match corpus.feature_dim=30"),
+], ids=["unknown-section", "section-not-a-mapping", "negative-eval-speakers", "zero-targets",
+        "negative-nontargets", "zero-plda-iterations", "zero-lda-dim", "one-training-speaker",
+        "input-dim-is-not-feature-dim"])
+def test_config_refuses_values_out_of_range(config, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "batch_size", 0, "batch size must be >= 1"),
+    ("split", "eval_speakers", -1, "eval_speakers must be nonnegative"),
+    ("backend", "plda_iterations", 0, "plda_iterations must be >= 1"),
+    ("metrics", "act_p_target", 1.0, "p_target 1.0 does not lie in (0, 1)"),
+    ("corpus", "ar_coefficient", 1.0, "ar_coefficient must lie in [0, 1)"),
+    ("arch", "pool_size", 0, "attention_hidden and pool_size must be >= 1"),
+])
+def test_range_error_names_its_section(section, key, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid {section} section: {message}')}$"):
+        RunConfig.from_dict({section: {key: value}})
+
+
+def test_every_setting_declares_a_type_the_reader_knows():
+    """A field of a type ``serialize.settings`` does not know would fail
+    only once a config sets it; this fails as soon as the field is added."""
+    for section in dataclasses.fields(RunConfig):
+        for fld in dataclasses.fields(section.default_factory):
+            assert fld.type in SETTING_VALUES, f"{section.name}.{fld.name}: {fld.type}"
 
 
 def test_corpus_shorter_than_receptive_field_is_rejected():
@@ -142,8 +190,7 @@ def test_config_refuses_arch_fields_that_are_not_settings(key, value):
 
 
 def test_loaded_config_holds_no_speaker_count():
-    """Validation checks the architecture with the split's speaker count but
-    leaves the config's unset: train takes the count from the corpus."""
+    """train takes the speaker count from the corpus, so the config's is unset."""
     assert RunConfig.from_dict(MINI_CONFIG).arch.num_speakers is None
 
 
@@ -604,6 +651,17 @@ def _bad_inputs(pipeline, tmp_path):
     no_split_config.write_text(json.dumps({**MINI_CONFIG, "split": {"eval_speakers": 0}}))
     no_split = str(tmp_path / "no_split")
     assert dispatch(["gen-data", "--config", str(no_split_config), "--out", no_split]) == 0
+    one_speaker = str(tmp_path / "one_speaker")
+    shutil.copytree(pipeline["corpus"], one_speaker)
+    meta_path = os.path.join(one_speaker, "corpus.json")
+    meta = json.load(open(meta_path))
+    meta["eval_speaker_ids"] = sorted(set(open(os.path.join(one_speaker, "utt2spk")).read()
+                                          .split()[1::2]))[1:]
+    with open(meta_path, "w") as handle:
+        json.dump(meta, handle)
+    no_labels = str(tmp_path / "no_labels")
+    shutil.copytree(no_split, no_labels)
+    open(os.path.join(no_labels, "utt2spk"), "w").close()
     first_test = open(trials).readline().split()[1]
     cond_lines = open(os.path.join(pipeline["corpus"], "utt2cond")).readlines()
     partial_cond = tmp_path / "partial_utt2cond"
@@ -700,6 +758,13 @@ def _bad_inputs(pipeline, tmp_path):
         "corpus-has-another-dimension-extract": (
             ["extract", "--corpus", other_dim, "--out", out, "--model", pipeline["ckpt"]],
             other_dim + ": corpus has 6 features per frame", out),
+        "split-leaves-one-training-speaker": (
+            ["train", "--config", pipeline["config"], "--corpus", one_speaker, "--arch",
+             "baseline", "--out", out], one_speaker + ": num_speakers must be at least 2, got 1",
+            out),
+        "utt2spk-lists-no-utterance": (
+            ["extract", "--corpus", no_labels, "--out", out, "--model", pipeline["ckpt"]],
+            os.path.join(no_labels, "utt2spk") + ": lists no utterance", out),
         "backend-holds-a-nan": (
             ["score", "--backend", nan_backend, "--embeddings", pipeline["emb"], "--trials",
              trials, "--out", out], nan_backend, out),
@@ -740,6 +805,8 @@ def _bad_inputs(pipeline, tmp_path):
                                   "feature-file-has-another-dimension-extract",
                                   "corpus-has-another-dimension-train",
                                   "corpus-has-another-dimension-extract",
+                                  "split-leaves-one-training-speaker",
+                                  "utt2spk-lists-no-utterance",
                                   "backend-holds-a-nan", "backend-shapes-disagree",
                                   "backend-covariance-is-not-positive-definite",
                                   "trial-list-has-one-kind-evaluate",

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -31,17 +32,16 @@ class TestArchConfig:
         assert cfg.min_frames == 15
 
     def test_bad_kernel_list_length(self):
-        cfg = M.ArchConfig(num_speakers=10, kernel_sizes=(5, 3, 3, 1))
         with pytest.raises(ValueError, match="kernel_sizes"):
-            cfg.validate()
+            M.ArchConfig(num_speakers=10, kernel_sizes=(5, 3, 3, 1))
 
     def test_too_few_speakers(self):
         with pytest.raises(ValueError, match="num_speakers"):
-            M.ArchConfig(num_speakers=1).validate()
+            M.ArchConfig(num_speakers=1)
 
     def test_unset_speakers(self):
         with pytest.raises(ValueError, match="num_speakers"):
-            M.ArchConfig().validate()
+            M.build(M.ArchConfig(), seed=0)
 
 
 class TestBuild:
@@ -304,7 +304,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("config, message", [
         ({**asdict(tiny_config()), "bogus": 1}, "bogus"),
-        (None, "no config"),
+        pytest.param(None, "'config' must be a mapping", id="None-no config"),
         ({**asdict(tiny_config()), "variant": "dense"}, "variant"),
         ({**asdict(tiny_config()), "kernel_sizes": 3}, "kernel_sizes|iterable"),
         # a header naming a setting that became a constant, with its old value
@@ -313,6 +313,15 @@ class TestCheckpoint:
         ({**asdict(tiny_config()), "frame_dims": (4, -3, 4, 4, 6)}, "dims must be >= 1"),
         ({**asdict(tiny_config()), "utterance_dims": (5, 0)}, "dims must be >= 1"),
         ({**asdict(tiny_config()), "embedding_layer_index": 1}, "embedding_layer_index"),
+        # the config file's rules: an int takes no float or bool, list elements included
+        ({**asdict(tiny_config()), "acnn_layer_index": 4.0},
+         r"config\.acnn_layer_index must be an integer, got 4\.0"),
+        ({**asdict(tiny_config()), "frame_dims": [4, 8.7, 4, 4, 6]},
+         r"config\.frame_dims\[1\] must be an integer, got 8\.7"),
+        ({**asdict(tiny_config()), "kernel_sizes": [2, 1, 1, True, True]},
+         r"config\.kernel_sizes\[3\] must be an integer, got True"),
+        ({**asdict(tiny_config()), "attention_hidden": "4"},
+         r"config\.attention_hidden must be an integer, got '4'"),
     ])
     def test_bad_config_is_format_error(self, tmp_path, config, message):
         header = {"kind": "model"}
@@ -320,7 +329,7 @@ class TestCheckpoint:
             header["config"] = config
         path = str(tmp_path / "bad.ckpt")
         write_records(path, header, [])
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: .*({message})"):
             M.load_model(path)
 
     @pytest.mark.parametrize("record, value, message", [

@@ -30,6 +30,14 @@ def test_bad_magic(tmp_path):
         read_records(str(path))
 
 
+def test_other_version_refused(tmp_path):
+    path = tmp_path / "v2.axvr"
+    data = encode_records({}, [("x", np.ones(2))])
+    path.write_bytes(data[:4] + (2).to_bytes(4, "little") + data[8:])
+    with pytest.raises(FormatError, match=r"v2\.axvr: unsupported version 2"):
+        read_records(str(path))
+
+
 def test_truncated_payload(tmp_path, rng):
     path = str(tmp_path / "records.axvr")
     write_records(path, {}, [("x", rng.normal(size=16))])

@@ -32,6 +32,18 @@ def micro_train_config(**overrides):
     return T.TrainConfig(**base)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"batch_size": 0}, "batch size must be >= 1"),
+    ({"crop_frames_min": 101}, "crop range is inverted"),
+    ({"lr_end": 0.0}, "need lr_start >= lr_end > 0"),
+])
+def test_replace_checks_the_new_values(changes, message):
+    """A TrainConfig that exists is valid: ``replace`` checks again, so no
+    caller has to."""
+    with pytest.raises(ValueError, match=message):
+        replace(T.TrainConfig(), **changes)
+
+
 class TestAdam:
     def _param(self, value, decay=True):
         return M.Param("p", np.asarray(value, dtype=float), decay)
