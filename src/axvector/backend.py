@@ -288,18 +288,8 @@ class PldaScorer:
         _, logdet_d = np.linalg.slogdet(diff)
         self.offset = 0.5 * (logdet_a - logdet_d)
 
-    def score(self, enroll, test) -> float:
-        enroll = as_f64(enroll)
-        test = as_f64(test)
-        require(enroll.shape == test.shape == self.mean.shape,
-                f"vector dims {enroll.shape}/{test.shape} do not match model dim "
-                f"{self.mean.shape}")
-        e = enroll - self.mean
-        t = test - self.mean
-        return float(0.5 * e @ self.quad @ e + 0.5 * t @ self.quad @ t
-                     + e @ self.cross @ t + self.offset)
-
     def score_pairs(self, enroll_rows, test_rows) -> np.ndarray:
+        """The log-likelihood ratio of each row pair of (n, dim) arrays."""
         e = as_f64(enroll_rows) - self.mean
         t = as_f64(test_rows) - self.mean
         quad_e = 0.5 * np.einsum("ij,ij->i", e @ self.quad, e)

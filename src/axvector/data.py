@@ -66,8 +66,9 @@ class CorpusSpec:
         require(self.feature_dim >= 1, "feature_dim must be >= 1")
         require(self.frames_min >= 1, "frames_min must be >= 1")
         require(self.frames_min <= self.frames_max, "frame range is inverted")
-        require(min(self.sigma_between, self.sigma_session, self.sigma_frame) >= 0.0,
-                "scale parameters must be nonnegative")
+        require(min(self.sigma_between, self.sigma_session, self.sigma_frame,
+                    self.noise_scale) >= 0.0, "scale parameters must be nonnegative")
+        require(abs(self.codec_depth) < 1.0, "codec_depth must lie in (-1, 1)")
         require(0.0 <= self.ar_coefficient < 1.0, "ar_coefficient must lie in [0, 1)")
         require(len(self.conditions) >= 1, "need at least one condition")
         for cond in self.conditions:

@@ -37,10 +37,11 @@ updates them in place); the running statistics change only in train mode.
 
 A layer computes in its parameters' dtype, float64 as built or loaded and
 float32 once training has rounded them, and takes its input and upstream in
-that dtype; the model casts its own input once, and no layer casts a
-parameter, its input or its upstream.  Parameter gradients come out in that
-dtype.  The running statistics are always float64.  An infer-mode ReLU or
-normalization caches nothing and has no backward.
+that dtype; the model checks and casts its own input once, and no layer
+checks its input again or casts a parameter, its input or its upstream.
+Parameter gradients come out in that dtype.  The running statistics are
+always float64.  An infer-mode ReLU or normalization caches nothing and has
+no backward.
 
 The two input-conditioned layers keep their sub-steps as separate methods,
 each with its own backward: the adaptive convolution's attentive context and
@@ -67,21 +68,12 @@ from .numerics import (
     weighted_stats_backward,
 )
 
-MODES = ("train", "infer")
-
 # running-statistics momentum and variance epsilon of every normalization
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 # a normalization's backward forms its input gradient in blocks of about
 # this many bytes, so no temporary it holds is larger than one block
 NORM_BLOCK_BYTES = 1 << 20
-
-
-def _check_frames(frames: np.ndarray, what: str) -> np.ndarray:
-    require(frames.ndim == 3 and frames.shape[1] >= 1,
-            f"{what} input must be (batch, frames, channels) with frames >= 1, "
-            f"got {frames.shape}")
-    return frames
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -164,8 +156,6 @@ class ConvLayer:
         return [self.weight, self.bias]
 
     def forward(self, x, mode):
-        require(x.ndim == 3 and x.shape[2] == self.weight.value.shape[1],
-                f"conv input shape {x.shape} does not match weight {self.weight.value.shape}")
         return conv_forward(x, self.weight.value, self.bias.value, self.dilation), x
 
     @staticmethod
@@ -194,8 +184,6 @@ class DenseLayer:
         return [self.weight, self.bias]
 
     def forward(self, x, mode):
-        require(x.ndim == 2 and x.shape[1] == self.weight.value.shape[0],
-                f"affine input shape {x.shape} does not match weight {self.weight.value.shape}")
         return x @ self.weight.value + self.bias.value, x
 
     def backward(self, cache, upstream):
@@ -221,7 +209,6 @@ class StatsPoolLayer:
         return []
 
     def forward(self, x, mode):
-        x = _check_frames(x, "pooling")
         mean = np.einsum("btc->bc", x) / x.shape[1]
         raw_var = np.einsum("btc,btc->bc", x, x) / x.shape[1] - mean * mean
         std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
@@ -293,7 +280,6 @@ class AdaptiveConvLayer:
         logit_t = score_proj . tanh(frames_t @ score_weight + score_bias)
         attn    = softmax(logits);  context = [mean, std] of frames under attn.
         """
-        frames = _check_frames(frames, "context")
         scored = _project(frames, self.score_weight.value)
         scored += per_frame(self.score_bias.value, scored)
         np.tanh(scored, out=scored)
@@ -327,9 +313,6 @@ class AdaptiveConvLayer:
         weights and bias are the coefficient-weighted sums of the pool
         entries.
         """
-        require(context.ndim == 2 and context.shape[1] == self.mix_weight.value.shape[0],
-                f"context must be (batch, {self.mix_weight.value.shape[0]}), "
-                f"got {context.shape}")
         coeffs = context @ self.mix_weight.value + self.mix_bias.value
         weights = _mixed_banks(coeffs, self.pool_weight.value)
         bias = coeffs @ self.pool_bias.value
@@ -350,7 +333,6 @@ class AdaptiveConvLayer:
     def forward(self, x, mode):
         """Context, filter mixing, then a valid convolution of each utterance
         with its own mixed filters."""
-        x = _check_frames(x, "adaptive conv")
         context, ctx_cache = self.context(x)
         (weights, bias), mix_cache = self.filters(context)
         return conv_forward(x, weights, bias, self.dilation), {"ctx": ctx_cache, "mix": mix_cache}
@@ -407,12 +389,6 @@ class _Normalization:
         output; infer mode is the one affine x * a + (shift - mean * a) with
         a = scale * inv_std from the running statistics.  A train-mode cache
         holds x, mean and inv_std; an infer-mode forward caches nothing."""
-        require(mode in MODES, f"mode must be one of {MODES}, got {mode!r}")
-        require(x.ndim in (2, 3), f"normalization input must be 2-D or 3-D, got shape {x.shape}")
-        channels = self.running_mean.shape[0]
-        require(x.shape[-1] == channels,
-                f"input has {x.shape[-1]} channels, the layer tracks {channels}")
-        require(x.size >= 1, "normalization batch must be nonempty")
         if mode == "train":
             mean = np.einsum("nc->c", _rows(x)) / _rows(x).shape[0]
             y = x - per_frame(mean, x)
@@ -449,13 +425,8 @@ class _Normalization:
         from coeffs = (a, k, c): a = scale * inv_std, shaped like the scale,
         and k and c per channel, the gradient through the batch statistics,
         which needs only the means of d_xhat = upstream * scale and of
-        d_xhat * xhat.  The normalized input is never rebuilt.  An upstream
-        of another dtype than the input is refused."""
+        d_xhat * xhat.  The normalized input is never rebuilt."""
         x, mean, inv_std = stats["x"], stats["mean"], stats["inv_std"]
-        if upstream.dtype != x.dtype:
-            # not require(): formatting a dtype costs more than the check
-            raise ValueError(f"{self.name} upstream gradient must be {x.dtype} like its input, "
-                             f"got {upstream.dtype}")
         if scale.ndim == 1:
             d_shift = np.einsum("nc->c", _rows(upstream))
             d_scale = np.einsum("nc,nc->c", _rows(upstream), _rows(x))
@@ -582,7 +553,6 @@ class AdaptiveNormLayer(_Normalization):
     def context(self, frames):
         """Frame-attention context of each utterance: tanh features weighted
         by a softmax over the per-frame feature means."""
-        frames = _check_frames(frames, "context")
         feats = _project(frames, self.ctx_weight.value)
         feats += per_frame(self.ctx_bias.value, feats)
         np.tanh(feats, out=feats)

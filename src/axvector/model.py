@@ -20,14 +20,15 @@ held once.  A model is immutable during inference and may be
 shared across readers; training mutates parameters and normalization
 statistics from a single writer.  The network computes in its parameters'
 dtype, one for the whole model: float64 as built or loaded, float32 once
-training has rounded them.  The model casts its input and the gradient of its
-logits to that dtype, and no layer casts its input.  Statistics are float64
-either way, and a checkpoint stores every value as float64.
+training has rounded them.  The model checks its input once and casts it and
+the gradient of its logits to that dtype; no layer checks or casts its input.
+Statistics are float64 either way, and a checkpoint stores every value as
+float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -124,8 +125,9 @@ class Model:
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
-        require(x.ndim == 3,
-                f"model input must be (batch, frames, features), got shape {x.shape}")
+        require(x.ndim == 3 and x.shape[0] >= 1,
+                f"model input must be (batch, frames, features) with batch >= 1, "
+                f"got shape {x.shape}")
         require(x.shape[2] == self.config.input_dim,
                 f"model expects {self.config.input_dim} features, got {x.shape[2]}")
         if x.shape[1] < self.min_frames:
@@ -284,20 +286,24 @@ def save_model(model: Model, path: str) -> None:
 def load_model(path: str) -> Model:
     """Rebuild a model from a checkpoint.
 
-    The stored config is read by the config file's rules
-    (``serialize.settings``) and must build a valid model; every record is
-    checked against the layout it builds (names and shapes, nothing missing,
-    nothing extra) and for nonnegative running variances and
-    ``initialized`` flags of exactly 0 or 1 before any value is set, so a
-    checkpoint with a bad config, in another layout or with impossible
-    values fails with one FormatError.  The layout is built without random
+    The stored config must name every ``ArchConfig`` field, is read by the
+    config file's rules (``serialize.settings``) and must build a valid
+    model; every record is checked against the layout it builds (names and
+    shapes, nothing missing, nothing extra) and for nonnegative running
+    variances and ``initialized`` flags of exactly 0 or 1 before any value is
+    set, so a checkpoint with a bad or incomplete config, in another layout
+    or with impossible values fails with one FormatError.  The layout is built without random
     draws, and each parameter takes its record's array as its value.
     """
     header, records = read_records(path)
     if header.get("kind") != "model":
         raise FormatError(f"{path}: not a model checkpoint (kind={header.get('kind')!r})")
     try:
-        model = _assemble(settings(ArchConfig, header.get("config"), "config"), None)
+        config = settings(ArchConfig, header.get("config"), "config")
+        lacking = [f.name for f in fields(ArchConfig) if f.name not in header["config"]]
+        if lacking:
+            raise FormatError(f"stored config lacks key {lacking[0]!r}")
+        model = _assemble(config, None)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     by_name = dict(records)

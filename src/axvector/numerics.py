@@ -3,14 +3,14 @@
 Every forward here is a pure function of its arguments; the matching
 ``*_backward`` consumes the forward's inputs (plus cheap recomputed
 intermediates) and returns exact gradients of the documented contract.
-Shape arithmetic is validated before any compute so failures surface as
-descriptive ``ValueError``s instead of numpy broadcasting accidents.
+The model checks its input once, and the kernels trust the shapes their
+callers guarantee.
 
 Precision follows the input: the kernels take float32 or float64 arrays,
 which only ``conv1d``/``conv1d_backward`` cast, and every fresh buffer takes
 its input's dtype.  The softmax and the weights of weighted statistics are the
-exception: they are computed and checked in float64 and cast to the values'
-dtype only for the products.
+exception: they are computed in float64 and cast to the values' dtype only
+for the products.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from numpy.lib.stride_tricks import as_strided
 # standard deviation (and its gradient) defined when the variance collapses;
 # the gradient is zero while the floor is active.
 VARIANCE_FLOOR = 1e-10
-
-# Tolerance on sum(weights) == 1 for weighted statistics.
-WEIGHT_SUM_TOL = 1e-9
 
 
 def require(condition: bool, message: str) -> None:
@@ -259,17 +256,6 @@ def softmax_backward(probs: np.ndarray, upstream) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_weights(values: np.ndarray, weights) -> np.ndarray:
-    """The weights checked in float64, returned in the values' dtype."""
-    weights = as_f64(weights)
-    require(weights.shape == values.shape[:-1],
-            f"weights must be one per frame; got {weights.shape} for values {values.shape}")
-    require(bool(np.all(weights >= 0.0)), "weights must be nonnegative")
-    off = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
-    require(off <= WEIGHT_SUM_TOL, f"weights must sum to 1 (off by {off!r})")
-    return weights.astype(values.dtype, copy=False)
-
-
 def weighted_moments(values, weights) -> tuple[np.ndarray, np.ndarray]:
     """Weighted per-channel mean and raw variance (second moment minus the
     squared mean, unfloored) over the frame axis of (..., frames, channels)
@@ -285,7 +271,7 @@ def weighted_stats_backward(values, weights, d_mean, d_std,
     std = sqrt(max(raw variance, VARIANCE_FLOOR)), given the forward's
     weighted_moments ``moments``.  The floor gives zero gradient while active.
     """
-    weights = _check_weights(values, weights)
+    weights = weights.astype(values.dtype, copy=False)
     mean, raw_var = moments
     std = np.sqrt(np.maximum(raw_var, VARIANCE_FLOOR))
     d_var = np.where(raw_var > VARIANCE_FLOOR, d_std / (2.0 * std), 0.0)

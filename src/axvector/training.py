@@ -52,6 +52,7 @@ class TrainConfig:
         require(self.crop_frames_min >= 1, "crop length must be positive")
         require(self.batch_size >= 1, "batch size must be >= 1")
         require(self.total_steps >= 1, "total_steps must be >= 1")
+        require(self.weight_decay >= 0.0, "weight_decay must be nonnegative")
 
 
 # Wrap-padding budget: an utterance is tiled to at most this many times its
@@ -203,22 +204,15 @@ def _update(values, grads, ms, vs, scratch, decay, lr, bc1, bc2) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_wrap(frames: int, crop: int, utt_id: str) -> None:
-    require(crop <= frames * MAX_WRAP,
-            f"utterance {utt_id!r} has {frames} frames; wrap-padding to "
-            f"{crop} exceeds the {MAX_WRAP}x limit")
-
-
 def crop_or_wrap(corpus, utt_id: str, offset: int, row: np.ndarray) -> None:
     """Fill ``row`` (crop, dim) with the utterance's frames from ``offset``
     on, or, when it is shorter than the crop, with the utterance tiled from
     frame 0: it is read into the row's head once, and each later copy comes
-    from there."""
+    from there.  ``train`` checks the MAX_WRAP limit before its first step."""
     frames, crop = corpus.frames(utt_id), row.shape[0]
     if frames >= crop:
         corpus.read_frames(utt_id, offset, row)
         return
-    check_wrap(frames, crop, utt_id)
     corpus.read_frames(utt_id, 0, row[:frames])
     for t in range(frames, crop, frames):
         row[t:t + frames] = row[:min(frames, crop - t)]
@@ -308,7 +302,10 @@ def train(model: Model, corpus, cfg: TrainConfig, progress=None) -> list[StepRec
     # batches are built as the loop reaches them, so every utterance is
     # checked against the longest crop here, before the first step
     for utt in corpus.utterances:
-        check_wrap(corpus.frames(utt.utt_id), cfg.crop_frames_max, utt.utt_id)
+        frames = corpus.frames(utt.utt_id)
+        require(cfg.crop_frames_max <= frames * MAX_WRAP,
+                f"utterance {utt.utt_id!r} has {frames} frames; wrap-padding to "
+                f"{cfg.crop_frames_max} exceeds the {MAX_WRAP}x limit")
     params = model.params()
     # the batches are float32, so the parameters and the optimizer state take
     # that dtype too: each float64 value is rounded once, here

@@ -254,6 +254,11 @@ class TestPldaTraining:
             B.plda_train(x, np.zeros(20, dtype=int), iterations=15)
 
 
+def score_one(scorer, enroll, test) -> float:
+    """``score_pairs`` of one enroll/test pair, as one-row arrays."""
+    return float(scorer.score_pairs(np.atleast_1d(enroll)[None], np.atleast_1d(test)[None])[0])
+
+
 class TestPldaScoring:
     def _model(self, rng, dim=4):
         return B.PldaModel(mean=rng.normal(size=dim),
@@ -273,15 +278,15 @@ class TestPldaScoring:
     def test_zero_between_gives_zero_llr(self, rng):
         model = B.PldaModel(mean=np.zeros(3), between=np.zeros((3, 3)),
                             within=random_spd(rng, 3))
-        assert B.PldaScorer(model).score(rng.normal(size=3), rng.normal(size=3)) == 0.0
+        assert score_one(B.PldaScorer(model), rng.normal(size=3), rng.normal(size=3)) == 0.0
 
     def test_symmetry(self, rng):
         model = self._model(rng)
         for _ in range(5):
             a = rng.normal(size=4)
             b = rng.normal(size=4)
-            assert B.PldaScorer(model).score(a, b) == pytest.approx(
-                B.PldaScorer(model).score(b, a), abs=1e-10)
+            assert score_one(B.PldaScorer(model), a, b) == pytest.approx(
+                score_one(B.PldaScorer(model), b, a), abs=1e-10)
 
     def test_against_joint_gaussian_evaluation(self, rng):
         model = self._model(rng, dim=3)
@@ -295,7 +300,7 @@ class TestPldaScoring:
             expected = (multivariate_normal.logpdf(stacked, np.zeros(6), joint_same)
                         - multivariate_normal.logpdf(e - model.mean, np.zeros(3), total)
                         - multivariate_normal.logpdf(t - model.mean, np.zeros(3), total))
-            assert scorer.score(e, t) == pytest.approx(expected, abs=1e-10)
+            assert score_one(scorer, e, t) == pytest.approx(expected, abs=1e-10)
 
     def test_dim_one_quadrature_oracle(self):
         b, w, mu = 1.3, 0.6, 0.4
@@ -314,8 +319,7 @@ class TestPldaScoring:
                 * integrate.quad(lambda y: gauss(t, mu + y, w) * gauss(y, 0.0, b),
                                  -12, 12, epsabs=1e-13, epsrel=1e-13)[0])
         expected = np.log(same) - np.log(diff)
-        assert B.PldaScorer(model).score(np.array([e]), np.array([t])) == pytest.approx(
-            expected, abs=1e-8)
+        assert score_one(B.PldaScorer(model), e, t) == pytest.approx(expected, abs=1e-8)
 
     def test_rotation_invariance(self, rng):
         model = self._model(rng, dim=4)
@@ -324,22 +328,8 @@ class TestPldaScoring:
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         rotated = B.PldaModel(mean=q @ model.mean, between=q @ model.between @ q.T,
                               within=q @ model.within @ q.T)
-        assert B.PldaScorer(model).score(e, t) == pytest.approx(
-            B.PldaScorer(rotated).score(q @ e, q @ t), abs=1e-9)
-
-    def test_dim_mismatch(self, rng):
-        model = self._model(rng, dim=4)
-        with pytest.raises(ValueError, match="dim"):
-            B.PldaScorer(model).score(np.zeros(3), np.zeros(4))
-
-    def test_score_pairs_matches_scalar_path(self, rng):
-        model = self._model(rng, dim=5)
-        scorer = B.PldaScorer(model)
-        enroll = rng.normal(size=(7, 5))
-        test = rng.normal(size=(7, 5))
-        batch = scorer.score_pairs(enroll, test)
-        for i in range(7):
-            assert batch[i] == pytest.approx(scorer.score(enroll[i], test[i]), abs=1e-12)
+        assert score_one(B.PldaScorer(model), e, t) == pytest.approx(
+            score_one(B.PldaScorer(rotated), q @ e, q @ t), abs=1e-9)
 
 
 class TestFusionAndScores:

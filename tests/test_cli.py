@@ -139,9 +139,14 @@ def test_config_takes_an_int_for_a_float_and_null_for_an_optional_int(tmp_path):
     ({"corpus": {"num_speakers": 9}, "split": {"eval_speakers": 8}},
      "corpus must keep at least 2 training speakers after the split"),
     ({"arch": {"input_dim": 20}}, "arch.input_dim=20 does not match corpus.feature_dim=30"),
+    ({"corpus": {"noise_scale": -1.0}},
+     "invalid corpus section: scale parameters must be nonnegative"),
+    ({"corpus": {"codec_depth": -3.0}}, "invalid corpus section: codec_depth must lie in (-1, 1)"),
+    ({"train": {"weight_decay": -0.5}}, "invalid train section: weight_decay must be nonnegative"),
 ], ids=["unknown-section", "section-not-a-mapping", "negative-eval-speakers", "zero-targets",
         "negative-nontargets", "zero-plda-iterations", "zero-lda-dim", "one-training-speaker",
-        "input-dim-is-not-feature-dim"])
+        "input-dim-is-not-feature-dim", "negative-noise-scale", "codec-depth-past-one",
+        "negative-weight-decay"])
 def test_config_refuses_values_out_of_range(config, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig.from_dict(config)

@@ -146,10 +146,6 @@ class TestStatsPooling:
         perm_out, _ = self.pool.forward(frames[rng.permutation(6)][None], "train")
         np.testing.assert_allclose(out, perm_out, atol=1e-12)
 
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            self.pool.forward(np.empty((1, 0, 3)), "train")
-
     def test_gradient(self, rng):
         frames = rng.normal(size=(1, 5, 3))
         probe = rng.normal(size=(1, 6))
@@ -406,18 +402,6 @@ def test_infer_mode_norm_keeps_no_cache(name):
     assert cache is None
     with pytest.raises(ValueError, match=f"{layer.name}: backward needs a train-mode forward"):
         layer.backward(cache, np.ones_like(out))
-
-
-@pytest.mark.parametrize("name", sorted(NORM_CASES))
-def test_upstream_of_another_dtype_rejected(name):
-    """A normalization's backward writes into a buffer of the input's dtype,
-    so an upstream of another dtype is refused rather than narrowed."""
-    rng = np.random.default_rng(5)
-    make, shape = NORM_CASES[name]
-    layer = make(rng)
-    _, cache = layer.forward(rng.normal(size=shape), "train")
-    with pytest.raises(ValueError, match="float64 like its input, got float32"):
-        layer.backward(cache, rng.normal(size=shape).astype(np.float32))
 
 
 @pytest.mark.parametrize("name", sorted(NORM_CASES))

@@ -114,6 +114,14 @@ class TestForward:
         with pytest.raises(ValueError, match="at least 2"):
             model.forward_train(rng.normal(size=(1, 1, 3)))
 
+    def test_empty_batch_refused_at_the_input(self):
+        """A batch of no utterances fails at the model's input check, in
+        either forward, with one error naming its shape."""
+        model = M.build(tiny_config(), seed=0)
+        for forward in (model.forward, model.forward_train):
+            with pytest.raises(ValueError, match=r"batch >= 1, got shape \(0, 4, 3\)"):
+                forward(np.empty((0, 4, 3)))
+
     def test_embedding_head_shape(self, rng):
         model = M.build(tiny_config("acnn_abn"), seed=0)
         x = rng.normal(size=(3, 6, 3))
@@ -322,6 +330,10 @@ class TestCheckpoint:
          r"config\.kernel_sizes\[3\] must be an integer, got True"),
         ({**asdict(tiny_config()), "attention_hidden": "4"},
          r"config\.attention_hidden must be an integer, got '4'"),
+        # a key the header lacks is refused, not filled with its default
+        pytest.param({k: v for k, v in asdict(tiny_config()).items()
+                      if k not in ("acnn_layer_index", "attention_hidden", "pool_size")},
+                     "stored config lacks key 'acnn_layer_index'", id="lacking-keys"),
     ])
     def test_bad_config_is_format_error(self, tmp_path, config, message):
         header = {"kind": "model"}

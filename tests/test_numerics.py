@@ -316,14 +316,6 @@ class TestWeightedStats:
         np.testing.assert_allclose(mean, values[2], rtol=1e-15)
         np.testing.assert_allclose(std, np.sqrt(N.VARIANCE_FLOOR), rtol=1e-12)
 
-    def test_rejects_bad_weights(self, rng):
-        values = rng.normal(size=(3, 2))
-        for weights, message in (([0.5, 0.5, 0.5], "sum to 1"), ([1.5, -0.5, 0.0], "nonnegative")):
-            weights = np.array(weights)
-            moments = N.weighted_moments(values, weights)
-            with pytest.raises(ValueError, match=message):
-                N.weighted_stats_backward(values, weights, np.ones(2), np.ones(2), moments)
-
     @given(st.integers(2, 8), st.integers(1, 4))
     def test_variance_never_negative(self, frames, dim):
         rng = np.random.default_rng(frames * 10 + dim)

@@ -295,10 +295,6 @@ class TestBatches:
         expected = np.concatenate([np.arange(150), np.arange(50)])[:, None]
         assert np.array_equal(out, expected)
 
-    def test_wrap_limit_error(self):
-        with pytest.raises(ValueError, match="'u'"):
-            T.crop_or_wrap(self._one_utterance(10), "u", 0, np.empty((100, 1), np.float32))
-
     def test_deterministic_given_seed(self):
         corpus = micro_corpus()
         cfg = micro_train_config()
